@@ -102,8 +102,7 @@ class ControlChannel:
         xid = self._next_xid()
         self._trace("s2c", msg, xid)
         arrival = self.sim.now() + self.one_way_ns + self.processing_ns
-        self.sim.schedule(arrival, lambda: self.controller.on_message(self.switch, msg),
-                          label=f"ctrl-rx:{type(msg).__name__}")
+        self.sim.schedule(arrival, lambda: self.controller.on_message(self.switch, msg))
 
     def hello(self) -> None:
         self.send_to_controller(Hello())
@@ -120,8 +119,7 @@ class ControlChannel:
         xid = self._next_xid()
         self._trace("c2s", msg, xid)
         arrival = self.sim.now() + self.one_way_ns
-        self.sim.schedule(arrival, lambda: self._apply_at_switch(msg),
-                          label=f"sw-rx:{type(msg).__name__}")
+        self.sim.schedule(arrival, lambda: self._apply_at_switch(msg))
 
     def _apply_at_switch(self, msg) -> None:
         sw = self.switch
@@ -156,7 +154,6 @@ class Controller:
         self.talker_port: dict = {}                 # (switch, stream_id) -> port
         self.listener_ports: dict = {}              # (switch, stream_id) -> set of ports
         self.mac_locations: dict = {}               # switch -> {mac: port}
-        self.in_port_mismatches = 0
 
     def attach_switch(self, switch: Switch, one_way_ns: int, processing_ns: int) -> ControlChannel:
         channel = ControlChannel(self.sim, switch, self, one_way_ns, processing_ns)
@@ -168,8 +165,7 @@ class Controller:
     def start(self) -> None:
         """Bootstrap: every switch opens its channel with a Hello at t=0."""
         for name in self.channels:
-            self.sim.schedule(self.sim.now(), self.channels[name].hello,
-                              label=f"hello:{name}")
+            self.sim.schedule(self.sim.now(), self.channels[name].hello)
 
     # -- dispatch ---------------------------------------------------------
 
@@ -213,7 +209,7 @@ class Controller:
             )
             # rule install strictly precedes the listener ready on this FIFO channel
             channel.send_to_switch(FlowMod(match, STREAM_RULE_PRIORITY,
-                                           (Output(sorted(ports)),)))
+                                           (Output(ports),)))
             channel.send_to_switch(ForwardSrp(msg.frame, msg.in_port))
 
     # -- reactive forwarding ----------------------------------------------

@@ -2,13 +2,26 @@
 
 All simulation time is integer nanoseconds; there is no floating-point time
 anywhere, so two runs of the same configuration replay bit-identically.
+
+`Simulator.trace` is the one observation point of a run. It is None by
+default, which costs one `is not None` check per event and per transmission.
+A callable attached before `run_until` is called as `trace(kind, time_ns,
+subject, detail)`:
+
+- `("dispatch", fire_at, event, None)` just before each event's callback runs;
+- `("tx", start_ns, port, frame)` when an `EgressPort` starts serializing a
+  frame; `port.tx_busy_until` then holds the transmission's end.
+
+The hook only observes: it must not schedule events or change model state.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, Optional
+
+Trace = Callable[[str, int, object, object], None]
 
 NS_PER_S = 1_000_000_000
 
@@ -17,7 +30,7 @@ class SimulationError(Exception):
     """A model bug or fatal configuration error (e.g. scheduling in the past)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     fire_at: int
     seq: int
@@ -36,7 +49,7 @@ class Simulator:
         self._now = 0
         self._seq = 0
         self._heap: list[tuple[int, int, Event]] = []
-        self.dispatch_log: list[tuple[int, int, str]] = []
+        self.trace: Optional[Trace] = None
 
     def now(self) -> int:
         return self._now
@@ -44,11 +57,13 @@ class Simulator:
     def schedule(self, fire_at: int, callback: Callable[[], None], label: str = "") -> Event:
         if fire_at < self._now:
             raise SimulationError(
-                f"scheduling in the past: fire_at={fire_at} < now={self._now} ({label})"
+                f"scheduling in the past: fire_at={fire_at} < now={self._now} "
+                f"({label or getattr(callback, '__qualname__', callback)})"
             )
-        ev = Event(fire_at, self._seq, callback, label)
-        self._seq += 1
-        heapq.heappush(self._heap, (ev.fire_at, ev.seq, ev))
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event(fire_at, seq, callback, label)
+        heappush(self._heap, (fire_at, seq, ev))
         return ev
 
     def schedule_in(self, delay: int, callback: Callable[[], None], label: str = "") -> Event:
@@ -56,12 +71,15 @@ class Simulator:
 
     def run_until(self, t_end: int) -> None:
         """Dispatch every event with fire_at <= t_end, then set the clock to t_end."""
-        while self._heap and self._heap[0][0] <= t_end:
-            fire_at, seq, ev = heapq.heappop(self._heap)
+        heap = self._heap
+        trace = self.trace
+        while heap and heap[0][0] <= t_end:
+            fire_at, _, ev = heappop(heap)
             if ev.cancelled:
                 continue
             self._now = fire_at
-            self.dispatch_log.append((fire_at, seq, ev.label))
+            if trace is not None:
+                trace("dispatch", fire_at, ev, None)
             ev.callback()
         self._now = max(self._now, t_end)
 
@@ -99,7 +117,7 @@ class Link:
         raise SimulationError(f"node not attached to link {self.name}")
 
     def transmit(self, sim: Simulator, sender: object, wire_bytes: int,
-                 deliver: Callable[[], None], label: str = "") -> int:
+                 deliver: Callable[[], None]) -> int:
         """Start serializing a frame from `sender`; returns the far-end arrival time.
 
         Overlapping transmissions in one direction are a fatal model bug: the
@@ -114,5 +132,5 @@ class Link:
         tx_end = start + self.serialization_ns(wire_bytes)
         self._busy_until[direction] = tx_end
         arrival = tx_end + self.propagation_ns
-        sim.schedule(arrival, deliver, label or f"arrival@{self.name}")
+        sim.schedule(arrival, deliver)
         return arrival

@@ -154,7 +154,3 @@ def make_frame(src: MacAddress, dst: MacAddress, payload: Payload,
 
 def wire_size(frame: EthernetFrame) -> int:
     return frame.frame_bytes + WIRE_OVERHEAD_BYTES
-
-
-def wire_bits(frame: EthernetFrame) -> int:
-    return wire_size(frame) * 8

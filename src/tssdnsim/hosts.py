@@ -60,7 +60,7 @@ class Host(Node):
         self.stream_id: Optional[StreamId] = None
         self.lr_arrival_ns: Optional[int] = None
         self.stream_seq = 0
-        self.streams_listened: set = set()      # unique_ids this host subscribes to
+        self.streams_listened: dict = {}        # subscribed unique_id -> its flow name
         self._lr_sent: set = set()
         self.cross: Optional[CrossTrafficConfig] = None
         self._arp_resolved: Optional[MacAddress] = None
@@ -75,16 +75,15 @@ class Host(Node):
     def run_talker(self, cfg: TalkerConfig) -> None:
         self.talker = cfg
         self.stream_id = StreamId(self.mac, cfg.unique_id)
-        self.sim.schedule(cfg.advertise_at_ns, self._advertise, label=f"advertise@{self.name}")
-        self.sim.schedule(cfg.advertise_at_ns + cfg.lr_timeout_ns, self._check_lr_timeout,
-                          label=f"lr-timeout@{self.name}")
+        self.sim.schedule(cfg.advertise_at_ns, self._advertise)
+        self.sim.schedule(cfg.advertise_at_ns + cfg.lr_timeout_ns, self._check_lr_timeout)
 
     def run_listener(self, unique_id: int) -> None:
-        self.streams_listened.add(unique_id)
+        self.streams_listened[unique_id] = f"stream-{unique_id}"
 
     def run_udp_source(self, cfg: CrossTrafficConfig) -> None:
         self.cross = cfg
-        self.sim.schedule(cfg.start_at_ns, self._send_arp_request, label=f"arp@{self.name}")
+        self.sim.schedule(cfg.start_at_ns, self._send_arp_request)
 
     # -- talker -----------------------------------------------------------
 
@@ -118,8 +117,7 @@ class Host(Node):
         self.stream_seq += 1
         self.sent_stream += 1
         self.send(0, frame)
-        self.sim.schedule_in(cfg.interval_ns, self._send_stream_frame,
-                             label=f"stream@{self.name}")
+        self.sim.schedule_in(cfg.interval_ns, self._send_stream_frame)
 
     # -- cross traffic ----------------------------------------------------
 
@@ -135,8 +133,8 @@ class Host(Node):
         frame = make_frame(self.mac, BROADCAST,
                            ArpMessage(ArpKind.REQUEST, cfg.dst_addr), ARP_FRAME_BYTES)
         self.send(0, frame)
-        self._arp_retry_event = self.sim.schedule_in(
-            cfg.arp_retry_interval_ns, self._send_arp_request, label=f"arp-retry@{self.name}")
+        self._arp_retry_event = self.sim.schedule_in(cfg.arp_retry_interval_ns,
+                                                     self._send_arp_request)
 
     def _send_udp_frame(self) -> None:
         cfg = self.cross
@@ -149,8 +147,7 @@ class Host(Node):
         self.udp_seq += 1
         self.sent_udp += 1
         self.send(0, frame)
-        self.sim.schedule_in(cfg.send_interval_ns, self._send_udp_frame,
-                             label=f"udp@{self.name}")
+        self.sim.schedule_in(cfg.send_interval_ns, self._send_udp_frame)
 
     # -- receive path -----------------------------------------------------
 
@@ -161,9 +158,9 @@ class Host(Node):
         elif isinstance(payload, ArpMessage):
             self._handle_arp(frame, payload)
         elif isinstance(payload, StreamData):
-            if payload.stream_id.unique_id in self.streams_listened:
-                self.sink.record(f"stream-{payload.stream_id.unique_id}",
-                                 payload.seq, payload.sent_at, self.sim.now())
+            flow = self.streams_listened.get(payload.stream_id.unique_id)
+            if flow is not None:
+                self.sink.record(flow, payload.seq, payload.sent_at, self.sim.now())
         elif isinstance(payload, UdpDatagram):
             if payload.dst_addr == self.protocol_addr:
                 self.sink.record("udp", payload.seq, payload.sent_at, self.sim.now())
@@ -182,8 +179,7 @@ class Host(Node):
             if self.stream_id == msg.stream_id and self.lr_arrival_ns is None:
                 self.lr_arrival_ns = self.sim.now()
                 # first data frame strictly after the listener ready arrives
-                self.sim.schedule_in(self.talker.interval_ns, self._send_stream_frame,
-                                     label=f"stream-start@{self.name}")
+                self.sim.schedule_in(self.talker.interval_ns, self._send_stream_frame)
 
     def _handle_arp(self, frame: EthernetFrame, msg: ArpMessage) -> None:
         if msg.kind is ArpKind.REQUEST:

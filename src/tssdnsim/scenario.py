@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .config import ScenarioConfig
 from .control import Controller
-from .engine import Endpoint, Link, Simulator
+from .engine import Endpoint, Link, Simulator, Trace
 from .frames import MacAddress, VlanTag
 from .hosts import CrossTrafficConfig, Host, TalkerConfig
 from .metrics import (GuaranteeResult, MetricsSink, check_guarantee, summarize,
@@ -34,7 +34,6 @@ class RunResult:
     lr_arrival_ns: Optional[int]
     udp_first_send_ns: Optional[int]
     scheduled_ports: Optional[int]
-    sent_counts: dict = field(default_factory=dict)
 
     @property
     def records(self) -> list:
@@ -70,8 +69,10 @@ class RunResult:
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def run_scenario(cfg: ScenarioConfig) -> RunResult:
+def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResult:
+    """Build the scenario's network and run it; `trace` becomes `Simulator.trace`."""
     sim = Simulator()
+    sim.trace = trace
     sink = MetricsSink()
 
     hosts: dict = {}
@@ -240,22 +241,37 @@ def format_report(result: RunResult, stats: dict, ws: int, we: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _steady_latencies(result: RunResult) -> dict:
+    """flow -> {seq: latency_ns} for the frames sent in the run's steady window."""
+    ws, we = result.steady_window()
+    out: dict = {}
+    for r in result.records:
+        if ws <= r.send_ns < we:
+            out.setdefault(r.flow, {})[r.seq] = r.latency_ns
+    return out
+
+
 def compare_report(sdn: RunResult, nosdn: RunResult) -> str:
-    """Differential SDN vs no-SDN report over the common steady-state window."""
-    ws = max(sdn.steady_window()[0], nosdn.steady_window()[0])
-    we = min(sdn.config.run_until_ns, nosdn.config.run_until_ns)
-    sdn_stats = summarize(sdn.records, ws, we)
-    nosdn_stats = summarize(nosdn.records, ws, we)
+    """Differential SDN vs no-SDN report over the seqs both steady windows hold.
+
+    Each run keeps its own steady window; records are paired by (flow, seq),
+    so a setup shift that moves which seqs a window holds adds no delta.
+    """
+    sdn_lat, nosdn_lat = _steady_latencies(sdn), _steady_latencies(nosdn)
+    (sws, swe), (nws, nwe) = sdn.steady_window(), nosdn.steady_window()
     lines = ["SDN vs no-SDN comparison",
-             f"steady-state window (send_ns): [{ws}, {we})"]
+             f"steady-state windows (send_ns): SDN [{sws}, {swe}), noSDN [{nws}, {nwe})"]
     if sdn.stream_start_ns is not None and nosdn.stream_start_ns is not None:
         delta = sdn.stream_start_ns - nosdn.stream_start_ns
         lines.append(f"stream start delta (SDN - noSDN): {delta} ns")
-    for flow in sorted(set(sdn_stats) | set(nosdn_stats)):
-        a, b = sdn_stats.get(flow), nosdn_stats.get(flow)
-        if a is None or b is None:
-            lines.append(f"  {flow}: empty window in one run")
+    for flow in sorted(set(sdn_lat) | set(nosdn_lat)):
+        a, b = sdn_lat.get(flow, {}), nosdn_lat.get(flow, {})
+        common = a.keys() & b.keys()
+        if not common:
+            lines.append(f"  {flow}: no seq in both steady windows")
             continue
-        lines.append(f"  {flow}: steady mean delta {a.mean_ns - b.mean_ns:+.1f} ns "
-                     f"(SDN {a.mean_ns:.1f} vs noSDN {b.mean_ns:.1f})")
+        mean_a = sum(a[s] for s in common) / len(common)
+        mean_b = sum(b[s] for s in common) / len(common)
+        lines.append(f"  {flow}: steady mean delta {mean_a - mean_b:+.1f} ns over "
+                     f"{len(common)} seqs (SDN {mean_a:.1f} vs noSDN {mean_b:.1f})")
     return "\n".join(lines) + "\n"

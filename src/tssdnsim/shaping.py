@@ -10,11 +10,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .engine import Event, Link, NS_PER_S, SimulationError, Simulator
+from .engine import Endpoint, Event, Link, SimulationError, Simulator
 from .frames import EthernetFrame, wire_size
 
 NUM_QUEUES = 8
 DEFAULT_QUEUE_CAPACITY = 100
+PCPS_HIGH_FIRST = tuple(range(NUM_QUEUES - 1, -1, -1))
 
 
 @dataclass
@@ -25,17 +26,6 @@ class CreditState:
     send_slope_bps: int
     credit: int = 0
     last_update: int = 0
-
-    def credit_bits(self) -> float:
-        return self.credit / NS_PER_S
-
-
-@dataclass
-class TxRecord:
-    start: int
-    end: int
-    pcp: int
-    wire_bits: int
 
 
 class EgressPort:
@@ -57,11 +47,11 @@ class EgressPort:
         self.tx_busy_until = 0
         self.transmitting_pcp: Optional[int] = None
         self._wakeup: Optional[Event] = None
+        self._peer: Optional[Endpoint] = None   # far end of the link, found on first send
         # counters
         self.frames_sent = 0
         self.dropped_overflow = 0
         self.max_depth = [0] * NUM_QUEUES
-        self.tx_log: list[TxRecord] = []
 
     # -- reservations -----------------------------------------------------
 
@@ -94,8 +84,10 @@ class EgressPort:
             return False
         self._update_credits(now)
         q.append(frame)
-        self.max_depth[pcp] = max(self.max_depth[pcp], len(q))
-        if self._idle(now):
+        depth = len(q)
+        if depth > self.max_depth[pcp]:
+            self.max_depth[pcp] = depth
+        if self.transmitting_pcp is None and now >= self.tx_busy_until:
             self._select(now)
         return True
 
@@ -105,6 +97,8 @@ class EgressPort:
     # -- credit dynamics --------------------------------------------------
 
     def _update_credits(self, now: int) -> None:
+        if not self.shaped:
+            return
         for pcp, cs in self.shaped.items():
             dt = now - cs.last_update
             if dt < 0:
@@ -132,30 +126,32 @@ class EgressPort:
         if self._wakeup is not None:
             self._wakeup.cancel()
             self._wakeup = None
+        queues, shaped = self.queues, self.shaped
         chosen = None
-        for pcp in range(NUM_QUEUES - 1, -1, -1):
-            if not self.queues[pcp]:
-                continue
-            cs = self.shaped.get(pcp)
-            if cs is None or cs.credit >= 0:
-                chosen = pcp
-                break
+        for pcp in PCPS_HIGH_FIRST:
+            if queues[pcp]:
+                cs = shaped.get(pcp)
+                if cs is None or cs.credit >= 0:
+                    chosen = pcp
+                    break
         if chosen is None:
             self._schedule_wakeup(now)
             return
-        frame = self.queues[chosen].popleft()
-        tx_ns = self.link.serialization_ns(wire_size(frame))
+        frame = queues[chosen].popleft()
+        sim, link, owner = self.sim, self.link, self.owner
+        wire_bytes = wire_size(frame)
+        tx_end = now + link.serialization_ns(wire_bytes)
         self.transmitting_pcp = chosen
-        self.tx_busy_until = now + tx_ns
-        peer = self.link.peer_of(self.owner)
-        self.link.transmit(
-            self.sim, self.owner, wire_size(frame),
-            lambda f=frame, p=peer: p.node.handle_frame(p.port, f),
-            label=f"rx@{peer.node.name}:{peer.port}",
-        )
-        self.sim.schedule(self.tx_busy_until, self._on_tx_done, label=f"txdone@{self.name}")
+        self.tx_busy_until = tx_end
+        peer = self._peer
+        if peer is None:
+            peer = self._peer = link.peer_of(owner)
+        link.transmit(sim, owner, wire_bytes,
+                      lambda f=frame, p=peer: p.node.handle_frame(p.port, f))
+        sim.schedule(tx_end, self._on_tx_done)
         self.frames_sent += 1
-        self.tx_log.append(TxRecord(now, self.tx_busy_until, chosen, wire_size(frame) * 8))
+        if sim.trace is not None:
+            sim.trace("tx", now, self, frame)
 
     def _on_tx_done(self) -> None:
         now = self.sim.now()
@@ -177,7 +173,7 @@ class EgressPort:
                 if wake_at is None or t < wake_at:
                     wake_at = t
         if wake_at is not None:
-            self._wakeup = self.sim.schedule(wake_at, self._on_wakeup, label=f"credit@{self.name}")
+            self._wakeup = self.sim.schedule(wake_at, self._on_wakeup)
 
     def _on_wakeup(self) -> None:
         self._wakeup = None

@@ -26,7 +26,8 @@ CLASS_B = SrClass("B", pcp=5, per_hop_max_latency_ns=1_000_000, default_interval
 
 SR_CLASSES = {"A": CLASS_A, "B": CLASS_B}
 
-DEFAULT_ADMISSION_FRACTION = 0.75
+# share of a port's rate that reservations may take, in thousandths
+DEFAULT_ADMISSION_PERMILLE = 750
 
 
 def reserved_bps(max_frame_bytes: int, interval_ns: int) -> int:
@@ -64,14 +65,16 @@ def analytic_guarantee(sr_class: SrClass, scheduled_ports: int) -> int:
 
 
 def admit(port, reservation: Reservation,
-          fraction: float = DEFAULT_ADMISSION_FRACTION) -> Optional[Rejected]:
+          permille: int = DEFAULT_ADMISSION_PERMILLE) -> Optional[Rejected]:
     """Admission control on an egress port; on success raises the port idle slope.
 
+    The limit is `permille` thousandths of the port rate, compared in integers.
     Returns None when admitted, a Rejected record otherwise.
     """
     new_bps = reservation.reserved_bps
-    if port.total_reserved_bps + new_bps > fraction * port.rate_bps:
-        return Rejected(port.name, f"would exceed {fraction:.0%} of {port.rate_bps} bit/s")
+    if 1000 * (port.total_reserved_bps + new_bps) > permille * port.rate_bps:
+        return Rejected(port.name, f"would exceed {permille / 10:g}% of "
+                                   f"{port.rate_bps} bit/s")
     port.add_reservation(reservation.sr_class.pcp, new_bps)
     return None
 

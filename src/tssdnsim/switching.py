@@ -13,7 +13,7 @@ from typing import Optional, Union
 from .frames import (EthernetFrame, MacAddress, SrpKind, SrpMessage, StreamData,
                      StreamId)
 from .network import Node
-from .srp import DEFAULT_ADMISSION_FRACTION, Reservation, SR_CLASSES, admit
+from .srp import DEFAULT_ADMISSION_PERMILLE, Reservation, SR_CLASSES, admit
 
 
 # -- flow table ----------------------------------------------------------
@@ -45,10 +45,12 @@ class FlowMatch:
 
 @dataclass(frozen=True)
 class Output:
-    ports: frozenset
+    """Forward out of each listed port once, in ascending port order."""
+
+    ports: tuple
 
     def __init__(self, ports) -> None:
-        object.__setattr__(self, "ports", frozenset(ports))
+        object.__setattr__(self, "ports", tuple(sorted(set(ports))))
 
 
 @dataclass(frozen=True)
@@ -174,13 +176,13 @@ REACTIVE_RULE_PRIORITY = 10
 class Switch(Node):
     def __init__(self, sim, name, sdn: bool,
                  queue_capacity: int = 100, shaper_enabled: bool = True,
-                 admission_fraction: float = DEFAULT_ADMISSION_FRACTION,
+                 admission_permille: int = DEFAULT_ADMISSION_PERMILLE,
                  log=None) -> None:
         super().__init__(sim, name)
         self.sdn = sdn
         self.queue_capacity = queue_capacity
         self.shaper_enabled = shaper_enabled
-        self.admission_fraction = admission_fraction
+        self.admission_permille = admission_permille
         self.flow_table = FlowTable()
         self.sr_table = SrTable()
         self.ingress_filter = IngressFilter()
@@ -242,7 +244,7 @@ class Switch(Node):
     def _apply_actions(self, actions, frame, in_port, reason) -> None:
         for action in actions:
             if isinstance(action, Output):
-                for port in sorted(action.ports):
+                for port in action.ports:
                     self.send(port, frame)
                     self.forwarded += 1
             elif isinstance(action, ToController):
@@ -292,7 +294,7 @@ class Switch(Node):
             if self.sr_table.add_listener(msg.stream_id, in_port):
                 reservation = Reservation(msg.stream_id, SR_CLASSES[msg.sr_class],
                                           msg.max_frame_bytes, msg.interval_ns)
-                rejected = admit(self.ports[in_port], reservation, self.admission_fraction)
+                rejected = admit(self.ports[in_port], reservation, self.admission_permille)
                 if rejected is not None:
                     self.log(f"{self.name}: reservation rejected on {rejected.port_name}: "
                              f"{rejected.reason}")

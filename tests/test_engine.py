@@ -37,9 +37,11 @@ def test_scheduling_in_the_past_is_fatal():
 
 def test_run_until_with_empty_queue_advances_clock():
     sim = Simulator()
+    seen = []
+    sim.trace = lambda *report: seen.append(report)
     sim.run_until(1 * MS)
     assert sim.now() == 1 * MS
-    assert sim.dispatch_log == []
+    assert seen == []
 
 
 def test_single_event_dispatched_exactly_once():
@@ -68,13 +70,17 @@ def test_random_schedules_match_sorted_list_oracle():
 def test_identical_runs_produce_identical_dispatch_logs():
     def build():
         sim = Simulator()
+        log = []
+        sim.trace = lambda kind, time_ns, ev, _: log.append((kind, time_ns, ev.seq, ev.label))
         rng = random.Random(42)
         for i in range(300):
             sim.schedule(rng.randrange(0, 5000), lambda: None, label=f"e{i}")
         sim.run_until(5000)
-        return sim.dispatch_log
+        return log
 
-    assert build() == build()
+    first = build()
+    assert len(first) == 300
+    assert first == build()
 
 
 class _Sink:

@@ -202,6 +202,39 @@ def test_compare_report_states_the_shift(sdn_result, nosdn_result):
     assert "steady mean delta" in report
 
 
+def test_compare_report_pairs_seqs_so_identical_latencies_give_zero_delta(
+        sdn_result, nosdn_result):
+    # the 300 us setup shift moves which seqs a send-time window holds;
+    # per-seq latencies are equal (acceptance 02), so the delta must be zero
+    report = compare_report(sdn_result, nosdn_result)
+    assert "  stream-1: steady mean delta +0.0 ns" in report
+    assert "  udp: steady mean delta +0.0 ns" in report
+
+
+# -- golden frame hashes --------------------------------------------------
+
+SHIPPED_FRAME_HASHES = {
+    "case_study_sdn": "f47a4c7537222220",
+    "case_study_nosdn": "3db977c48b957ca1",
+    "fault_injection": "08f4d0605f1105e8",
+}
+
+
+def test_shipped_scenarios_keep_their_frame_hashes(sdn_result, nosdn_result, fault_result):
+    got = {"case_study_sdn": sdn_result.frame_csv_hash()[:16],
+           "case_study_nosdn": nosdn_result.frame_csv_hash()[:16],
+           "fault_injection": fault_result.frame_csv_hash()[:16]}
+    assert got == SHIPPED_FRAME_HASHES
+
+
+def test_trace_hook_only_observes(sdn_result):
+    kinds = []
+    traced = run_scenario(load_config(resolve_scenario("case_study_sdn")),
+                          trace=lambda kind, *_: kinds.append(kind))
+    assert traced.frame_csv_hash() == sdn_result.frame_csv_hash()
+    assert {"dispatch", "tx"} <= set(kinds)
+
+
 # -- command line ---------------------------------------------------------
 
 

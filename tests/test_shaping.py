@@ -131,8 +131,21 @@ def test_queue_overflow_drops_and_counts():
     assert port.dropped_overflow == 1
 
 
-def _shaped_bits_in_window(port, start, end):
-    return sum(t.wire_bits for t in port.tx_log if t.pcp == 6 and start <= t.start < end)
+class TxTrace:
+    """Trace hook keeping (start, pcp, wire bits) of every transmission on one port."""
+
+    def __init__(self, sim, port):
+        self.port = port
+        self.tx = []
+        sim.trace = self
+
+    def __call__(self, kind, time_ns, subject, detail):
+        if kind == "tx" and subject is self.port:
+            self.tx.append((time_ns, detail.pcp, wire_size(detail) * 8))
+
+
+def _shaped_bits_in_window(tx_trace, start, end):
+    return sum(bits for t, pcp, bits in tx_trace.tx if pcp == 6 and start <= t < end)
 
 
 def test_cbs_conservation_on_randomized_saturating_patterns():
@@ -143,6 +156,7 @@ def test_cbs_conservation_on_randomized_saturating_patterns():
         idle_slope = rng.randrange(10, 70) * 1_000_000
         interval = rng.randrange(100, 300) * US
         sim, port, _ = make_rig()
+        tx_trace = TxTrace(sim, port)
         port.add_reservation(6, idle_slope)
         max_bytes = 0
         t = 0
@@ -160,7 +174,7 @@ def test_cbs_conservation_on_randomized_saturating_patterns():
         window_start = 20 * interval   # past warmup
         window_end = 90 * interval
         window = window_end - window_start
-        sent = _shaped_bits_in_window(port, window_start, window_end)
+        sent = _shaped_bits_in_window(tx_trace, window_start, window_end)
         bound = idle_slope * window // NS_PER_S + wire_size(stream_frame(0, max_bytes)) * 8
         assert sent <= bound, f"trial {trial}: {sent} bits > bound {bound}"
         # with saturating input the shaper should also be close to its budget

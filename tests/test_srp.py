@@ -68,6 +68,16 @@ def test_admit_rejects_beyond_fraction():
     assert "75%" in rejected.reason
 
 
+def test_admit_accepts_a_reservation_exactly_at_the_limit():
+    # 900000 bit/s is 9 per mille of 100 Mbit/s; as a float, 0.009 * 1e8 falls short
+    port = _fresh_port()
+    res = Reservation(StreamId(MacAddress.parse("02:00:00:00:00:01"), 1),
+                      CLASS_A, 205, 2_000 * US)
+    assert res.reserved_bps == 900_000
+    assert admit(port, res, 9) is None
+    assert isinstance(admit(port, res, 9), Rejected)
+
+
 def test_admit_monotone_in_reservation_size():
     # rejected at level r stays rejected at every larger level
     port = _fresh_port()
