@@ -252,5 +252,11 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
                     stack.append(neigh)
         if seen != set(names):
             raise ConfigError(f"{source}: topology graph is not connected")
+        # a connected graph is a tree iff it has one link fewer than nodes; this
+        # also refuses parallel links and self-loops, which no bridge forwards over
+        if len(links) != len(names) - 1:
+            raise ConfigError(f"{source}: topology is not a tree: {len(links)} links "
+                              f"for {len(names)} nodes (a loop-free network has "
+                              f"{len(names) - 1})")
 
     return cfg

@@ -12,6 +12,11 @@ subject, detail)`:
 - `("tx", start_ns, port, frame)` when an `EgressPort` starts serializing a
   frame; `port.tx_busy_until` then holds the transmission's end.
 
+A transmission over a link without propagation delay costs one dispatch:
+`EgressPort._on_tx_done`, which delivers the frame to the far end and then
+frees the port. A link with propagation delay adds a separate delivery event,
+scheduled when the transmission starts.
+
 The hook only observes: it must not schedule events or change model state.
 """
 
@@ -117,8 +122,13 @@ class Link:
         raise SimulationError(f"node not attached to link {self.name}")
 
     def transmit(self, sim: Simulator, sender: object, wire_bytes: int,
-                 deliver: Callable[[], None]) -> int:
+                 deliver: Optional[Callable[[], None]] = None) -> int:
         """Start serializing a frame from `sender`; returns the far-end arrival time.
+
+        `deliver`, when given, is scheduled at the arrival time. On a link
+        without propagation delay the arrival is the transmission's end, so
+        the egress port passes None and delivers the frame in its own tx-done
+        event.
 
         Overlapping transmissions in one direction are a fatal model bug: the
         egress port owning this direction must keep it busy until tx end.
@@ -132,5 +142,6 @@ class Link:
         tx_end = start + self.serialization_ns(wire_bytes)
         self._busy_until[direction] = tx_end
         arrival = tx_end + self.propagation_ns
-        sim.schedule(arrival, deliver)
+        if deliver is not None:
+            sim.schedule(arrival, deliver)
         return arrival

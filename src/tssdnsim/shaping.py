@@ -48,6 +48,8 @@ class EgressPort:
         self.transmitting_pcp: Optional[int] = None
         self._wakeup: Optional[Event] = None
         self._peer: Optional[Endpoint] = None   # far end of the link, found on first send
+        # frame on a zero-propagation wire, handed to the peer by _on_tx_done
+        self._in_flight: Optional[EthernetFrame] = None
         # counters
         self.frames_sent = 0
         self.dropped_overflow = 0
@@ -146,14 +148,25 @@ class EgressPort:
         peer = self._peer
         if peer is None:
             peer = self._peer = link.peer_of(owner)
-        link.transmit(sim, owner, wire_bytes,
-                      lambda f=frame, p=peer: p.node.handle_frame(p.port, f))
+        if link.propagation_ns:
+            link.transmit(sim, owner, wire_bytes,
+                          lambda f=frame, p=peer: p.node.handle_frame(p.port, f))
+        else:
+            link.transmit(sim, owner, wire_bytes)
+            self._in_flight = frame
         sim.schedule(tx_end, self._on_tx_done)
         self.frames_sent += 1
         if sim.trace is not None:
             sim.trace("tx", now, self, frame)
 
     def _on_tx_done(self) -> None:
+        # The peer sees the frame before the port picks its next one: the
+        # order a delivery event scheduled at transmit time would dispatch in.
+        frame = self._in_flight
+        if frame is not None:
+            self._in_flight = None
+            peer = self._peer
+            peer.node.handle_frame(peer.port, frame)
         now = self.sim.now()
         self._update_credits(now)
         pcp = self.transmitting_pcp

@@ -13,7 +13,7 @@ from typing import Optional, Union
 from .frames import (EthernetFrame, MacAddress, SrpKind, SrpMessage, StreamData,
                      StreamId)
 from .network import Node
-from .srp import DEFAULT_ADMISSION_PERMILLE, Reservation, SR_CLASSES, admit
+from .srp import Reservation, SR_CLASSES, admit
 
 
 # -- flow table ----------------------------------------------------------
@@ -30,11 +30,13 @@ class FlowMatch:
     vlan_pcp: Optional[int] = None
 
     def covers(self, frame: EthernetFrame, in_port: int) -> bool:
+        # addresses compare by their octets: bytes equality runs in C, while
+        # the dataclass-generated MacAddress.__eq__ is a Python-level call
         if self.in_port is not None and self.in_port != in_port:
             return False
-        if self.eth_dst is not None and self.eth_dst != frame.dst:
+        if self.eth_dst is not None and self.eth_dst.octets != frame.dst.octets:
             return False
-        if self.eth_src is not None and self.eth_src != frame.src:
+        if self.eth_src is not None and self.eth_src.octets != frame.src.octets:
             return False
         if self.vlan_vid is not None and (frame.vlan is None or frame.vlan.vid != self.vlan_vid):
             return False
@@ -176,13 +178,11 @@ REACTIVE_RULE_PRIORITY = 10
 class Switch(Node):
     def __init__(self, sim, name, sdn: bool,
                  queue_capacity: int = 100, shaper_enabled: bool = True,
-                 admission_permille: int = DEFAULT_ADMISSION_PERMILLE,
                  log=None) -> None:
         super().__init__(sim, name)
         self.sdn = sdn
         self.queue_capacity = queue_capacity
         self.shaper_enabled = shaper_enabled
-        self.admission_permille = admission_permille
         self.flow_table = FlowTable()
         self.sr_table = SrTable()
         self.ingress_filter = IngressFilter()
@@ -294,7 +294,7 @@ class Switch(Node):
             if self.sr_table.add_listener(msg.stream_id, in_port):
                 reservation = Reservation(msg.stream_id, SR_CLASSES[msg.sr_class],
                                           msg.max_frame_bytes, msg.interval_ns)
-                rejected = admit(self.ports[in_port], reservation, self.admission_permille)
+                rejected = admit(self.ports[in_port], reservation)
                 if rejected is not None:
                     self.log(f"{self.name}: reservation rejected on {rejected.port_name}: "
                              f"{rejected.reason}")

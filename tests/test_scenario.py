@@ -1,6 +1,8 @@
 import csv
+from collections import Counter
 
 import pytest
+import yaml
 
 from tssdnsim.cli import main, resolve_scenario
 from tssdnsim.config import ConfigError, load_config, parse_config, parse_time_ns
@@ -84,6 +86,24 @@ def test_disconnected_topology_rejected():
     raw = minimal_raw(links=[{"a": "c0", "b": "s0"}])  # c1 is an island
     with pytest.raises(ConfigError):
         parse_config(raw)
+
+
+RING_LINKS = [{"a": "c0", "b": "s0"}, {"a": "s0", "b": "s1"}, {"a": "s1", "b": "s2"},
+              {"a": "s2", "b": "s0"}, {"a": "s2", "b": "c1"}]
+PARALLEL_LINKS = [{"a": "c0", "b": "s0"}, {"a": "s0", "b": "c1"}, {"a": "s0", "b": "c1"}]
+
+
+@pytest.mark.parametrize("switches, links", [(["s0", "s1", "s2"], RING_LINKS),
+                                             (["s0"], PARALLEL_LINKS)],
+                         ids=["ring", "parallel-link"])
+def test_topology_that_is_not_a_tree_rejected(tmp_path, capsys, switches, links):
+    raw = minimal_raw(switches=switches, links=links)
+    with pytest.raises(ConfigError, match="not a tree"):
+        parse_config(raw)
+    path = tmp_path / "loop.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "not a tree" in capsys.readouterr().err
 
 
 def test_duplicate_node_names_rejected():
@@ -227,12 +247,45 @@ def test_shipped_scenarios_keep_their_frame_hashes(sdn_result, nosdn_result, fau
     assert got == SHIPPED_FRAME_HASHES
 
 
+def _with_propagation(scenario, default=None, per_link=None):
+    raw = yaml.safe_load(resolve_scenario(scenario).read_text())
+    if default is not None:
+        raw["defaults"]["propagation"] = default
+    for index, delay in (per_link or {}).items():
+        raw["links"][index]["propagation"] = delay
+    return run_scenario(parse_config(raw))
+
+
+@pytest.mark.parametrize("scenario, default, per_link, digest, frames, guarantee", [
+    ("case_study_sdn", "500ns", None, "4e4601037e27dae4", 710, True),
+    ("fault_injection", "500ns", None, "6e73732e86b52e7b", 1157, False),
+    # mixed: only switch0--switch1 has propagation delay
+    ("case_study_sdn", None, {1: "2us"}, "7f185e2cd2b247ae", None, None),
+])
+def test_links_with_propagation_delay_keep_their_frame_hashes(
+        scenario, default, per_link, digest, frames, guarantee):
+    result = _with_propagation(scenario, default, per_link)
+    assert result.frame_csv_hash()[:16] == digest
+    if frames is not None:
+        assert len(result.records) == frames
+        assert result.check_guarantee().passed is guarantee
+
+
 def test_trace_hook_only_observes(sdn_result):
     kinds = []
     traced = run_scenario(load_config(resolve_scenario("case_study_sdn")),
                           trace=lambda kind, *_: kinds.append(kind))
     assert traced.frame_csv_hash() == sdn_result.frame_csv_hash()
     assert {"dispatch", "tx"} <= set(kinds)
+
+
+def test_a_zero_propagation_hop_costs_one_dispatch():
+    # 2,145 of the 2,148 transmissions end within the run, one tx-done each;
+    # the other 903 dispatches are host timers, credit wakeups and control
+    kinds = Counter()
+    run_scenario(load_config(resolve_scenario("case_study_sdn")),
+                 trace=lambda kind, *_: kinds.update((kind,)))
+    assert kinds == {"dispatch": 3_048, "tx": 2_148}
 
 
 # -- command line ---------------------------------------------------------

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from tssdnsim.engine import NS_PER_S, Simulator
 from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, MacAddress,
                              StreamData, StreamId, UdpDatagram, VlanTag,
@@ -29,6 +31,26 @@ def stream_frame(seq=0, frame_bytes=64, pcp=6):
 
 def be_frame(seq=0, frame_bytes=64):
     return make_frame(SRC, DST, UdpDatagram(seq, 0, "a", "b"), frame_bytes)
+
+
+@pytest.mark.parametrize("propagation_ns, dispatches", [(0, 2), (500, 4)])
+def test_back_to_back_frames_arrive_after_serialization_plus_propagation(
+        propagation_ns, dispatches):
+    sim = Simulator()
+    sender, receiver = Node(sim, "tx"), Recorder(sim, "rx")
+    wire(sim, sender, receiver, propagation_ns=propagation_ns)
+    port = sender.ports[0]
+    seen = []
+    sim.trace = lambda kind, *_: seen.append(kind)
+    port.enqueue(be_frame(0))
+    port.enqueue(be_frame(1))
+    sim.run_until(100 * US)
+    # 64-byte frames serialize in 6.72 us; the second starts when the first ends
+    assert [t for t, _, _ in receiver.received] == [6_720 + propagation_ns,
+                                                   2 * 6_720 + propagation_ns]
+    assert port.frames_sent == 2 and port.tx_busy_until == 2 * 6_720
+    # one tx-done per frame, plus a delivery event per frame on a delayed link
+    assert seen.count("dispatch") == dispatches
 
 
 def test_send_slope_is_idle_slope_minus_rate():
