@@ -10,7 +10,8 @@ from typing import Optional
 
 import yaml
 
-from .frames import MacAddress
+from .frames import (MAX_FRAME_BYTES, MAX_PCP, MAX_UNIQUE_ID, MAX_VID, MacAddress,
+                     VlanTag)
 from .srp import SR_CLASSES
 
 
@@ -54,12 +55,11 @@ class ControlConfig:
 
 
 @dataclass
-class TalkerSpec:
+class TalkerConfig:
     node: str
     unique_id: int
     dst_group: MacAddress
-    vid: int
-    pcp: int
+    vlan: VlanTag
     sr_class: str
     frame_bytes: int
     interval_ns: int
@@ -73,15 +73,14 @@ class ListenerSpec:
 
 
 @dataclass
-class CrossTrafficSpec:
+class CrossTrafficConfig:
     node: str
     dst_node: str
     frame_bytes: int
     send_interval_ns: int
     start_at_ns: int
     count: Optional[int] = None
-    vid: Optional[int] = None
-    pcp: int = 0
+    vlan: Optional[VlanTag] = None
 
 
 @dataclass
@@ -95,9 +94,9 @@ class ScenarioConfig:
     links: list
     controller: Optional[str] = None
     control: ControlConfig = field(default_factory=ControlConfig)
-    talker: Optional[TalkerSpec] = None
+    talker: Optional[TalkerConfig] = None
     listeners: list = field(default_factory=list)
-    cross_traffic: Optional[CrossTrafficSpec] = None
+    cross_traffic: Optional[CrossTrafficConfig] = None
     queue_capacity: int = 100
     shaper_enabled: bool = True
     convergence_bound_ns: int = 10_000_000
@@ -117,6 +116,29 @@ def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"{where}: missing required field '{key}'")
     return mapping[key]
+
+
+def _int(value, name: str, lo: int, hi: int) -> int:
+    """An integer in [lo, hi]; anything else is refused naming the field."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    if not lo <= number <= hi:
+        raise ConfigError(f"{name}: {number} outside [{lo}, {hi}]")
+    return number
+
+
+def _interval_ns(value, name: str) -> int:
+    interval = parse_time_ns(value, name)
+    if interval <= 0:
+        raise ConfigError(f"{name}: must be positive")
+    return interval
+
+
+def _vlan(vid, pcp, where: str) -> VlanTag:
+    return VlanTag(_int(vid, f"{where}.vid", 0, MAX_VID),
+                   _int(pcp, f"{where}.pcp", 0, MAX_PCP))
 
 
 def load_config(path) -> ScenarioConfig:
@@ -197,20 +219,26 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         sr_class = str(t.get("sr_class", "A"))
         if sr_class not in SR_CLASSES:
             raise ConfigError(f"{where}: unknown SR class '{sr_class}'")
-        cfg.talker = TalkerSpec(
+        try:
+            dst_group = MacAddress.parse(str(_require(t, "dst_group", where)))
+        except ValueError as exc:
+            raise ConfigError(f"{where}.dst_group: {exc}")
+        if not dst_group.is_multicast:
+            raise ConfigError(f"{where}.dst_group: must be a multicast address")
+        cfg.talker = TalkerConfig(
             node=node,
-            unique_id=int(t.get("unique_id", 1)),
-            dst_group=MacAddress.parse(_require(t, "dst_group", where)),
-            vid=int(_require(t, "vid", where)),
-            pcp=int(t.get("pcp", SR_CLASSES[sr_class].pcp)),
+            unique_id=_int(t.get("unique_id", 1), f"{where}.unique_id", 0, MAX_UNIQUE_ID),
+            dst_group=dst_group,
+            vlan=_vlan(_require(t, "vid", where), t.get("pcp", SR_CLASSES[sr_class].pcp),
+                       where),
             sr_class=sr_class,
-            frame_bytes=int(t.get("frame_bytes", 150)),
-            interval_ns=parse_time_ns(t.get("interval", "125us"), f"{where}.interval"),
+            # shorter frames are padded to the Ethernet minimum when built
+            frame_bytes=_int(t.get("frame_bytes", 150), f"{where}.frame_bytes",
+                             1, MAX_FRAME_BYTES),
+            interval_ns=_interval_ns(t.get("interval", "125us"), f"{where}.interval"),
             advertise_at_ns=parse_time_ns(t.get("advertise_at", cfg.idle_setup_ns),
                                           f"{where}.advertise_at"),
         )
-        if not cfg.talker.dst_group.is_multicast:
-            raise ConfigError(f"{where}: dst_group must be a multicast address")
 
     for i, item in enumerate(raw.get("listeners", [])):
         where = f"{source}: listeners[{i}]"
@@ -227,17 +255,22 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         for n in (node, dst):
             if n not in clients:
                 raise ConfigError(f"{where}: unknown client '{n}'")
-        cfg.cross_traffic = CrossTrafficSpec(
+        vlan = None
+        if c.get("vid") is not None:
+            vlan = _vlan(c["vid"], c.get("pcp", 0), where)
+        elif c.get("pcp") is not None:
+            raise ConfigError(f"{where}.pcp: needs a vid, the VLAN tag that carries it")
+        cfg.cross_traffic = CrossTrafficConfig(
             node=node,
             dst_node=dst,
-            frame_bytes=int(c.get("frame_bytes", 1000)),
-            send_interval_ns=parse_time_ns(c.get("send_interval", "100us"),
-                                           f"{where}.send_interval"),
+            frame_bytes=_int(c.get("frame_bytes", 1000), f"{where}.frame_bytes",
+                             1, MAX_FRAME_BYTES),
+            send_interval_ns=_interval_ns(c.get("send_interval", "100us"),
+                                          f"{where}.send_interval"),
             start_at_ns=parse_time_ns(c.get("start_at", cfg.idle_setup_ns),
                                       f"{where}.start_at"),
             count=(int(c["count"]) if c.get("count") is not None else None),
-            vid=(int(c["vid"]) if c.get("vid") is not None else None),
-            pcp=int(c.get("pcp", 0)),
+            vlan=vlan,
         )
 
     # connectivity check over the data topology

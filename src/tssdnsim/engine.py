@@ -22,7 +22,7 @@ The hook only observes: it must not schedule events or change model state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
@@ -71,8 +71,8 @@ class Simulator:
         heappush(self._heap, (fire_at, seq, ev))
         return ev
 
-    def schedule_in(self, delay: int, callback: Callable[[], None], label: str = "") -> Event:
-        return self.schedule(self._now + delay, callback, label)
+    def schedule_in(self, delay: int, callback: Callable[[], None]) -> Event:
+        return self.schedule(self._now + delay, callback)
 
     def run_until(self, t_end: int) -> None:
         """Dispatch every event with fire_at <= t_end, then set the clock to t_end."""
@@ -97,15 +97,13 @@ class Endpoint:
 
 @dataclass
 class Link:
-    """Full-duplex point-to-point link; each direction serializes independently."""
+    """Full-duplex point-to-point link; each direction is driven by one EgressPort."""
 
     a: Endpoint
     b: Endpoint
     rate_bps: int = 100_000_000
     propagation_ns: int = 0
     name: str = ""
-    # per-direction serialization guard: direction key is the sending endpoint index
-    _busy_until: dict[int, int] = field(default_factory=lambda: {0: 0, 1: 0})
 
     def __post_init__(self) -> None:
         if self.rate_bps <= 0:
@@ -120,28 +118,3 @@ class Link:
         if self.b.node is node:
             return self.a
         raise SimulationError(f"node not attached to link {self.name}")
-
-    def transmit(self, sim: Simulator, sender: object, wire_bytes: int,
-                 deliver: Optional[Callable[[], None]] = None) -> int:
-        """Start serializing a frame from `sender`; returns the far-end arrival time.
-
-        `deliver`, when given, is scheduled at the arrival time. On a link
-        without propagation delay the arrival is the transmission's end, so
-        the egress port passes None and delivers the frame in its own tx-done
-        event.
-
-        Overlapping transmissions in one direction are a fatal model bug: the
-        egress port owning this direction must keep it busy until tx end.
-        """
-        direction = 0 if self.a.node is sender else 1
-        start = sim.now()
-        if start < self._busy_until[direction]:
-            raise SimulationError(
-                f"link {self.name}: overlapping transmission (dir {direction})"
-            )
-        tx_end = start + self.serialization_ns(wire_bytes)
-        self._busy_until[direction] = tx_end
-        arrival = tx_end + self.propagation_ns
-        if deliver is not None:
-            sim.schedule(arrival, deliver)
-        return arrival

@@ -11,6 +11,9 @@ from typing import Optional, Union
 
 MIN_FRAME_BYTES = 64
 MAX_FRAME_BYTES = 1522
+MAX_VID = 4095
+MAX_PCP = 7
+MAX_UNIQUE_ID = 0xFFFF
 # preamble 7 + SFD 1 + interframe gap 12
 WIRE_OVERHEAD_BYTES = 20
 
@@ -37,10 +40,6 @@ class MacAddress:
         # I/G bit: least-significant bit of the first octet
         return bool(self.octets[0] & 0x01)
 
-    @property
-    def is_broadcast(self) -> bool:
-        return self.octets == b"\xff" * 6
-
     def __str__(self) -> str:
         return ":".join(f"{o:02X}" for o in self.octets)
 
@@ -58,9 +57,9 @@ class VlanTag:
     pcp: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.vid <= 4095:
+        if not 0 <= self.vid <= MAX_VID:
             raise ValueError(f"VLAN id {self.vid} out of range")
-        if not 0 <= self.pcp <= 7:
+        if not 0 <= self.pcp <= MAX_PCP:
             raise ValueError(f"PCP {self.pcp} out of range")
 
 
@@ -70,7 +69,7 @@ class StreamId:
     unique_id: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.unique_id <= 0xFFFF:
+        if not 0 <= self.unique_id <= MAX_UNIQUE_ID:
             raise ValueError(f"stream unique_id {self.unique_id} out of range")
 
     def __str__(self) -> str:

@@ -7,45 +7,21 @@ network elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .config import CrossTrafficConfig, TalkerConfig
 from .frames import (ArpKind, ArpMessage, BROADCAST, EthernetFrame, MacAddress,
                      SrpKind, SrpMessage, StreamData, StreamId, UdpDatagram,
-                     VlanTag, make_frame)
+                     make_frame)
 from .network import Node
 from .srp import Reservation, SR_CLASSES, admit
 
 SRP_FRAME_BYTES = 64
 ARP_FRAME_BYTES = 64
 
-DEFAULT_LR_TIMEOUT_NS = 1_000_000_000
-DEFAULT_ARP_RETRIES = 3
-DEFAULT_ARP_RETRY_INTERVAL_NS = 1_000_000
-
-
-@dataclass
-class TalkerConfig:
-    unique_id: int
-    dst_group: MacAddress
-    vlan: VlanTag
-    sr_class: str
-    frame_bytes: int
-    interval_ns: int
-    advertise_at_ns: int
-    lr_timeout_ns: int = DEFAULT_LR_TIMEOUT_NS
-
-
-@dataclass
-class CrossTrafficConfig:
-    dst_addr: str
-    frame_bytes: int
-    send_interval_ns: int
-    start_at_ns: int
-    count: Optional[int] = None
-    vlan: Optional[VlanTag] = None
-    arp_retries: int = DEFAULT_ARP_RETRIES
-    arp_retry_interval_ns: int = DEFAULT_ARP_RETRY_INTERVAL_NS
+LR_TIMEOUT_NS = 1_000_000_000
+ARP_RETRIES = 3
+ARP_RETRY_INTERVAL_NS = 1_000_000
 
 
 class Host(Node):
@@ -76,7 +52,7 @@ class Host(Node):
         self.talker = cfg
         self.stream_id = StreamId(self.mac, cfg.unique_id)
         self.sim.schedule(cfg.advertise_at_ns, self._advertise)
-        self.sim.schedule(cfg.advertise_at_ns + cfg.lr_timeout_ns, self._check_lr_timeout)
+        self.sim.schedule(cfg.advertise_at_ns + LR_TIMEOUT_NS, self._check_lr_timeout)
 
     def run_listener(self, unique_id: int) -> None:
         self.streams_listened[unique_id] = f"stream-{unique_id}"
@@ -125,15 +101,15 @@ class Host(Node):
         cfg = self.cross
         if self._arp_resolved is not None:
             return
-        if self._arp_tries > cfg.arp_retries:
-            self.sink.warn(f"{self.name}: ARP for {cfg.dst_addr} unanswered after "
-                           f"{cfg.arp_retries} retries; cross traffic never starts")
+        if self._arp_tries > ARP_RETRIES:
+            self.sink.warn(f"{self.name}: ARP for {cfg.dst_node} unanswered after "
+                           f"{ARP_RETRIES} retries; cross traffic never starts")
             return
         self._arp_tries += 1
         frame = make_frame(self.mac, BROADCAST,
-                           ArpMessage(ArpKind.REQUEST, cfg.dst_addr), ARP_FRAME_BYTES)
+                           ArpMessage(ArpKind.REQUEST, cfg.dst_node), ARP_FRAME_BYTES)
         self.send(0, frame)
-        self._arp_retry_event = self.sim.schedule_in(cfg.arp_retry_interval_ns,
+        self._arp_retry_event = self.sim.schedule_in(ARP_RETRY_INTERVAL_NS,
                                                      self._send_arp_request)
 
     def _send_udp_frame(self) -> None:
@@ -142,7 +118,7 @@ class Host(Node):
             return
         frame = make_frame(self.mac, self._arp_resolved,
                            UdpDatagram(self.udp_seq, self.sim.now(),
-                                       self.protocol_addr, cfg.dst_addr),
+                                       self.protocol_addr, cfg.dst_node),
                            cfg.frame_bytes, vlan=cfg.vlan)
         self.udp_seq += 1
         self.sent_udp += 1
@@ -188,7 +164,7 @@ class Host(Node):
                 self.send(0, make_frame(self.mac, frame.src, reply, ARP_FRAME_BYTES))
         else:
             cfg = self.cross
-            if cfg is not None and msg.asked == cfg.dst_addr and self._arp_resolved is None:
+            if cfg is not None and msg.asked == cfg.dst_node and self._arp_resolved is None:
                 self._arp_resolved = msg.answer
                 if self._arp_retry_event is not None:
                     self._arp_retry_event.cancel()

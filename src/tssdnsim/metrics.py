@@ -42,9 +42,6 @@ class MetricsSink:
     def warn(self, message: str) -> None:
         self.warnings.append(message)
 
-    def flow(self, flow: str) -> list:
-        return [r for r in self.records if r.flow == flow]
-
 
 @dataclass(frozen=True)
 class FlowStats:

@@ -10,8 +10,8 @@ from typing import Optional
 from .config import ScenarioConfig
 from .control import Controller
 from .engine import Endpoint, Link, Simulator, Trace
-from .frames import MacAddress, VlanTag
-from .hosts import CrossTrafficConfig, Host, TalkerConfig
+from .frames import MacAddress
+from .hosts import Host
 from .metrics import (GuaranteeResult, MetricsSink, check_guarantee, summarize,
                       write_control_trace, write_counters, write_frame_csv,
                       write_summary_csv)
@@ -81,10 +81,7 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
 
     switches: dict = {}
     for name in cfg.switches:
-        switches[name] = Switch(sim, name, sdn=cfg.sdn_enabled,
-                                queue_capacity=cfg.queue_capacity,
-                                shaper_enabled=cfg.shaper_enabled,
-                                log=sink.warn)
+        switches[name] = Switch(sim, name, sdn=cfg.sdn_enabled, log=sink.warn)
     nodes = {**hosts, **switches}
 
     for link_cfg in cfg.links:
@@ -111,32 +108,14 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
     talker_host = None
     if cfg.talker is not None:
         talker_host = hosts[cfg.talker.node]
-        talker_host.run_talker(TalkerConfig(
-            unique_id=cfg.talker.unique_id,
-            dst_group=cfg.talker.dst_group,
-            vlan=VlanTag(cfg.talker.vid, cfg.talker.pcp),
-            sr_class=cfg.talker.sr_class,
-            frame_bytes=cfg.talker.frame_bytes,
-            interval_ns=cfg.talker.interval_ns,
-            advertise_at_ns=cfg.talker.advertise_at_ns,
-        ))
+        talker_host.run_talker(cfg.talker)
     for spec in cfg.listeners:
         hosts[spec.node].run_listener(spec.unique_id)
 
     cross_host = None
     if cfg.cross_traffic is not None:
         cross_host = hosts[cfg.cross_traffic.node]
-        vlan = None
-        if cfg.cross_traffic.vid is not None:
-            vlan = VlanTag(cfg.cross_traffic.vid, cfg.cross_traffic.pcp)
-        cross_host.run_udp_source(CrossTrafficConfig(
-            dst_addr=cfg.cross_traffic.dst_node,
-            frame_bytes=cfg.cross_traffic.frame_bytes,
-            send_interval_ns=cfg.cross_traffic.send_interval_ns,
-            start_at_ns=cfg.cross_traffic.start_at_ns,
-            count=cfg.cross_traffic.count,
-            vlan=vlan,
-        ))
+        cross_host.run_udp_source(cfg.cross_traffic)
 
     sim.run_until(cfg.run_until_ns)
 

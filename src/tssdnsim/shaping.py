@@ -139,20 +139,21 @@ class EgressPort:
         if chosen is None:
             self._schedule_wakeup(now)
             return
+        if now < self.tx_busy_until:
+            # a model bug: this port alone drives its direction of the link
+            raise SimulationError(f"port {self.name}: overlapping transmission")
         frame = queues[chosen].popleft()
-        sim, link, owner = self.sim, self.link, self.owner
-        wire_bytes = wire_size(frame)
-        tx_end = now + link.serialization_ns(wire_bytes)
+        sim, link = self.sim, self.link
+        tx_end = now + link.serialization_ns(wire_size(frame))
         self.transmitting_pcp = chosen
         self.tx_busy_until = tx_end
         peer = self._peer
         if peer is None:
-            peer = self._peer = link.peer_of(owner)
+            peer = self._peer = link.peer_of(self.owner)
         if link.propagation_ns:
-            link.transmit(sim, owner, wire_bytes,
-                          lambda f=frame, p=peer: p.node.handle_frame(p.port, f))
+            sim.schedule(tx_end + link.propagation_ns,
+                         lambda f=frame, p=peer: p.node.handle_frame(p.port, f))
         else:
-            link.transmit(sim, owner, wire_bytes)
             self._in_flight = frame
         sim.schedule(tx_end, self._on_tx_done)
         self.frames_sent += 1

@@ -176,13 +176,9 @@ REACTIVE_RULE_PRIORITY = 10
 
 
 class Switch(Node):
-    def __init__(self, sim, name, sdn: bool,
-                 queue_capacity: int = 100, shaper_enabled: bool = True,
-                 log=None) -> None:
+    def __init__(self, sim, name, sdn: bool, log=None) -> None:
         super().__init__(sim, name)
         self.sdn = sdn
-        self.queue_capacity = queue_capacity
-        self.shaper_enabled = shaper_enabled
         self.flow_table = FlowTable()
         self.sr_table = SrTable()
         self.ingress_filter = IngressFilter()

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from tssdnsim.engine import Endpoint, Link, SimulationError, Simulator
-from tssdnsim.frames import wire_size
+from tssdnsim.engine import Link, SimulationError, Simulator
+from tssdnsim.frames import UdpDatagram, make_frame
+
+from conftest import Recorder, mac, wire
 
 US = 1_000
 MS = 1_000_000
@@ -83,15 +85,6 @@ def test_identical_runs_produce_identical_dispatch_logs():
     assert first == build()
 
 
-class _Sink:
-    def __init__(self):
-        self.node = self
-        self.arrivals = []
-
-    def handle_frame(self, port, frame):
-        self.arrivals.append(frame)
-
-
 def test_serialization_arithmetic_64_bytes():
     link = Link(a=None, b=None, rate_bps=100_000_000)
     # (64 + 20) bytes * 8 bits at 100 Mbit/s
@@ -103,24 +96,21 @@ def test_serialization_arithmetic_max_frame():
     assert link.serialization_ns(1542) == 123_360
 
 
-def test_transmit_arrival_is_serialization_plus_propagation():
+def test_a_busy_port_refuses_a_second_start_and_the_reverse_direction_is_free():
     sim = Simulator()
-    a, b = object(), object()
-    link = Link(a=Endpoint(a, 0), b=Endpoint(b, 0), rate_bps=100_000_000,
-                propagation_ns=500)
-    arrival = link.transmit(sim, a, 84, lambda: None)
-    assert arrival == 6_720 + 500
-
-
-def test_overlapping_transmissions_one_direction_rejected():
-    sim = Simulator()
-    a, b = object(), object()
-    link = Link(a=Endpoint(a, 0), b=Endpoint(b, 0), rate_bps=100_000_000)
-    link.transmit(sim, a, 84, lambda: None)
-    with pytest.raises(SimulationError):
-        link.transmit(sim, a, 84, lambda: None)
-    # the reverse direction is independent (full duplex)
-    link.transmit(sim, b, 84, lambda: None)
+    a, b = Recorder(sim, "a"), Recorder(sim, "b")
+    wire(sim, a, b)
+    frame = make_frame(mac("02:00:00:00:00:01"), mac("02:00:00:00:00:02"),
+                       UdpDatagram(0, 0, "a", "b"), 64)
+    a.send(0, frame)
+    port = a.ports[0]
+    assert port.tx_busy_until == 6_720
+    port.queues[frame.pcp].append(frame)
+    with pytest.raises(SimulationError, match="overlapping transmission"):
+        port._select(sim.now())
+    # the reverse direction has its own port, so it starts at once (full duplex)
+    b.send(0, frame)
+    assert b.ports[0].tx_busy_until == 6_720
 
 
 def test_zero_rate_link_rejected():

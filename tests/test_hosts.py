@@ -12,9 +12,9 @@ GROUP = mac("91:E0:F0:00:00:01")
 
 
 def talker_config(advertise_at=1 * MS):
-    return TalkerConfig(unique_id=1, dst_group=GROUP, vlan=VlanTag(2, 6),
-                        sr_class="A", frame_bytes=150, interval_ns=125 * US,
-                        advertise_at_ns=advertise_at)
+    return TalkerConfig(node="hostA", unique_id=1, dst_group=GROUP,
+                        vlan=VlanTag(2, 6), sr_class="A", frame_bytes=150,
+                        interval_ns=125 * US, advertise_at_ns=advertise_at)
 
 
 def host_pair(sim, sink):
@@ -74,8 +74,9 @@ def test_arp_gives_up_after_retries():
     host = Host(sim, "hostA", mac("02:00:00:00:00:01"), "hostA", sink)
     rec = Recorder(sim)
     wire(sim, host, rec)
-    host.run_udp_source(CrossTrafficConfig(dst_addr="ghost", frame_bytes=1000,
-                                           send_interval_ns=100 * US, start_at_ns=0))
+    host.run_udp_source(CrossTrafficConfig(node="hostA", dst_node="ghost",
+                                           frame_bytes=1000, send_interval_ns=100 * US,
+                                           start_at_ns=0))
     sim.run_until(100 * MS)
     requests = [f for _, _, f in rec.received if isinstance(f.payload, ArpMessage)]
     assert len(requests) == 4  # the original plus three retries
@@ -87,9 +88,9 @@ def test_first_udp_frame_goes_out_at_arp_reply_time():
     sim = Simulator()
     sink = MetricsSink()
     a, b = host_pair(sim, sink)
-    a.run_udp_source(CrossTrafficConfig(dst_addr="hostB", frame_bytes=1000,
-                                        send_interval_ns=100 * US, start_at_ns=1 * MS,
-                                        count=5))
+    a.run_udp_source(CrossTrafficConfig(node="hostA", dst_node="hostB",
+                                        frame_bytes=1000, send_interval_ns=100 * US,
+                                        start_at_ns=1 * MS, count=5))
     sim.run_until(10 * MS)
     # request and reply are 64-byte frames: one serialization each way
     reply_at = 1 * MS + 2 * 6_720

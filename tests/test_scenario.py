@@ -1,4 +1,7 @@
 import csv
+import hashlib
+import json
+import re
 from collections import Counter
 
 import pytest
@@ -106,6 +109,47 @@ def test_topology_that_is_not_a_tree_rejected(tmp_path, capsys, switches, links)
     assert "not a tree" in capsys.readouterr().err
 
 
+# One malformed value per case, on top of the shipped SDN case study; each is
+# a value the model cannot run, so the loader must refuse it and name the field.
+BAD_TRAFFIC_VALUES = [
+    ("cross_traffic", "send_interval", "0ns"),
+    ("talker", "interval", "0ns"),
+    ("talker", "vid", 5000),
+    ("talker", "pcp", 9),
+    ("cross_traffic", "vid", 9999),
+    ("talker", "unique_id", 70000),
+    ("talker", "dst_group", "zz:zz"),
+    ("talker", "frame_bytes", 3000),
+    ("cross_traffic", "frame_bytes", 3000),
+    ("cross_traffic", "frame_bytes", 0),
+    ("cross_traffic", "pcp", 6),        # a PCP without a VLAN id to carry it
+]
+BAD_TRAFFIC_IDS = [f"{section}.{key}={value}" for section, key, value in BAD_TRAFFIC_VALUES]
+
+
+def _case_study_with(section, key, value):
+    raw = yaml.safe_load(resolve_scenario("case_study_sdn").read_text())
+    raw[section][key] = value
+    return raw
+
+
+@pytest.mark.parametrize("section, key, value", BAD_TRAFFIC_VALUES, ids=BAD_TRAFFIC_IDS)
+def test_traffic_values_the_model_cannot_run_are_refused(section, key, value):
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+        parse_config(_case_study_with(section, key, value))
+
+
+# the first case, a zero send interval, is left out: a run that accepts it never ends
+@pytest.mark.parametrize("section, key, value", BAD_TRAFFIC_VALUES[1:],
+                         ids=BAD_TRAFFIC_IDS[1:])
+def test_cli_refuses_traffic_values_the_model_cannot_run(tmp_path, capsys,
+                                                         section, key, value):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(_case_study_with(section, key, value)))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
 def test_duplicate_node_names_rejected():
     with pytest.raises(ConfigError):
         parse_config(minimal_raw(switches=["c0"]))
@@ -127,7 +171,7 @@ def test_shipped_scenarios_load():
     assert sdn.control.one_way_delay_ns == 25 * US
     assert nosdn.controller is None
     assert fault.shaper_enabled is False
-    assert fault.cross_traffic.pcp == 6
+    assert fault.cross_traffic.vlan.pcp == 6
 
 
 # -- metrics --------------------------------------------------------------
@@ -245,6 +289,30 @@ def test_shipped_scenarios_keep_their_frame_hashes(sdn_result, nosdn_result, fau
            "case_study_nosdn": nosdn_result.frame_csv_hash()[:16],
            "fault_injection": fault_result.frame_csv_hash()[:16]}
     assert got == SHIPPED_FRAME_HASHES
+
+
+# State the frame hash does not see: switch and host counters, warnings and
+# the control channel trace.
+SHIPPED_STATE_DIGESTS = {
+    "case_study_sdn": "1915bf4616c8ce97",
+    "case_study_nosdn": "07b67f7ca29eba75",
+    "fault_injection": "1e7bbf96e10270e6",
+}
+
+
+def _state_digest(result):
+    state = {"counters": result.counters, "warnings": result.sink.warnings,
+             "control": [[e.time_ns, e.direction, e.switch, e.kind, e.xid]
+                         for e in result.control_trace]}
+    return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_shipped_scenarios_keep_their_counters_warnings_and_control_trace(
+        sdn_result, nosdn_result, fault_result):
+    got = {"case_study_sdn": _state_digest(sdn_result),
+           "case_study_nosdn": _state_digest(nosdn_result),
+           "fault_injection": _state_digest(fault_result)}
+    assert got == SHIPPED_STATE_DIGESTS
 
 
 def _with_propagation(scenario, default=None, per_link=None):

@@ -45,7 +45,7 @@ class StubChannel:
 
 def make_switch(sdn, n_ports=3, shaper_enabled=True):
     sim = Simulator()
-    sw = Switch(sim, "sw", sdn=sdn, shaper_enabled=shaper_enabled)
+    sw = Switch(sim, "sw", sdn=sdn)
     recorders = []
     for i in range(n_ports):
         rec = Recorder(sim, f"peer{i}")
