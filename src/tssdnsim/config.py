@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -104,6 +105,16 @@ class ScenarioConfig:
     def node_names(self) -> list:
         return list(self.clients) + list(self.switches)
 
+    def hyperperiod_ns(self) -> Optional[int]:
+        """The least common multiple of the traffic sources' intervals, the
+        period a settled network repeats with; None without a source."""
+        intervals = []
+        if self.talker is not None:
+            intervals.append(self.talker.interval_ns)
+        if self.cross_traffic is not None:
+            intervals.append(self.cross_traffic.send_interval_ns)
+        return math.lcm(*intervals) if intervals else None
+
     def adjacency(self) -> dict:
         adj: dict = {n: set() for n in self.node_names()}
         for link in self.links:
@@ -118,13 +129,18 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _int(value, name: str, lo: int, hi: int) -> int:
-    """An integer in [lo, hi]; anything else is refused naming the field."""
+def _int(value, name: str, lo: int, hi: Optional[int] = None) -> int:
+    """An integer in [lo, hi] (no upper limit when hi is None); anything else,
+    a fraction included, is refused naming the field."""
     try:
         number = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name}: expected an integer, got {value!r}")
-    if not lo <= number <= hi:
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    if hi is None and number < lo:
+        raise ConfigError(f"{name}: {number} is less than {lo}")
+    if hi is not None and not lo <= number <= hi:
         raise ConfigError(f"{name}: {number} outside [{lo}, {hi}]")
     return number
 
@@ -170,7 +186,8 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         raise ConfigError(f"{source}: duplicate node names")
 
     defaults = raw.get("defaults", {})
-    default_rate = int(defaults.get("link_rate_bps", 100_000_000))
+    default_rate = _int(defaults.get("link_rate_bps", 100_000_000),
+                        f"{source}: defaults.link_rate_bps", 1)
     default_prop = parse_time_ns(defaults.get("propagation", 0), "defaults.propagation")
 
     links = []
@@ -180,9 +197,7 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         for end in (a, b):
             if end not in names:
                 raise ConfigError(f"{where}: unknown node '{end}'")
-        rate = int(item.get("rate_bps", default_rate))
-        if rate <= 0:
-            raise ConfigError(f"{where}: rate_bps must be positive")
+        rate = _int(item.get("rate_bps", default_rate), f"{where}.rate_bps", 1)
         links.append(LinkConfig(a, b, rate,
                                 parse_time_ns(item.get("propagation", default_prop),
                                               f"{where}.propagation")))
@@ -196,7 +211,8 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         switches=switches,
         links=links,
         controller=controller,
-        queue_capacity=int(raw.get("queue_capacity", 100)),
+        # a queue that holds no frame drops every one
+        queue_capacity=_int(raw.get("queue_capacity", 100), f"{source}: queue_capacity", 1),
         shaper_enabled=bool(raw.get("shaper_enabled", True)),
         convergence_bound_ns=parse_time_ns(raw.get("convergence_bound", "10ms"),
                                            "convergence_bound"),
@@ -245,7 +261,11 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         node = _require(item, "node", where)
         if node not in clients:
             raise ConfigError(f"{where}: unknown client '{node}'")
-        cfg.listeners.append(ListenerSpec(node, int(item.get("unique_id", 1))))
+        unique_id = _int(item.get("unique_id", 1), f"{where}.unique_id", 0, MAX_UNIQUE_ID)
+        if cfg.talker is not None and unique_id != cfg.talker.unique_id:
+            raise ConfigError(f"{where}.unique_id: {unique_id} names no talker "
+                              f"(talker.unique_id is {cfg.talker.unique_id})")
+        cfg.listeners.append(ListenerSpec(node, unique_id))
 
     if "cross_traffic" in raw:
         c = raw["cross_traffic"]
@@ -269,7 +289,8 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
                                           f"{where}.send_interval"),
             start_at_ns=parse_time_ns(c.get("start_at", cfg.idle_setup_ns),
                                       f"{where}.start_at"),
-            count=(int(c["count"]) if c.get("count") is not None else None),
+            count=(_int(c["count"], f"{where}.count", 1)
+                   if c.get("count") is not None else None),
             vlan=vlan,
         )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .fastforward import fields
 from .frames import ArpMessage, EthernetFrame, SrpKind, SrpMessage
 from .switching import (Drop, FlowMatch, Output, REACTIVE_RULE_PRIORITY,
                         STREAM_RULE_PRIORITY, Switch, ToController)
@@ -79,6 +80,9 @@ class FlowInstall:
 class ControlChannel:
     """FIFO per direction; fixed delays, never reorders."""
 
+    FF_FIELDS = fields(static="sim switch controller one_way_ns processing_ns",
+                       counted="_xid")
+
     def __init__(self, sim, switch: Switch, controller: "Controller",
                  one_way_ns: int, processing_ns: int) -> None:
         self.sim = sim
@@ -140,6 +144,11 @@ class ControlChannel:
 
 class Controller:
     """One logical controller process: SRP manager plus reactive ARP/UDP forwarding."""
+
+    FF_FIELDS = fields(
+        static="sim name channels log",
+        normalised="trace flow_installs bootstrapped stream_descriptors talker_port "
+                   "listener_ports mac_locations")
 
     def __init__(self, sim, name: str = "controller", log=None) -> None:
         self.sim = sim

@@ -18,12 +18,21 @@ frees the port. A link with propagation delay adds a separate delivery event,
 scheduled when the transmission starts.
 
 The hook only observes: it must not schedule events or change model state.
+It sees every dispatch, so a traced run simulates every cycle.
+
+`Simulator.boundary` is the other attachment, and the engine knows it only as
+an object with `first_stop(now)` and `stop(b, t_end)`. Without a trace hook,
+`run_until` stops at each of its stops b before t_end, with every event before
+b dispatched and none at or after it; the boundary returns the next stop and
+may skip whole cycles of the model there (see `fastforward.py`). For that the
+engine normalises and moves its own state, the pending events: `ff_state` and
+`ff_shift`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, Optional
 
 Trace = Callable[[str, int, object, object], None]
@@ -55,6 +64,9 @@ class Simulator:
         self._seq = 0
         self._heap: list[tuple[int, int, Event]] = []
         self.trace: Optional[Trace] = None
+        # what run_until stops at: a `fastforward.SteadyState`, attached by
+        # `scenario.build_network`
+        self.boundary = None
 
     def now(self) -> int:
         return self._now
@@ -75,10 +87,26 @@ class Simulator:
         return self.schedule(self._now + delay, callback)
 
     def run_until(self, t_end: int) -> None:
-        """Dispatch every event with fire_at <= t_end, then set the clock to t_end."""
+        """Dispatch every event with fire_at <= t_end, then set the clock to t_end.
+
+        With a boundary object attached and no trace hook, the loop stops at
+        each of the boundary's stops before t_end, all earlier events
+        dispatched; the boundary may skip whole cycles there.
+        """
+        boundary = self.boundary
+        if boundary is not None and self.trace is None:
+            stop = boundary.first_stop(self._now)
+            while stop < t_end:
+                self._dispatch(stop - 1)
+                stop = boundary.stop(stop, t_end)
+        self._dispatch(t_end)
+        self._now = max(self._now, t_end)
+
+    def _dispatch(self, last: int) -> None:
+        """Dispatch every pending event with fire_at <= last, in order."""
         heap = self._heap
         trace = self.trace
-        while heap and heap[0][0] <= t_end:
+        while heap and heap[0][0] <= last:
             fire_at, _, ev = heappop(heap)
             if ev.cancelled:
                 continue
@@ -86,7 +114,38 @@ class Simulator:
             if trace is not None:
                 trace("dispatch", fire_at, ev, None)
             ev.callback()
-        self._now = max(self._now, t_end)
+
+    # -- steady-state fast-forward (see fastforward.py) --------------------
+
+    def ff_state(self, cx) -> tuple:
+        """The pending events, normalised to the boundary `cx.start`.
+
+        Those before the next boundary compare by time relative to this one
+        and by owner and method, in dispatch order. Later ones compare as
+        they are: none of them may fire, appear or go in a skipped cycle.
+        """
+        horizon = cx.start + cx.period
+        near, far = [], []
+        for fire_at, seq, ev in sorted(self._heap):
+            if ev.cancelled:
+                continue
+            if fire_at < horizon:
+                near.append(ev)
+            else:
+                far.append((fire_at, seq))
+        cx.marks[self] = near
+        cx.first_far = far[0][0] if far else None
+        return tuple((ev.fire_at - cx.start, cx.method(ev.callback)) for ev in near), tuple(far)
+
+    def ff_shift(self, cx) -> None:
+        """Move the events before the next boundary by the skipped cycles.
+
+        Their seqs stay: each was scheduled in the last cycle, after every
+        event beyond the boundary, as a full run's would have been."""
+        for ev in cx.marks[self]:
+            ev.fire_at += cx.shift_ns
+        self._heap[:] = [(ev.fire_at, ev.seq, ev) for _, _, ev in self._heap if not ev.cancelled]
+        heapify(self._heap)
 
 
 @dataclass

@@ -5,7 +5,7 @@ Frames are plain immutable values; no byte-exact header encoding is attempted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Union
 
@@ -153,3 +153,36 @@ def make_frame(src: MacAddress, dst: MacAddress, payload: Payload,
 
 def wire_size(frame: EthernetFrame) -> int:
     return frame.frame_bytes + WIRE_OVERHEAD_BYTES
+
+
+# -- steady-state fast-forward (see fastforward.py) ------------------------
+
+
+def _source(payload: Payload):
+    """The key of the source that numbered a data payload; None for the others."""
+    if isinstance(payload, StreamData):
+        return payload.stream_id
+    if isinstance(payload, UdpDatagram):
+        return payload.src_addr
+    return None
+
+
+def frame_state(frame: EthernetFrame, cx) -> EthernetFrame:
+    """A frame as a snapshot compares it: a data frame's seq relative to its
+    source's next one and its send time relative to the boundary."""
+    payload = frame.payload
+    key = _source(payload)
+    if key is None:
+        return frame
+    return replace(frame, payload=replace(payload, seq=cx.seq(key, payload.seq),
+                                          sent_at=payload.sent_at - cx.start))
+
+
+def frame_shifted(frame: EthernetFrame, cx) -> EthernetFrame:
+    """The frame its source sends in the same place the skipped cycles later."""
+    payload = frame.payload
+    key = _source(payload)
+    if key is None:
+        return frame
+    return replace(frame, payload=replace(payload, seq=payload.seq + cx.seq_shift(key),
+                                          sent_at=payload.sent_at + cx.shift_ns))

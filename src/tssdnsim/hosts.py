@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .config import CrossTrafficConfig, TalkerConfig
+from .fastforward import NotPeriodic, fields
 from .frames import (ArpKind, ArpMessage, BROADCAST, EthernetFrame, MacAddress,
                      SrpKind, SrpMessage, StreamData, StreamId, UdpDatagram,
                      make_frame)
@@ -23,9 +24,22 @@ LR_TIMEOUT_NS = 1_000_000_000
 ARP_RETRIES = 3
 ARP_RETRY_INTERVAL_NS = 1_000_000
 
+UDP_FLOW = "udp"
+
+
+def stream_flow(unique_id: int) -> str:
+    """The flow name a listener records a stream's frames under."""
+    return f"stream-{unique_id}"
+
 
 class Host(Node):
     """A client: answers ARP for its protocol address and runs attached apps."""
+
+    FF_FIELDS = fields(
+        static="sim name ports mac protocol_addr sink talker stream_id "
+               "streams_listened cross",
+        normalised="lr_arrival_ns _lr_sent _arp_resolved _arp_tries _arp_retry_event",
+        counted="stream_seq udp_seq sent_stream sent_udp")
 
     def __init__(self, sim, name, mac: MacAddress, protocol_addr: str, sink) -> None:
         super().__init__(sim, name)
@@ -55,7 +69,7 @@ class Host(Node):
         self.sim.schedule(cfg.advertise_at_ns + LR_TIMEOUT_NS, self._check_lr_timeout)
 
     def run_listener(self, unique_id: int) -> None:
-        self.streams_listened[unique_id] = f"stream-{unique_id}"
+        self.streams_listened[unique_id] = stream_flow(unique_id)
 
     def run_udp_source(self, cfg: CrossTrafficConfig) -> None:
         self.cross = cfg
@@ -139,7 +153,7 @@ class Host(Node):
                 self.sink.record(flow, payload.seq, payload.sent_at, self.sim.now())
         elif isinstance(payload, UdpDatagram):
             if payload.dst_addr == self.protocol_addr:
-                self.sink.record("udp", payload.seq, payload.sent_at, self.sim.now())
+                self.sink.record(UDP_FLOW, payload.seq, payload.sent_at, self.sim.now())
 
     def _handle_srp(self, msg: SrpMessage) -> None:
         if msg.kind is SrpKind.TALKER_ADVERTISE:
@@ -169,3 +183,21 @@ class Host(Node):
                 if self._arp_retry_event is not None:
                     self._arp_retry_event.cancel()
                 self._send_udp_frame()
+
+    # -- steady-state fast-forward (see fastforward.py) --------------------
+
+    def ff_state(self, cx) -> None:
+        """Register the host's traffic sources, whose counters number the
+        frames the snapshot finds queued and recorded."""
+        if self.talker is not None:
+            cx.add_source(self.stream_id, stream_flow(self.talker.unique_id),
+                          self.stream_seq)
+        cfg = self.cross
+        if cfg is not None:
+            if cfg.count is not None and self._arp_resolved is not None \
+                    and self.udp_seq < cfg.count:
+                # its last send check falls within one interval past the count
+                left = cfg.count - self.udp_seq + 1
+                raise NotPeriodic(f"{self.name}: count-limited source still sending",
+                                  until=cx.start + left * cfg.send_interval_ns)
+            cx.add_source(self.protocol_addr, UDP_FLOW, self.udp_seq)

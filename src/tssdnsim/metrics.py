@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
+from .fastforward import fields
 from .srp import SrClass, analytic_guarantee
 
 FRAME_CSV_HEADER = ["flow", "seq", "send_ns", "recv_ns", "latency_ns"]
@@ -29,6 +30,8 @@ class LatencyRecord:
 class MetricsSink:
     """Collects latency records and warnings from hosts during one run."""
 
+    FF_FIELDS = fields(normalised="warnings", shifted="records")
+
     def __init__(self) -> None:
         self.records: list[LatencyRecord] = []
         self.warnings: list[str] = []
@@ -41,6 +44,29 @@ class MetricsSink:
 
     def warn(self, message: str) -> None:
         self.warnings.append(message)
+
+    # -- steady-state fast-forward (see fastforward.py) --------------------
+
+    def ff_state(self, cx) -> None:
+        """Records are not compared: the last cycle's are what a skip repeats.
+        Each must be of a flow with a registered source, whose counter gives
+        its seq step per cycle."""
+        end = cx.marks[self] = len(self.records)
+        if cx.prev is not None:
+            for rec in self.records[cx.prev.marks[self]:end]:
+                cx.flow_step(rec.flow)
+
+    def ff_shift(self, cx) -> None:
+        """Append the last cycle's records once per skipped cycle, each a
+        further cycle later."""
+        last = [(rec, cx.flow_step(rec.flow))
+                for rec in self.records[cx.prev.marks[self]:cx.marks[self]]]
+        append = self.records.append
+        for j in range(1, cx.cycles + 1):
+            dt = j * cx.period
+            for rec, step in last:
+                append(LatencyRecord(rec.flow, rec.seq + j * step,
+                                     rec.send_ns + dt, rec.recv_ns + dt))
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .config import ScenarioConfig
 from .control import Controller
 from .engine import Endpoint, Link, Simulator, Trace
+from .fastforward import Skipped, SteadyState
 from .frames import MacAddress
 from .hosts import Host
 from .metrics import (GuaranteeResult, MetricsSink, check_guarantee, summarize,
@@ -34,6 +35,7 @@ class RunResult:
     lr_arrival_ns: Optional[int]
     udp_first_send_ns: Optional[int]
     scheduled_ports: Optional[int]
+    skipped: Skipped
 
     @property
     def records(self) -> list:
@@ -69,8 +71,30 @@ class RunResult:
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResult:
-    """Build the scenario's network and run it; `trace` becomes `Simulator.trace`."""
+class Network(NamedTuple):
+    """A scenario's model, built and with its applications started."""
+
+    sim: Simulator
+    sink: MetricsSink
+    hosts: dict
+    switches: dict
+    controller: Optional[Controller]
+
+    def models(self) -> list:
+        """Every model object the fast-forward covers, hosts first."""
+        nodes = [*self.hosts.values(), *self.switches.values()]
+        models = nodes + [port for node in nodes for port in node.ports]
+        for switch in self.switches.values():
+            models += [switch.flow_table, switch.sr_table, switch.ingress_filter]
+        if self.controller is not None:
+            models += [self.controller, *self.controller.channels.values()]
+        return models + [self.sink]
+
+
+def build_network(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> Network:
+    """Build the scenario's network and start its applications; `trace`
+    becomes `Simulator.trace`. Unless a trace hook is attached, `run_until`
+    fast-forwards over the cycles the network repeats."""
     sim = Simulator()
     sim.trace = trace
     sink = MetricsSink()
@@ -105,19 +129,29 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
                                      cfg.control.processing_delay_ns)
         controller.start()
 
-    talker_host = None
     if cfg.talker is not None:
-        talker_host = hosts[cfg.talker.node]
-        talker_host.run_talker(cfg.talker)
+        hosts[cfg.talker.node].run_talker(cfg.talker)
     for spec in cfg.listeners:
         hosts[spec.node].run_listener(spec.unique_id)
 
-    cross_host = None
     if cfg.cross_traffic is not None:
-        cross_host = hosts[cfg.cross_traffic.node]
-        cross_host.run_udp_source(cfg.cross_traffic)
+        hosts[cfg.cross_traffic.node].run_udp_source(cfg.cross_traffic)
 
+    net = Network(sim, sink, hosts, switches, controller)
+    period = cfg.hyperperiod_ns()
+    if period is not None:
+        sim.boundary = SteadyState(sim, period, net.models())
+    return net
+
+
+def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResult:
+    """Build the scenario's network and run it; `trace` becomes `Simulator.trace`."""
+    net = build_network(cfg, trace)
+    sim, sink, hosts, switches = net.sim, net.sink, net.hosts, net.switches
     sim.run_until(cfg.run_until_ns)
+    talker_host = hosts[cfg.talker.node] if cfg.talker is not None else None
+    cross_host = hosts[cfg.cross_traffic.node] if cfg.cross_traffic is not None else None
+    controller = net.controller
 
     scheduled_ports = None
     if cfg.talker is not None and cfg.listeners:
@@ -157,6 +191,8 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
         lr_arrival_ns=talker_host.lr_arrival_ns if talker_host else None,
         udp_first_send_ns=first_udp,
         scheduled_ports=scheduled_ports,
+        skipped=(sim.boundary.summary() if sim.boundary is not None
+                 else Skipped(0, None, reason="no periodic traffic source")),
     )
 
 
@@ -209,6 +245,7 @@ def format_report(result: RunResult, stats: dict, ws: int, we: int) -> str:
         lines.append(f"stream start: {result.stream_start_ns} ns")
     if result.udp_first_send_ns is not None:
         lines.append(f"first UDP send: {result.udp_first_send_ns} ns")
+    lines.append(result.skipped.line())
     gr = result.check_guarantee()
     lines.append(f"guarantee check ({gr.limit_ns} ns over "
                  f"{result.scheduled_ports} scheduled ports): "

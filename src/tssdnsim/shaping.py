@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import Endpoint, Event, Link, SimulationError, Simulator
-from .frames import EthernetFrame, wire_size
+from .fastforward import fields
+from .frames import EthernetFrame, frame_shifted, frame_state, wire_size
 
 NUM_QUEUES = 8
 DEFAULT_QUEUE_CAPACITY = 100
@@ -27,9 +28,24 @@ class CreditState:
     credit: int = 0
     last_update: int = 0
 
+    FF_FIELDS = fields(normalised="idle_slope_bps send_slope_bps credit",
+                       shifted="last_update")
+
+    def ff_state(self, cx) -> int:
+        return self.last_update - cx.start
+
+    def ff_shift(self, cx) -> None:
+        self.last_update += cx.shift_ns
+
 
 class EgressPort:
     """One transmit direction of a node port, feeding exactly one link."""
+
+    FF_FIELDS = fields(
+        static="sim owner link name queue_capacity shaper_enabled rate_bps _peer",
+        normalised="total_reserved_bps transmitting_pcp _wakeup max_depth",
+        shifted="queues shaped tx_busy_until _in_flight",
+        counted="frames_sent dropped_overflow")
 
     def __init__(self, sim: Simulator, owner, link: Link, name: str = "",
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
@@ -196,3 +212,25 @@ class EgressPort:
             return
         self._update_credits(now)
         self._select(now)
+
+    # -- steady-state fast-forward (see fastforward.py) --------------------
+
+    def ff_state(self, cx) -> tuple:
+        in_flight = self._in_flight
+        return (tuple(tuple(frame_state(frame, cx) for frame in q) for q in self.queues),
+                {pcp: cx.state_of(cs) for pcp, cs in self.shaped.items()},
+                # a transmission that ended by the boundary no longer matters
+                max(self.tx_busy_until - cx.start, 0),
+                None if in_flight is None else frame_state(in_flight, cx))
+
+    def ff_shift(self, cx) -> None:
+        for q in self.queues:
+            if q:
+                moved = [frame_shifted(frame, cx) for frame in q]
+                q.clear()
+                q.extend(moved)
+        for cs in self.shaped.values():
+            cs.ff_shift(cx)
+        self.tx_busy_until += cx.shift_ns
+        if self._in_flight is not None:
+            self._in_flight = frame_shifted(self._in_flight, cx)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from .fastforward import fields
 from .frames import (EthernetFrame, MacAddress, SrpKind, SrpMessage, StreamData,
                      StreamId)
 from .network import Node
@@ -83,6 +84,8 @@ class FlowEntry:
 class FlowTable:
     """Highest priority wins; ties break toward the earliest-installed entry."""
 
+    FF_FIELDS = fields(normalised="_entries _next_seq miss_action")
+
     def __init__(self) -> None:
         self._entries: list[FlowEntry] = []
         self._next_seq = 0
@@ -122,6 +125,8 @@ class StreamRecord:
 
 
 class SrTable:
+    FF_FIELDS = fields(normalised="streams _by_group")
+
     def __init__(self) -> None:
         self.streams: dict[StreamId, StreamRecord] = {}
         self._by_group: dict[tuple, StreamId] = {}
@@ -154,6 +159,8 @@ class SrTable:
 class IngressFilter:
     """Per-stream expected-ingress-port check (drop + count, no rate policing)."""
 
+    FF_FIELDS = fields(normalised="expected", counted="drop_count")
+
     def __init__(self) -> None:
         self.expected: dict[tuple, int] = {}
         self.drop_count = 0
@@ -176,6 +183,13 @@ REACTIVE_RULE_PRIORITY = 10
 
 
 class Switch(Node):
+    # the tables are models of their own
+    FF_FIELDS = fields(
+        static="sim name ports sdn flow_table sr_table ingress_filter control log",
+        normalised="mac_table",
+        counted="forwarded dropped_miss dropped_action dropped_no_listener "
+                "to_controller_count stream_miss")
+
     def __init__(self, sim, name, sdn: bool, log=None) -> None:
         super().__init__(sim, name)
         self.sdn = sdn

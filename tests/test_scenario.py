@@ -127,10 +127,18 @@ BAD_TRAFFIC_VALUES = [
 BAD_TRAFFIC_IDS = [f"{section}.{key}={value}" for section, key, value in BAD_TRAFFIC_VALUES]
 
 
-def _case_study_with(section, key, value):
+def _case_study_set(path, value):
     raw = yaml.safe_load(resolve_scenario("case_study_sdn").read_text())
-    raw[section][key] = value
+    *parents, key = path
+    node = raw
+    for step in parents:
+        node = node[step]
+    node[key] = value
     return raw
+
+
+def _case_study_with(section, key, value):
+    return _case_study_set((section, key), value)
 
 
 @pytest.mark.parametrize("section, key, value", BAD_TRAFFIC_VALUES, ids=BAD_TRAFFIC_IDS)
@@ -148,6 +156,42 @@ def test_cli_refuses_traffic_values_the_model_cannot_run(tmp_path, capsys,
     path.write_text(yaml.safe_dump(_case_study_with(section, key, value)))
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
+
+
+# Values that reached a bare int(...), which crashed with a traceback or
+# truncated a fraction, and values that load into a run that records nothing
+# useful: zero queue capacity drops every frame, a count below one sends
+# nothing, and a listener whose unique_id matches no talker never receives
+# the stream.
+BAD_SCENARIO_VALUES = [
+    (("cross_traffic", "count"), "abc", "cross_traffic.count"),
+    (("queue_capacity",), "x", "queue_capacity"),
+    (("defaults", "link_rate_bps"), "fast", "defaults.link_rate_bps"),
+    (("links", 1, "rate_bps"), "fast", "links[1].rate_bps"),
+    (("queue_capacity",), 2.5, "queue_capacity"),
+    (("links", 0, "rate_bps"), float("inf"), "links[0].rate_bps"),
+    (("queue_capacity",), 0, "queue_capacity"),
+    (("cross_traffic", "count"), 0, "cross_traffic.count"),
+    (("cross_traffic", "count"), -1, "cross_traffic.count"),
+    (("listeners", 0, "unique_id"), 70000, "listeners[0].unique_id"),
+    (("listeners", 0, "unique_id"), 2, "listeners[0].unique_id"),
+]
+BAD_SCENARIO_IDS = [f"{field}={value}" for _, value, field in BAD_SCENARIO_VALUES]
+
+
+@pytest.mark.parametrize("path, value, field", BAD_SCENARIO_VALUES, ids=BAD_SCENARIO_IDS)
+def test_scenario_values_that_crash_or_make_a_run_useless_are_refused(path, value, field):
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        parse_config(_case_study_set(path, value))
+
+
+@pytest.mark.parametrize("path, value, field", BAD_SCENARIO_VALUES, ids=BAD_SCENARIO_IDS)
+def test_cli_refuses_values_that_crash_or_make_a_run_useless(tmp_path, capsys,
+                                                             path, value, field):
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(yaml.safe_dump(_case_study_set(path, value)))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_duplicate_node_names_rejected():
