@@ -117,6 +117,11 @@ class Simulator:
 
     # -- steady-state fast-forward (see fastforward.py) --------------------
 
+    def pending_before(self, horizon: int) -> list[Event]:
+        """The pending events that fire before `horizon`, in dispatch order."""
+        return [ev for _, _, ev in sorted(entry for entry in self._heap if entry[0] < horizon)
+                if not ev.cancelled]
+
     def ff_state(self, cx) -> tuple:
         """The pending events, normalised to the boundary `cx.start`.
 
@@ -125,15 +130,9 @@ class Simulator:
         they are: none of them may fire, appear or go in a skipped cycle.
         """
         horizon = cx.start + cx.period
-        near, far = [], []
-        for fire_at, seq, ev in sorted(self._heap):
-            if ev.cancelled:
-                continue
-            if fire_at < horizon:
-                near.append(ev)
-            else:
-                far.append((fire_at, seq))
-        cx.marks[self] = near
+        near = cx.marks[self] = self.pending_before(horizon)
+        far = sorted((fire_at, seq) for fire_at, seq, ev in self._heap
+                     if fire_at >= horizon and not ev.cancelled)
         cx.first_far = far[0][0] if far else None
         return tuple((ev.fire_at - cx.start, cx.method(ev.callback)) for ev in near), tuple(far)
 

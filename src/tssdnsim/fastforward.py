@@ -1,16 +1,24 @@
-"""Exact steady-state fast-forward: skip whole hyperperiods once the network repeats.
+"""Exact steady-state fast-forward: skip whole periods once the network repeats.
 
 The model is deterministic and integer, and its traffic sources are periodic,
-so a settled network repeats itself every hyperperiod H, the least common
-multiple of the source intervals. `SteadyState` is the boundary object that
-`Simulator.run_until` stops at. At a multiple b of H, with every event before
-b dispatched and none at or after it, it takes a snapshot of the model state
-normalised to b. When the snapshots at b - H and b are equal, the cycle from b
-on repeats the last one, and so does every later cycle up to the first pending
-event beyond the next boundary or the end of the run. Those k cycles are
-skipped: the model's times move by k*H, its counters grow by k times their
-change over the last cycle, and the last cycle's latency records are appended
-k times, each a further H later. The outputs are byte-identical to a full run.
+so a settled network repeats itself with some period P, a multiple m*H of the
+hyperperiod H, the least common multiple of the source intervals. A network
+with slack repeats every H; an overloaded one may take longer to come round
+(the shaperless overload of `fault_injection` repeats every 72 H). `SteadyState`
+is the boundary object that `Simulator.run_until` stops at, at each multiple
+of H, with every event before the boundary dispatched and none at or after it.
+
+At each boundary b it builds a cheap key: the pending events before b + H, as
+their time relative to b and their owner and method, and the sizes of the
+frames queued at each port. Equal states have equal keys. When the key at b
+was last seen at a boundary a, P = b - a is a candidate period: it takes a
+full snapshot of the model state normalised to b and, at b + P, another one.
+Only when the two are equal does the period from b + P on repeat the last
+one, and so does every later period up to the first pending event beyond the
+next one or the end of the run. Those k periods are skipped: the model's
+times move by k*P, its counters grow by k times their change over the last
+period, and the last period's latency records are appended k times, each a
+further P later. The outputs are byte-identical to a full run.
 
 Each model class says how the fast-forward treats each of its fields, in a
 class attribute `FF_FIELDS` built by `fields()`:
@@ -20,19 +28,20 @@ class attribute `FF_FIELDS` built by `fields()`:
 - normalised: compared as a value copy (`Cycle.freeze`); an event it refers
   to compares by its time relative to b;
 - shifted: holds times or sequence numbers; the class's `ff_state(cx)` returns
-  its normalised form and `ff_shift(cx)` moves it by the skipped cycles;
+  its normalised form and `ff_shift(cx)` moves it by the skipped periods;
 - counted: an integer that may grow; the skip adds k times its change over
-  the last cycle.
+  the last period.
 
 A class without shifted fields may still define `ff_state`, to register on the
 cycle or to refuse the snapshot by raising `NotPeriodic`. The pending events
 are the engine's: `Simulator.ff_state` and `Simulator.ff_shift`.
 
-A snapshot that cannot be normalised (a pending lambda, such as a control
-message in flight or a delivery over a link with propagation delay, or a
-count-limited source still sending) or that does not match doubles the number
-of cycles until the next pair of snapshots, so a run that never settles pays
-for about 2*log2(cycles) of them. The wait starts over after each skip.
+A key or snapshot that cannot be normalised (a pending lambda, such as a
+control message in flight or a delivery over a link with propagation delay,
+or a count-limited source still sending), or a candidate whose state did not
+come round, forgets the keys seen and doubles the number of cycles until the
+next boundary it stops at. A run that never settles thus pays for about
+2*log2(cycles) snapshots. The wait starts over after each skip.
 """
 
 from __future__ import annotations
@@ -68,6 +77,14 @@ class NotPeriodic(Exception):
     def __init__(self, reason: str, until: Optional[int] = None) -> None:
         super().__init__(reason)
         self.until = until
+
+
+def _method(callback, owners: frozenset) -> tuple:
+    owner = getattr(callback, "__self__", None)
+    if owner is None or id(owner) not in owners:
+        name = getattr(callback, "__qualname__", repr(callback))
+        raise NotPeriodic(f"pending {name} is not a model method")
+    return id(owner), callback.__func__
 
 
 class Cycle:
@@ -131,11 +148,7 @@ class Cycle:
     def method(self, callback) -> tuple:
         """A pending callback as its owner and function; it must be a method
         of a model object, whose state the snapshot covers."""
-        owner = getattr(callback, "__self__", None)
-        if owner is None or id(owner) not in self._owners:
-            name = getattr(callback, "__qualname__", repr(callback))
-            raise NotPeriodic(f"pending {name} is not a model method")
-        return id(owner), callback.__func__
+        return _method(callback, self._owners)
 
     def freeze(self, value):
         """A value copy of a normalised field, untouched by later changes to it."""
@@ -160,20 +173,25 @@ class Cycle:
 
 
 class Skipped(NamedTuple):
-    """What the fast-forward did in one run."""
+    """What the fast-forward did in one run; `cycles` counts hyperperiods."""
 
     cycles: int
     period_ns: Optional[int]
     snapshots: int = 0      # taken, normalisable or not
     reason: str = ""        # why no cycle was skipped
+    repeat_ns: Optional[int] = None  # the period of the last skip
 
     def line(self) -> str:
         if self.period_ns is None:
             return f"fast-forward: 0 cycles skipped ({self.reason})"
         if not self.cycles:
             return f"fast-forward: 0 cycles of {self.period_ns} ns skipped ({self.reason})"
-        return (f"fast-forward: {self.cycles} cycles of {self.period_ns} ns skipped, "
+        line = (f"fast-forward: {self.cycles} cycles of {self.period_ns} ns skipped, "
                 f"{self.cycles * self.period_ns} ns of simulated time")
+        if self.repeat_ns != self.period_ns:
+            line += (f" (period {self.repeat_ns} ns = "
+                     f"{self.repeat_ns // self.period_ns} cycles)")
+        return line
 
 
 class SteadyState:
@@ -181,7 +199,8 @@ class SteadyState:
 
     `models` lists every object the snapshot covers, in the order it is
     normalised: hosts first, since they register the traffic sources that
-    queued frames and latency records are normalised against.
+    queued frames and latency records are normalised against. The ones with
+    `queues`, the egress ports, give the key its queued frame sizes.
     """
 
     def __init__(self, sim, period: int, models: list) -> None:
@@ -190,55 +209,91 @@ class SteadyState:
         self._models = models
         self._shifting = [m for m in models if SHIFTED in type(m).FF_FIELDS.values()]
         self._counted = [(m, name) for m in models for name in _named(m, COUNTED)]
+        self._queues = [q for m in models for q in getattr(m, "queues", ())]
         self._owners = frozenset(id(m) for m in models)
-        self._last: Optional[Cycle] = None
+        self._seen: dict = {}        # hash of a boundary's key -> last boundary with it
+        self._candidates: dict = {}  # period P -> (key hash, snapshot at its start)
         self._wait = 1
         self.next_stop = period
         self.snapshots = 0
         self.cycles_skipped = 0
-        self.reason = "no two consecutive boundaries before the end of the run"
+        self.repeat: Optional[int] = None
+        self.reason = "no state came round before the end of the run"
 
     def first_stop(self, now: int) -> int:
         """The first stop of a `run_until` call that starts at `now`."""
         if self.next_stop <= now:       # an earlier call dispatched past it
             self.next_stop = (now // self.period + 1) * self.period
-            self._last = None
+            self._forget()
         return self.next_stop
 
     def stop(self, b: int, t_end: int) -> int:
-        """At boundary b, every event before it dispatched: snapshot, skip the
-        cycles the last one repeats for, and return the next stop."""
+        """At boundary b, every event before it dispatched: learn its key,
+        skip the periods a candidate repeats for, and return the next stop."""
         self.next_stop = self._stop(b, t_end)
         return self.next_stop
 
     def _stop(self, b: int, t_end: int) -> int:
-        period, last = self.period, self._last
-        cx = Cycle(b, period, last if last is not None and last.start == b - period else None,
-                   self._owners)
-        self.snapshots += 1
         try:
-            cx.state = (self.sim.ff_state(cx), [cx.state_of(m) for m in self._models])
+            key = hash(self._key(b))
+        except NotPeriodic as exc:
+            return self._back_off(b, str(exc))
+        for period, (cand_key, cand) in self._candidates.items():
+            if cand.start + period == b:
+                del self._candidates[period]
+                if key != cand_key:
+                    return self._back_off(b, f"the state changed over a {period} ns cycle")
+                return self._compare(cand, b, t_end)
+        last = self._seen.get(key)
+        self._seen[key] = b
+        if last is not None and b - last not in self._candidates:
+            cx = Cycle(b, b - last, None, self._owners)
+            try:
+                self._snapshot(cx)
+            except NotPeriodic as exc:
+                return self._back_off(b, str(exc), exc.until)
+            self._candidates[cx.period] = key, cx
+        return b + self.period
+
+    def _key(self, b: int) -> tuple:
+        """What equal states at b share: the pending events before b + H,
+        relative to b, and the frame sizes queued at each port."""
+        owners = self._owners
+        events = tuple((ev.fire_at - b, *_method(ev.callback, owners))
+                       for ev in self.sim.pending_before(b + self.period))
+        return events, tuple(tuple(frame.frame_bytes for frame in q) for q in self._queues)
+
+    def _snapshot(self, cx: Cycle) -> None:
+        self.snapshots += 1
+        cx.state = (self.sim.ff_state(cx), [cx.state_of(m) for m in self._models])
+        cx.counts = [getattr(m, name) for m, name in self._counted]
+
+    def _compare(self, prev: Cycle, b: int, t_end: int) -> int:
+        """At b, one candidate period after `prev`: skip if the state came round."""
+        period = prev.period
+        cx = Cycle(b, period, prev, self._owners)
+        try:
+            self._snapshot(cx)
         except NotPeriodic as exc:
             return self._back_off(b, str(exc), exc.until)
-        cx.counts = [getattr(m, name) for m, name in self._counted]
-        if cx.prev is None:
-            self._last = cx
-            return b + period
-        if cx.state != cx.prev.state:
+        if cx.state != prev.state:
             return self._back_off(b, f"the state changed over a {period} ns cycle")
         self._wait = 1
+        self._forget()
         limit = t_end if cx.first_far is None else min(t_end, cx.first_far)
         cycles = (limit - b) // period
         if not cycles:
-            self._last = cx
-            return b + period
+            return b + self.period
         self._skip(cx, cycles)
-        self._last = None
-        return self._stop(b + cycles * period, t_end)
+        return b + cycles * period
+
+    def _forget(self) -> None:
+        self._seen.clear()
+        self._candidates.clear()
 
     def _back_off(self, b: int, reason: str, until: Optional[int] = None) -> int:
         self.reason = reason
-        self._last = None
+        self._forget()
         self._wait *= 2
         stop = b + self._wait * self.period
         if until is not None:
@@ -252,10 +307,11 @@ class SteadyState:
             model.ff_shift(cx)
         for (model, name), now, before in zip(self._counted, cx.counts, cx.prev.counts):
             setattr(model, name, now + cycles * (now - before))
-        self.cycles_skipped += cycles
+        self.cycles_skipped += cycles * (cx.period // self.period)
+        self.repeat = cx.period
 
     def summary(self) -> Skipped:
         reason = self.reason
         if self.sim.trace is not None:
             reason = "a trace hook sees every dispatch"
-        return Skipped(self.cycles_skipped, self.period, self.snapshots, reason)
+        return Skipped(self.cycles_skipped, self.period, self.snapshots, reason, self.repeat)

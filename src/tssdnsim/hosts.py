@@ -37,7 +37,7 @@ class Host(Node):
 
     FF_FIELDS = fields(
         static="sim name ports mac protocol_addr sink talker stream_id "
-               "streams_listened cross",
+               "streams_listened cross _lr_timeout",
         normalised="lr_arrival_ns _lr_sent _arp_resolved _arp_tries _arp_retry_event",
         counted="stream_seq udp_seq sent_stream sent_udp")
 
@@ -49,6 +49,7 @@ class Host(Node):
         self.talker: Optional[TalkerConfig] = None
         self.stream_id: Optional[StreamId] = None
         self.lr_arrival_ns: Optional[int] = None
+        self._lr_timeout = None                 # cancelled once the listener ready arrives
         self.stream_seq = 0
         self.streams_listened: dict = {}        # subscribed unique_id -> its flow name
         self._lr_sent: set = set()
@@ -66,7 +67,8 @@ class Host(Node):
         self.talker = cfg
         self.stream_id = StreamId(self.mac, cfg.unique_id)
         self.sim.schedule(cfg.advertise_at_ns, self._advertise)
-        self.sim.schedule(cfg.advertise_at_ns + LR_TIMEOUT_NS, self._check_lr_timeout)
+        self._lr_timeout = self.sim.schedule(cfg.advertise_at_ns + LR_TIMEOUT_NS,
+                                             self._lr_timed_out)
 
     def run_listener(self, unique_id: int) -> None:
         self.streams_listened[unique_id] = stream_flow(unique_id)
@@ -94,10 +96,9 @@ class Host(Node):
                            self._descriptor(SrpKind.TALKER_ADVERTISE), SRP_FRAME_BYTES)
         self.send(0, frame)
 
-    def _check_lr_timeout(self) -> None:
-        if self.lr_arrival_ns is None:
-            self.sink.warn(f"{self.name}: no listener ready within timeout; "
-                           f"stream {self.stream_id} never starts")
+    def _lr_timed_out(self) -> None:
+        self.sink.warn(f"{self.name}: no listener ready within timeout; "
+                       f"stream {self.stream_id} never starts")
 
     def _send_stream_frame(self) -> None:
         cfg = self.talker
@@ -168,6 +169,7 @@ class Host(Node):
         else:
             if self.stream_id == msg.stream_id and self.lr_arrival_ns is None:
                 self.lr_arrival_ns = self.sim.now()
+                self._lr_timeout.cancel()
                 # first data frame strictly after the listener ready arrives
                 self.sim.schedule_in(self.talker.interval_ns, self._send_stream_frame)
 

@@ -31,12 +31,13 @@ DEFAULT_ADMISSION_PERMILLE = 750
 
 
 def reserved_bps(max_frame_bytes: int, interval_ns: int) -> int:
-    """Reserved bandwidth for one stream, counting per-frame wire overhead."""
+    """Reserved bandwidth for one stream, counting per-frame wire overhead,
+    rounded up so that it covers the stream's rate."""
     if max_frame_bytes <= 0:
         raise ValueError("reservation frame size must be positive")
     if interval_ns <= 0:
         raise ValueError("reservation interval must be positive")
-    return (max_frame_bytes + WIRE_OVERHEAD_BYTES) * 8 * NS_PER_S // interval_ns
+    return -(-(max_frame_bytes + WIRE_OVERHEAD_BYTES) * 8 * NS_PER_S // interval_ns)
 
 
 @dataclass(frozen=True)

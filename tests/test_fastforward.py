@@ -67,16 +67,19 @@ EQUIVALENCE_CASES = [
     ("case_study_nosdn-500ms", _shipped("case_study_nosdn"), "500ms", 30),
     ("fault_injection", _shipped("fault_injection"), None, None),
     ("fault_injection-400ms", _shipped("fault_injection"), "400ms", None),
+    # the overload repeats every 72 cycles from about 417 ms on; 2 s is the
+    # benchmark's run length
+    ("fault_injection-2s", _shipped("fault_injection"), "2s", 520),
     ("propagation-500ns", _shipped("case_study_sdn", **{"defaults.propagation": "500ns"}),
      "400ms", None),
     *[(f"line{n}", workloads.line_scenario(n), "400ms", 30) for n in (1, 2, 3, 5, 8)],
     # the source stops at 400 ms; the network repeats only from then on
     ("count-3000", _shipped("case_study_sdn", **{"cross_traffic.count": 3000}), "500ms",
      330),
-    # the 125 us Class A reservation is exact; at 130 us it rounds down and
-    # the credit drifts, so that network never repeats
+    # the 130 us reservation does not divide evenly; rounded up, the Class A
+    # credit settles and the network repeats
     ("talker-130us", _shipped("case_study_sdn", **{"talker.interval": "130us"}),
-     "500ms", None),
+     "500ms", 30),
     # 1000-byte frames every 77 us overload the 100 Mbit/s path, and H = 9.625 ms
     ("send-77us", _shipped("case_study_sdn", **{"cross_traffic.send_interval": "77us"}),
      "500ms", None),
@@ -121,13 +124,20 @@ class Ticker:
         self.landed += 1
 
 
-def _run_ticker(delay, as_lambda=False, trace=None):
+class Drifter(Ticker):
+    """A ticker whose tick count is compared, so its state differs every cycle."""
+
+    FF_FIELDS = fields(static="sim period delay as_lambda", normalised="ticks",
+                       counted="landed")
+
+
+def _run_ticker(delay, as_lambda=False, trace=None, model=Ticker, cycles=100):
     period = 1_000
     sim = Simulator()
-    ticker = Ticker(sim, period, delay, as_lambda)
+    ticker = model(sim, period, delay, as_lambda)
     sim.boundary = SteadyState(sim, period, [ticker])
     sim.trace = trace
-    sim.run_until(100 * period)
+    sim.run_until(cycles * period)
     return (ticker.ticks, ticker.landed), sim.boundary.summary()
 
 
@@ -160,14 +170,29 @@ def test_run_until_in_pieces_matches_one_call():
 
 
 def test_a_run_that_never_repeats_backs_off():
-    # the shaperless overload fills a queue and drops; after the idle setup
-    # no two boundaries match, and each failure doubles the wait
+    # its key comes round every cycle but its state never does: each failed
+    # candidate doubles the wait before the keys are learnt again
+    cycles = 4_000
+    fast, skipped = _run_ticker(600, model=Drifter, cycles=cycles)
+    full, _ = _run_ticker(600, model=Drifter, cycles=cycles, trace=lambda *_: None)
+    assert fast == full
+    assert skipped.cycles == 0
+    assert skipped.reason == "the state changed over a 1000 ns cycle"
+    assert 0 < skipped.snapshots <= 2 * (math.log2(cycles) + 2)
+
+
+def test_the_overload_is_found_to_repeat_every_72_cycles():
+    # the shaperless overload fills a queue and drops; its state comes round
+    # every 72 hyperperiods, not every one
     cfg = load_config(resolve_scenario("fault_injection"))
-    cfg.run_until_ns = 600 * MS
+    cfg.run_until_ns = 2_000 * MS
     skipped = run_scenario(cfg).skipped
-    cycles = cfg.run_until_ns // skipped.period_ns
-    assert skipped.cycles * skipped.period_ns < cfg.idle_setup_ns
-    assert skipped.snapshots <= 2 * (math.log2(cycles) + 2)
+    assert skipped.repeat_ns == 72 * skipped.period_ns == 36 * MS
+    assert skipped.cycles >= 2_900
+    assert skipped.snapshots <= 8
+    assert skipped.line() == (
+        f"fast-forward: {skipped.cycles} cycles of 500000 ns skipped, "
+        f"{skipped.cycles * 500_000} ns of simulated time (period 36000000 ns = 72 cycles)")
 
 
 def test_a_trace_hook_runs_every_cycle():
@@ -180,7 +205,8 @@ def test_a_trace_hook_runs_every_cycle():
 def test_report_and_stdout_give_the_cycles_skipped(tmp_path, capsys):
     assert main(["run", "--scenario", "case_study_sdn", "--until", "500ms",
                  "--out", str(tmp_path)]) == 0
-    line = "fast-forward: 989 cycles of 500000 ns skipped, 494500000 ns of simulated time"
+    # the network repeats every cycle, so the line names no longer period
+    line = "fast-forward: 990 cycles of 500000 ns skipped, 495000000 ns of simulated time"
     assert line in capsys.readouterr().out.splitlines()
     assert line in (tmp_path / "report.txt").read_text().splitlines()
 

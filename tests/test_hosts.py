@@ -35,6 +35,21 @@ def test_talker_without_listener_warns_and_stays_silent():
     assert any("no listener ready" in w for w in sink.warnings)
 
 
+def test_listener_ready_cancels_the_timeout():
+    # a pending timeout would lie beyond every fast-forward skip until it fired
+    sim = Simulator()
+    sink = MetricsSink()
+    talker, listener = host_pair(sim, sink)
+    listener.run_listener(1)
+    talker.run_talker(talker_config())
+    sim.run_until(2 * MS)
+    assert talker.lr_arrival_ns is not None
+    assert all(ev.callback != talker._lr_timed_out
+               for ev in sim.pending_before(3_000 * MS))
+    sim.run_until(1_500 * MS)
+    assert sink.warnings == []
+
+
 def test_duplicate_advertise_yields_one_listener_ready():
     sim = Simulator()
     listener = Host(sim, "hostB", mac("02:00:00:00:00:02"), "hostB", MetricsSink())

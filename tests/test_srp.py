@@ -33,6 +33,15 @@ def test_reserved_bps_counts_wire_overhead():
     assert reserved_bps(150, 125 * US) == 10_880_000
 
 
+def test_reservation_rounds_up_to_cover_the_stream_rate():
+    # (150 + 20) bytes * 8 bits every 130 us is 10,461,538.46 bit/s; a
+    # reservation rounded down would let the Class A credit drift for ever
+    bits_per_s = (150 + 20) * 8 * 1_000_000_000
+    reserved = reserved_bps(150, 130 * US)
+    assert reserved * 130 * US >= bits_per_s
+    assert (reserved - 1) * 130 * US < bits_per_s
+
+
 def test_reservation_of_zero_bytes_invalid():
     with pytest.raises(ValueError):
         reserved_bps(0, 125 * US)
