@@ -51,8 +51,8 @@ class LinkConfig:
 
 @dataclass
 class ControlConfig:
-    one_way_delay_ns: int = 25_000
-    processing_delay_ns: int = 25_000
+    one_way_delay_ns: int
+    processing_delay_ns: int
 
 
 @dataclass
@@ -93,14 +93,14 @@ class ScenarioConfig:
     clients: list
     switches: list
     links: list
-    controller: Optional[str] = None
-    control: ControlConfig = field(default_factory=ControlConfig)
+    controller: Optional[str]
+    control: ControlConfig
+    queue_capacity: int
+    shaper_enabled: bool
+    convergence_bound_ns: int
     talker: Optional[TalkerConfig] = None
     listeners: list = field(default_factory=list)
     cross_traffic: Optional[CrossTrafficConfig] = None
-    queue_capacity: int = 100
-    shaper_enabled: bool = True
-    convergence_bound_ns: int = 10_000_000
 
     def node_names(self) -> list:
         return list(self.clients) + list(self.switches)
@@ -202,6 +202,7 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
                                 parse_time_ns(item.get("propagation", default_prop),
                                               f"{where}.propagation")))
 
+    control_raw = raw.get("control", {})
     cfg = ScenarioConfig(
         name=name,
         sdn_enabled=sdn_enabled,
@@ -211,19 +212,17 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         switches=switches,
         links=links,
         controller=controller,
+        control=ControlConfig(
+            one_way_delay_ns=parse_time_ns(control_raw.get("one_way_delay", "25us"),
+                                           "control.one_way_delay"),
+            processing_delay_ns=parse_time_ns(control_raw.get("processing_delay", "25us"),
+                                              "control.processing_delay"),
+        ),
         # a queue that holds no frame drops every one
         queue_capacity=_int(raw.get("queue_capacity", 100), f"{source}: queue_capacity", 1),
         shaper_enabled=bool(raw.get("shaper_enabled", True)),
         convergence_bound_ns=parse_time_ns(raw.get("convergence_bound", "10ms"),
                                            "convergence_bound"),
-    )
-
-    control_raw = raw.get("control", {})
-    cfg.control = ControlConfig(
-        one_way_delay_ns=parse_time_ns(control_raw.get("one_way_delay", "25us"),
-                                       "control.one_way_delay"),
-        processing_delay_ns=parse_time_ns(control_raw.get("processing_delay", "25us"),
-                                          "control.processing_delay"),
     )
 
     if "talker" in raw:
@@ -241,12 +240,17 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
             raise ConfigError(f"{where}.dst_group: {exc}")
         if not dst_group.is_multicast:
             raise ConfigError(f"{where}.dst_group: must be a multicast address")
+        class_pcp = SR_CLASSES[sr_class].pcp
+        vlan = _vlan(_require(t, "vid", where), t.get("pcp", class_pcp), where)
+        if vlan.pcp != class_pcp:
+            # admission shapes the class's queue; frames in another would bypass it
+            raise ConfigError(f"{where}.pcp: {vlan.pcp} is not the PCP of SR class "
+                              f"{sr_class} ({class_pcp})")
         cfg.talker = TalkerConfig(
             node=node,
             unique_id=_int(t.get("unique_id", 1), f"{where}.unique_id", 0, MAX_UNIQUE_ID),
             dst_group=dst_group,
-            vlan=_vlan(_require(t, "vid", where), t.get("pcp", SR_CLASSES[sr_class].pcp),
-                       where),
+            vlan=vlan,
             sr_class=sr_class,
             # shorter frames are padded to the Ethernet minimum when built
             frame_bytes=_int(t.get("frame_bytes", 150), f"{where}.frame_bytes",

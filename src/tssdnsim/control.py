@@ -7,13 +7,12 @@ message carries the original SRP frame unmodified, as a payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .fastforward import fields
-from .frames import ArpMessage, EthernetFrame, SrpKind, SrpMessage
-from .switching import (Drop, FlowMatch, Output, REACTIVE_RULE_PRIORITY,
-                        STREAM_RULE_PRIORITY, Switch, ToController)
+from .frames import EthernetFrame, SrpKind, SrpMessage
+from .switching import (FlowMatch, Output, REACTIVE_RULE_PRIORITY, STREAM_RULE_PRIORITY,
+                        SrTable, Switch, ToController)
 
 
 # -- message kinds -------------------------------------------------------
@@ -145,10 +144,10 @@ class ControlChannel:
 class Controller:
     """One logical controller process: SRP manager plus reactive ARP/UDP forwarding."""
 
+    # the SR tables are models of their own
     FF_FIELDS = fields(
-        static="sim name channels log",
-        normalised="trace flow_installs bootstrapped stream_descriptors talker_port "
-                   "listener_ports mac_locations")
+        static="sim name channels sr_tables log",
+        normalised="trace flow_installs bootstrapped mac_locations")
 
     def __init__(self, sim, name: str = "controller", log=None) -> None:
         self.sim = sim
@@ -158,16 +157,15 @@ class Controller:
         self.flow_installs: list[FlowInstall] = []
         self.bootstrapped: set = set()
         self.log = log if log is not None else (lambda msg: None)
-        # SR mirror: learned before any switch-side SR-table mutation
-        self.stream_descriptors: dict = {}          # stream_id -> SrpMessage (advertise)
-        self.talker_port: dict = {}                 # (switch, stream_id) -> port
-        self.listener_ports: dict = {}              # (switch, stream_id) -> set of ports
+        # each switch's streams, learned before the switch applies the message
+        self.sr_tables: dict[str, SrTable] = {}
         self.mac_locations: dict = {}               # switch -> {mac: port}
 
     def attach_switch(self, switch: Switch, one_way_ns: int, processing_ns: int) -> ControlChannel:
         channel = ControlChannel(self.sim, switch, self, one_way_ns, processing_ns)
         self.channels[switch.name] = channel
         switch.control = channel
+        self.sr_tables[switch.name] = SrTable()
         self.mac_locations[switch.name] = {}
         return channel
 
@@ -192,33 +190,32 @@ class Controller:
 
     def _on_forward_srp(self, switch: Switch, channel: ControlChannel, msg: ForwardSrp) -> None:
         srp: SrpMessage = msg.frame.payload
-        key = (switch.name, srp.stream_id)
+        table = self.sr_tables[switch.name]
+        rec = table.streams.get(srp.stream_id)
         if srp.kind is SrpKind.TALKER_ADVERTISE:
-            prev = self.talker_port.get(key)
+            prev = rec.talker_port if rec is not None else None
+            table.register_talker(srp, msg.in_port)
             if prev is not None and prev != msg.in_port:
                 self.log(f"controller: stream {srp.stream_id} talker moved on "
                          f"{switch.name}: port {prev} -> {msg.in_port}")
-            self.stream_descriptors[srp.stream_id] = srp
-            self.talker_port[key] = msg.in_port
             channel.send_to_switch(ForwardSrp(msg.frame, msg.in_port))
         else:
-            if srp.stream_id not in self.stream_descriptors or key not in self.talker_port:
+            if rec is None:
                 self.log(f"controller: listener ready for unknown stream "
                          f"{srp.stream_id} at {switch.name}, dropped")
                 return
-            ports = self.listener_ports.setdefault(key, set())
-            ports.add(msg.in_port)
-            descriptor = self.stream_descriptors[srp.stream_id]
+            table.add_listener(srp.stream_id, msg.in_port)
+            advertise = rec.descriptor
             match = FlowMatch(
-                in_port=self.talker_port[key],
-                eth_dst=descriptor.dst_group,
+                in_port=rec.talker_port,
+                eth_dst=advertise.dst_group,
                 eth_src=srp.stream_id.talker,
-                vlan_vid=descriptor.vlan.vid,
-                vlan_pcp=descriptor.vlan.pcp,
+                vlan_vid=advertise.vlan.vid,
+                vlan_pcp=advertise.vlan.pcp,
             )
             # rule install strictly precedes the listener ready on this FIFO channel
             channel.send_to_switch(FlowMod(match, STREAM_RULE_PRIORITY,
-                                           (Output(ports),)))
+                                           (Output(rec.listener_ports),)))
             channel.send_to_switch(ForwardSrp(msg.frame, msg.in_port))
 
     # -- reactive forwarding ----------------------------------------------

@@ -15,7 +15,7 @@ from .frames import (ArpKind, ArpMessage, BROADCAST, EthernetFrame, MacAddress,
                      SrpKind, SrpMessage, StreamData, StreamId, UdpDatagram,
                      make_frame)
 from .network import Node
-from .srp import Reservation, SR_CLASSES, admit
+from .srp import admit
 
 SRP_FRAME_BYTES = 64
 ARP_FRAME_BYTES = 64
@@ -79,22 +79,15 @@ class Host(Node):
 
     # -- talker -----------------------------------------------------------
 
-    def _descriptor(self, kind: SrpKind) -> SrpMessage:
-        cfg = self.talker
-        return SrpMessage(kind, self.stream_id, cfg.dst_group, cfg.vlan,
-                          cfg.frame_bytes, cfg.interval_ns, cfg.sr_class)
-
     def _advertise(self) -> None:
         cfg = self.talker
-        reservation = Reservation(self.stream_id, SR_CLASSES[cfg.sr_class],
-                                  cfg.frame_bytes, cfg.interval_ns)
-        rejected = admit(self.ports[0], reservation)
+        advertise = SrpMessage(SrpKind.TALKER_ADVERTISE, self.stream_id, cfg.dst_group,
+                               cfg.vlan, cfg.frame_bytes, cfg.interval_ns, cfg.sr_class)
+        rejected = admit(self.ports[0], advertise)
         if rejected is not None:
             self.sink.warn(f"{self.name}: NIC reservation rejected: {rejected.reason}")
             return
-        frame = make_frame(self.mac, cfg.dst_group,
-                           self._descriptor(SrpKind.TALKER_ADVERTISE), SRP_FRAME_BYTES)
-        self.send(0, frame)
+        self.send(0, make_frame(self.mac, cfg.dst_group, advertise, SRP_FRAME_BYTES))
 
     def _lr_timed_out(self) -> None:
         self.sink.warn(f"{self.name}: no listener ready within timeout; "

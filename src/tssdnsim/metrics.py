@@ -6,7 +6,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .fastforward import fields
 from .srp import SrClass, analytic_guarantee
@@ -15,8 +15,8 @@ FRAME_CSV_HEADER = ["flow", "seq", "send_ns", "recv_ns", "latency_ns"]
 SUMMARY_CSV_HEADER = ["flow", "min_ns", "mean_ns", "max_ns", "window_start_ns", "window_end_ns"]
 
 
-@dataclass(frozen=True)
-class LatencyRecord:
+class LatencyRecord(NamedTuple):
+    # a tuple: a fast-forward skip appends one per record it repeats
     flow: str
     seq: int
     send_ns: int

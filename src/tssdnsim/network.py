@@ -13,8 +13,7 @@ class Node:
         self.name = name
         self.ports: list[EgressPort] = []
 
-    def attach_port(self, link: Link, queue_capacity: int = 100,
-                    shaper_enabled: bool = True) -> int:
+    def attach_port(self, link: Link, queue_capacity: int, shaper_enabled: bool) -> int:
         port_id = len(self.ports)
         port = EgressPort(self.sim, self, link, name=f"{self.name}:{port_id}",
                           queue_capacity=queue_capacity, shaper_enabled=shaper_enabled)

@@ -85,9 +85,10 @@ class Network(NamedTuple):
         nodes = [*self.hosts.values(), *self.switches.values()]
         models = nodes + [port for node in nodes for port in node.ports]
         for switch in self.switches.values():
-            models += [switch.flow_table, switch.sr_table, switch.ingress_filter]
+            models += [switch.flow_table, switch.sr_table]
         if self.controller is not None:
-            models += [self.controller, *self.controller.channels.values()]
+            models += [self.controller, *self.controller.sr_tables.values(),
+                       *self.controller.channels.values()]
         return models + [self.sink]
 
 

@@ -15,7 +15,6 @@ from .fastforward import fields
 from .frames import EthernetFrame, frame_shifted, frame_state, wire_size
 
 NUM_QUEUES = 8
-DEFAULT_QUEUE_CAPACITY = 100
 PCPS_HIGH_FIRST = tuple(range(NUM_QUEUES - 1, -1, -1))
 
 
@@ -47,9 +46,8 @@ class EgressPort:
         shifted="queues shaped tx_busy_until _in_flight",
         counted="frames_sent dropped_overflow")
 
-    def __init__(self, sim: Simulator, owner, link: Link, name: str = "",
-                 queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-                 shaper_enabled: bool = True) -> None:
+    def __init__(self, sim: Simulator, owner, link: Link, name: str,
+                 queue_capacity: int, shaper_enabled: bool) -> None:
         self.sim = sim
         self.owner = owner
         self.link = link

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import NS_PER_S
-from .frames import WIRE_OVERHEAD_BYTES, StreamId
+from .frames import WIRE_OVERHEAD_BYTES, SrpMessage
 
 US = 1_000
 
@@ -16,13 +16,12 @@ class SrClass:
     name: str
     pcp: int
     per_hop_max_latency_ns: int
-    default_interval_ns: int
 
 
-CLASS_A = SrClass("A", pcp=6, per_hop_max_latency_ns=250_000, default_interval_ns=125_000)
+CLASS_A = SrClass("A", pcp=6, per_hop_max_latency_ns=250_000)
 # Class B is modeled but unused by the shipped scenarios; its per-hop bound is a
 # placeholder since only the Class A 250 us figure is standardized per hop.
-CLASS_B = SrClass("B", pcp=5, per_hop_max_latency_ns=1_000_000, default_interval_ns=250_000)
+CLASS_B = SrClass("B", pcp=5, per_hop_max_latency_ns=1_000_000)
 
 SR_CLASSES = {"A": CLASS_A, "B": CLASS_B}
 
@@ -41,18 +40,6 @@ def reserved_bps(max_frame_bytes: int, interval_ns: int) -> int:
 
 
 @dataclass(frozen=True)
-class Reservation:
-    stream_id: StreamId
-    sr_class: SrClass
-    max_frame_bytes: int
-    interval_ns: int
-
-    @property
-    def reserved_bps(self) -> int:
-        return reserved_bps(self.max_frame_bytes, self.interval_ns)
-
-
-@dataclass(frozen=True)
 class Rejected:
     port_name: str
     reason: str
@@ -65,18 +52,19 @@ def analytic_guarantee(sr_class: SrClass, scheduled_ports: int) -> int:
     return sr_class.per_hop_max_latency_ns * scheduled_ports
 
 
-def admit(port, reservation: Reservation,
+def admit(port, advertise: SrpMessage,
           permille: int = DEFAULT_ADMISSION_PERMILLE) -> Optional[Rejected]:
-    """Admission control on an egress port; on success raises the port idle slope.
+    """Admission control on an egress port for the stream a talker advertise
+    describes; on success raises the idle slope of its SR class's queue.
 
     The limit is `permille` thousandths of the port rate, compared in integers.
     Returns None when admitted, a Rejected record otherwise.
     """
-    new_bps = reservation.reserved_bps
+    new_bps = reserved_bps(advertise.max_frame_bytes, advertise.interval_ns)
     if 1000 * (port.total_reserved_bps + new_bps) > permille * port.rate_bps:
         return Rejected(port.name, f"would exceed {permille / 10:g}% of "
                                    f"{port.rate_bps} bit/s")
-    port.add_reservation(reservation.sr_class.pcp, new_bps)
+    port.add_reservation(SR_CLASSES[advertise.sr_class].pcp, new_bps)
     return None
 
 

@@ -1,6 +1,6 @@
 """The merged TSN/SDN switch dataplane.
 
-Pipeline per arriving frame: per-stream ingress filter, then flow-table lookup
+Pipeline per arriving frame: SR-table ingress filter, then flow-table lookup
 (SDN mode) or SR-table / MAC-learning forwarding (TSN-only mode), then egress
 queueing behind the credit-based shaper.
 """
@@ -14,7 +14,7 @@ from .fastforward import fields
 from .frames import (EthernetFrame, MacAddress, SrpKind, SrpMessage, StreamData,
                      StreamId)
 from .network import Node
-from .srp import Reservation, SR_CLASSES, admit
+from .srp import admit
 
 
 # -- flow table ----------------------------------------------------------
@@ -114,35 +114,43 @@ class FlowTable:
         return None
 
 
-# -- SR table and ingress filter -----------------------------------------
+# -- SR table -----------------------------------------------------------
 
 
 @dataclass
 class StreamRecord:
-    descriptor: SrpMessage
+    descriptor: SrpMessage     # the talker advertise
     talker_port: int
     listener_ports: set = field(default_factory=set)
 
 
 class SrTable:
+    """One bridge's streams. The switch forwards and filters by its table; in
+    SDN mode the controller keeps one for each switch, from the same messages."""
+
     FF_FIELDS = fields(normalised="streams _by_group")
 
     def __init__(self) -> None:
         self.streams: dict[StreamId, StreamRecord] = {}
-        self._by_group: dict[tuple, StreamId] = {}
+        self._by_group: dict[tuple, StreamRecord] = {}
 
     def register_talker(self, msg: SrpMessage, port: int) -> str:
         """Record a talker; returns 'new', 'unchanged' or 'moved'."""
         rec = self.streams.get(msg.stream_id)
-        if rec is not None:
-            if rec.talker_port == port and rec.descriptor == msg:
-                return "unchanged"
+        if rec is None:
+            rec = self.streams[msg.stream_id] = StreamRecord(msg, port)
+            status = "new"
+        elif rec.talker_port == port and rec.descriptor == msg:
+            return "unchanged"
+        else:
+            old = (rec.descriptor.dst_group, rec.descriptor.vlan.vid)
+            if self._by_group.get(old) is rec:
+                del self._by_group[old]
             rec.descriptor = msg
             rec.talker_port = port
-            return "moved"
-        self.streams[msg.stream_id] = StreamRecord(descriptor=msg, talker_port=port)
-        self._by_group[(msg.dst_group, msg.vlan.vid)] = msg.stream_id
-        return "new"
+            status = "moved"
+        self._by_group[(msg.dst_group, msg.vlan.vid)] = rec
+        return status
 
     def add_listener(self, stream_id: StreamId, port: int) -> bool:
         rec = self.streams[stream_id]
@@ -152,28 +160,7 @@ class SrTable:
         return True
 
     def lookup_group(self, dst: MacAddress, vid: Optional[int]) -> Optional[StreamRecord]:
-        sid = self._by_group.get((dst, vid))
-        return self.streams.get(sid) if sid is not None else None
-
-
-class IngressFilter:
-    """Per-stream expected-ingress-port check (drop + count, no rate policing)."""
-
-    FF_FIELDS = fields(normalised="expected", counted="drop_count")
-
-    def __init__(self) -> None:
-        self.expected: dict[tuple, int] = {}
-        self.drop_count = 0
-
-    def admit(self, frame: EthernetFrame, in_port: int) -> bool:
-        if frame.vlan is None:
-            return True
-        key = (frame.dst, frame.vlan.vid)
-        want = self.expected.get(key)
-        if want is not None and want != in_port:
-            self.drop_count += 1
-            return False
-        return True
+        return self._by_group.get((dst, vid))
 
 
 # -- the switch ----------------------------------------------------------
@@ -185,9 +172,9 @@ REACTIVE_RULE_PRIORITY = 10
 class Switch(Node):
     # the tables are models of their own
     FF_FIELDS = fields(
-        static="sim name ports sdn flow_table sr_table ingress_filter control log",
+        static="sim name ports sdn flow_table sr_table control log",
         normalised="mac_table",
-        counted="forwarded dropped_miss dropped_action dropped_no_listener "
+        counted="forwarded dropped_filter dropped_miss dropped_action dropped_no_listener "
                 "to_controller_count stream_miss")
 
     def __init__(self, sim, name, sdn: bool, log=None) -> None:
@@ -195,12 +182,12 @@ class Switch(Node):
         self.sdn = sdn
         self.flow_table = FlowTable()
         self.sr_table = SrTable()
-        self.ingress_filter = IngressFilter()
         self.mac_table: dict[MacAddress, int] = {}
         self.control = None  # ControlChannel, wired by the controller in SDN mode
         self.log = log if log is not None else (lambda msg: None)
         # counters
         self.forwarded = 0
+        self.dropped_filter = 0     # stream frames from other than the talker's port
         self.dropped_miss = 0
         self.dropped_action = 0
         self.dropped_no_listener = 0
@@ -213,12 +200,17 @@ class Switch(Node):
         if isinstance(frame.payload, SrpMessage):
             self._handle_srp_frame(in_port, frame)
             return
-        if not self.ingress_filter.admit(frame, in_port):
-            return
+        rec = None
+        if frame.vlan is not None:
+            # ingress filter: a stream's frames come from its talker's port
+            rec = self.sr_table.lookup_group(frame.dst, frame.vlan.vid)
+            if rec is not None and rec.talker_port != in_port:
+                self.dropped_filter += 1
+                return
         if self.sdn:
             self._sdn_forward(in_port, frame)
         else:
-            self._tsn_forward(in_port, frame)
+            self._tsn_forward(in_port, frame, rec)
 
     def _sdn_forward(self, in_port: int, frame: EthernetFrame) -> None:
         entry = self.flow_table.lookup(frame, in_port)
@@ -229,10 +221,9 @@ class Switch(Node):
         else:
             self._apply_actions(entry.actions, frame, in_port, reason="action")
 
-    def _tsn_forward(self, in_port: int, frame: EthernetFrame) -> None:
+    def _tsn_forward(self, in_port: int, frame: EthernetFrame,
+                     rec: Optional[StreamRecord]) -> None:
         self.mac_table[frame.src] = in_port
-        vid = frame.vlan.vid if frame.vlan is not None else None
-        rec = self.sr_table.lookup_group(frame.dst, vid)
         if rec is not None:
             out = rec.listener_ports - {in_port}
             if not out:
@@ -291,7 +282,6 @@ class Switch(Node):
         msg = frame.payload
         if msg.kind is SrpKind.TALKER_ADVERTISE:
             status = self.sr_table.register_talker(msg, in_port)
-            self.ingress_filter.expected[(msg.dst_group, msg.vlan.vid)] = in_port
             if status == "moved":
                 self.log(f"{self.name}: stream {msg.stream_id} talker moved to port {in_port}")
             if status != "unchanged":
@@ -302,9 +292,7 @@ class Switch(Node):
                 self.log(f"{self.name}: listener ready for unknown stream {msg.stream_id}, dropped")
                 return
             if self.sr_table.add_listener(msg.stream_id, in_port):
-                reservation = Reservation(msg.stream_id, SR_CLASSES[msg.sr_class],
-                                          msg.max_frame_bytes, msg.interval_ns)
-                rejected = admit(self.ports[in_port], reservation)
+                rejected = admit(self.ports[in_port], rec.descriptor)
                 if rejected is not None:
                     self.log(f"{self.name}: reservation rejected on {rejected.port_name}: "
                              f"{rejected.reason}")
@@ -315,7 +303,7 @@ class Switch(Node):
     def counters(self) -> dict:
         return {
             "forwarded": self.forwarded,
-            "dropped_filter": self.ingress_filter.drop_count,
+            "dropped_filter": self.dropped_filter,
             "dropped_miss": self.dropped_miss,
             "dropped_action": self.dropped_action,
             "dropped_overflow": sum(p.dropped_overflow for p in self.ports),

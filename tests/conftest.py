@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from tssdnsim.config import load_config
@@ -33,6 +37,13 @@ def wire(sim, node_a, node_b, rate_bps=100_000_000, propagation_ns=0,
     link.a = Endpoint(node_a, pa)
     link.b = Endpoint(node_b, pb)
     return link, pa, pb
+
+
+# the benchmark's line-topology generator, loaded from its file
+_spec = importlib.util.spec_from_file_location(
+    "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def mac(text):

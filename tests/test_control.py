@@ -1,9 +1,14 @@
+import pytest
+
+from tssdnsim.cli import resolve_scenario
+from tssdnsim.config import load_config, parse_config
 from tssdnsim.control import Controller
 from tssdnsim.engine import Simulator
 from tssdnsim.frames import MacAddress, UdpDatagram, make_frame
+from tssdnsim.scenario import build_network
 from tssdnsim.switching import Drop, Switch, ToController
 
-from conftest import Recorder, wire
+from conftest import Recorder, wire, workloads
 
 US = 1_000
 MS = 1_000_000
@@ -157,6 +162,18 @@ def test_one_stream_rule_per_switch_installed_before_first_frame(sdn_result):
     stream_installs = [f for f in sdn_result.flow_installs if f.priority == 100]
     assert sorted(f.switch for f in stream_installs) == ["switch0", "switch1"]
     assert max(f.time_ns for f in stream_installs) < sdn_result.stream_start_ns
+
+
+@pytest.mark.parametrize("cfg", [
+    load_config(resolve_scenario("case_study_sdn")),
+    parse_config(workloads.line_scenario(8)),
+], ids=["case_study_sdn", "line8"])
+def test_controller_and_switches_end_with_the_same_sr_tables(cfg):
+    net = build_network(cfg)
+    net.sim.run_until(cfg.run_until_ns)
+    for name, switch in net.switches.items():
+        assert switch.sr_table.streams
+        assert net.controller.sr_tables[name].streams == switch.sr_table.streams
 
 
 def test_no_packet_in_after_reactive_rules_converge(sdn_result):

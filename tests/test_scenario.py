@@ -116,6 +116,8 @@ BAD_TRAFFIC_VALUES = [
     ("talker", "interval", "0ns"),
     ("talker", "vid", 5000),
     ("talker", "pcp", 9),
+    # Class A is PCP 6: its reservation would shape a queue the stream is not in
+    ("talker", "pcp", 5),
     ("cross_traffic", "vid", 9999),
     ("talker", "unique_id", 70000),
     ("talker", "dst_group", "zz:zz"),

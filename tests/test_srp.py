@@ -1,10 +1,10 @@
 import pytest
 
 from tssdnsim.engine import Link, Simulator
-from tssdnsim.frames import MacAddress, StreamId
+from tssdnsim.frames import MacAddress, SrpKind, SrpMessage, StreamId, VlanTag
 from tssdnsim.network import Node
-from tssdnsim.srp import (CLASS_A, Rejected, Reservation, admit,
-                          analytic_guarantee, count_scheduled_ports, reserved_bps)
+from tssdnsim.srp import (CLASS_A, Rejected, admit, analytic_guarantee,
+                          count_scheduled_ports, reserved_bps)
 
 from conftest import Recorder, wire
 
@@ -54,19 +54,30 @@ def _fresh_port():
     return sender.ports[0]
 
 
+def _advertise(frame_bytes, interval_ns):
+    """A Class A talker advertise, the descriptor `admit` reserves for."""
+    return SrpMessage(SrpKind.TALKER_ADVERTISE,
+                      StreamId(MacAddress.parse("02:00:00:00:00:01"), 1),
+                      MacAddress.parse("91:E0:F0:00:00:01"), VlanTag(2, CLASS_A.pcp),
+                      frame_bytes, interval_ns, CLASS_A.name)
+
+
 def _reservation(bps_target_mbit):
     # 125 us interval: frame_bytes such that reserved_bps = target
     frame_bytes = bps_target_mbit * 1_000_000 * 125 * US // (8 * 1_000_000_000) - 20
-    return Reservation(StreamId(MacAddress.parse("02:00:00:00:00:01"), 1),
-                       CLASS_A, frame_bytes, 125 * US)
+    return _advertise(frame_bytes, 125 * US)
+
+
+def _reserved(advertise):
+    return reserved_bps(advertise.max_frame_bytes, advertise.interval_ns)
 
 
 def test_admit_empty_port():
     port = _fresh_port()
     res = _reservation(10)
     assert admit(port, res) is None
-    assert port.total_reserved_bps == res.reserved_bps
-    assert port.shaped[CLASS_A.pcp].idle_slope_bps == res.reserved_bps
+    assert port.total_reserved_bps == _reserved(res)
+    assert port.shaped[CLASS_A.pcp].idle_slope_bps == _reserved(res)
 
 
 def test_admit_rejects_beyond_fraction():
@@ -80,9 +91,8 @@ def test_admit_rejects_beyond_fraction():
 def test_admit_accepts_a_reservation_exactly_at_the_limit():
     # 900000 bit/s is 9 per mille of 100 Mbit/s; as a float, 0.009 * 1e8 falls short
     port = _fresh_port()
-    res = Reservation(StreamId(MacAddress.parse("02:00:00:00:00:01"), 1),
-                      CLASS_A, 205, 2_000 * US)
-    assert res.reserved_bps == 900_000
+    res = _advertise(205, 2_000 * US)
+    assert _reserved(res) == 900_000
     assert admit(port, res, 9) is None
     assert isinstance(admit(port, res, 9), Rejected)
 
@@ -93,7 +103,7 @@ def test_admit_monotone_in_reservation_size():
     assert admit(port, _reservation(70)) is None
     for mbit in (10, 20, 40, 60):
         assert isinstance(admit(port, _reservation(mbit)), Rejected)
-        assert port.total_reserved_bps == _reservation(70).reserved_bps
+        assert port.total_reserved_bps == _reserved(_reservation(70))
 
 
 CASE_STUDY_ADJ = {

@@ -13,17 +13,18 @@ US = 1_000
 T = MacAddress.parse("02:00:00:00:00:01")
 L = MacAddress.parse("02:00:00:00:00:02")
 G = MacAddress.parse("91:E0:F0:00:00:01")
+G2 = MacAddress.parse("91:E0:F0:00:00:02")
 SID = StreamId(T, 1)
 VLAN = VlanTag(2, 6)
 
 
-def stream_frame(seq=0):
-    return make_frame(T, G, StreamData(SID, seq, 0), 150, vlan=VLAN)
+def stream_frame(seq=0, group=G):
+    return make_frame(T, group, StreamData(SID, seq, 0), 150, vlan=VLAN)
 
 
-def advertise_frame():
-    msg = SrpMessage(SrpKind.TALKER_ADVERTISE, SID, G, VLAN, 150, 125 * US, "A")
-    return make_frame(T, G, msg, 64)
+def advertise_frame(group=G):
+    msg = SrpMessage(SrpKind.TALKER_ADVERTISE, SID, group, VLAN, 150, 125 * US, "A")
+    return make_frame(T, group, msg, 64)
 
 
 def ready_frame():
@@ -163,9 +164,9 @@ def test_match_equals_linear_scan_oracle_randomized():
 def test_filter_precedes_flow_table_lookup():
     sim, sw, _ = make_switch(sdn=True)
     sw.flow_table.install(table1_match(), 100, [Output([2])])
-    sw.ingress_filter.expected[(G, 2)] = 1
+    sw.sr_table.register_talker(advertise_frame().payload, 1)
     sw.handle_frame(0, stream_frame())  # wrong ingress port
-    assert sw.ingress_filter.drop_count == 1
+    assert sw.dropped_filter == 1
     assert sw.forwarded == 0
     assert sw.stream_miss == 0  # table never consulted
 
@@ -212,7 +213,7 @@ def test_talker_advertise_records_port_and_broadcasts():
     sw.handle_frame(1, advertise_frame())
     sim.run_until(1_000_000)
     assert sw.sr_table.streams[SID].talker_port == 1
-    assert sw.ingress_filter.expected[(G, 2)] == 1
+    assert sw.sr_table.lookup_group(G, 2) is sw.sr_table.streams[SID]
     assert len(recs[0].received) == 1 and len(recs[2].received) == 1
     assert recs[1].received == []
 
@@ -259,6 +260,23 @@ def test_tsn_mode_forwards_stream_via_sr_table():
     data = [f for _, _, f in recs[2].received if isinstance(f.payload, StreamData)]
     assert len(data) == 1
     assert all(not isinstance(f.payload, StreamData) for _, _, f in recs[0].received)
+
+
+def test_a_talker_readvertised_to_a_new_group_from_a_new_port_is_reindexed():
+    sim, sw, recs = make_switch(sdn=False)
+    sw.handle_frame(1, advertise_frame())
+    sw.handle_frame(2, ready_frame())
+    sw.handle_frame(0, advertise_frame(group=G2))
+    rec = sw.sr_table.streams[SID]
+    assert sw.sr_table.lookup_group(G2, 2) is rec
+    assert sw.sr_table.lookup_group(G, 2) is None
+    sw.handle_frame(0, stream_frame(group=G2))
+    sim.run_until(1_000_000)
+    data = {i: [f for _, _, f in r.received if isinstance(f.payload, StreamData)]
+            for i, r in enumerate(recs)}
+    # to the listener port alone: not dropped by the filter, not flooded
+    assert (len(data[1]), len(data[2])) == (0, 1)
+    assert sw.dropped_filter == 0
 
 
 def test_tsn_mode_learns_macs_and_floods_unknown():
