@@ -40,7 +40,7 @@ def cmd_run(args) -> int:
     result = run_scenario(cfg)
     outdir = Path(args.out) if args.out else Path(f"out-{cfg.name}")
     paths = emit_outputs(result, outdir)
-    print(f"{cfg.name}: {len(result.records)} frames recorded; outputs in {outdir}/")
+    print(f"{cfg.name}: {result.sink.count} frames recorded; outputs in {outdir}/")
     print(result.skipped.line())
     for warning in result.sink.warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -194,8 +194,7 @@ class Controller:
         rec = table.streams.get(srp.stream_id)
         if srp.kind is SrpKind.TALKER_ADVERTISE:
             prev = rec.talker_port if rec is not None else None
-            table.register_talker(srp, msg.in_port)
-            if prev is not None and prev != msg.in_port:
+            if table.register_talker(srp, msg.in_port) == "moved":
                 self.log(f"controller: stream {srp.stream_id} talker moved on "
                          f"{switch.name}: port {prev} -> {msg.in_port}")
             channel.send_to_switch(ForwardSrp(msg.frame, msg.in_port))

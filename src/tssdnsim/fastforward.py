@@ -16,9 +16,13 @@ full snapshot of the model state normalised to b and, at b + P, another one.
 Only when the two are equal does the period from b + P on repeat the last
 one, and so does every later period up to the first pending event beyond the
 next one or the end of the run. Those k periods are skipped: the model's
-times move by k*P, its counters grow by k times their change over the last
-period, and the last period's latency records are appended k times, each a
-further P later. The outputs are byte-identical to a full run.
+times move by k*P and its counters grow by k times their change over the last
+period. The latency records of the last period become the template of one
+repeat block (`metrics.Repeat`), which stores their place among the records,
+each one's seq step per period, k and P: copy j of a record is j*P later and
+j steps on. A skip thus costs the same however many periods it covers, and
+the sink's readers use the block without expanding it, except to write
+`frames.csv`. The outputs are byte-identical to a full run.
 
 Each model class says how the fast-forward treats each of its fields, in a
 class attribute `FF_FIELDS` built by `fields()`:

@@ -13,9 +13,8 @@ from .engine import Endpoint, Link, Simulator, Trace
 from .fastforward import Skipped, SteadyState
 from .frames import MacAddress
 from .hosts import Host
-from .metrics import (GuaranteeResult, MetricsSink, check_guarantee, summarize,
-                      write_control_trace, write_counters, write_frame_csv,
-                      write_summary_csv)
+from .metrics import (GuaranteeResult, LatencyRecord, MetricsSink, write_control_trace,
+                      write_counters, write_frame_csv, write_summary_csv)
 from .srp import SR_CLASSES, count_scheduled_ports
 from .switching import Switch
 
@@ -39,7 +38,8 @@ class RunResult:
 
     @property
     def records(self) -> list:
-        return self.sink.records
+        """Every record, each block's copies expanded, in `frames.csv` order."""
+        return list(map(LatencyRecord._make, self.sink.rows()))
 
     def stream_records(self) -> list:
         return sorted((r for r in self.records if r.flow.startswith("stream")),
@@ -63,12 +63,12 @@ class RunResult:
     def check_guarantee(self) -> GuaranteeResult:
         cls = SR_CLASSES[self.config.talker.sr_class] if self.config.talker else SR_CLASSES["A"]
         ports = self.scheduled_ports if self.scheduled_ports else 1
-        return check_guarantee(self.records, cls, ports)
+        return self.sink.check_guarantee(cls, ports)
 
     def frame_csv_hash(self) -> str:
-        lines = ["|".join(map(str, (r.flow, r.seq, r.send_ns, r.recv_ns)))
-                 for r in sorted(self.records, key=lambda r: (r.recv_ns, r.flow, r.seq))]
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        lines = "\n".join(f"{flow}|{seq}|{send}|{recv}"
+                          for flow, seq, send, recv in self.sink.rows())
+        return hashlib.sha256(lines.encode()).hexdigest()
 
 
 class Network(NamedTuple):
@@ -159,6 +159,7 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
         scheduled_ports = count_scheduled_ports(
             cfg.adjacency(), cfg.talker.node, cfg.listeners[0].node)
 
+    # the first sends are stored records: a block's copies come after its template
     stream_records = [r for r in sink.records if r.flow.startswith("stream")]
     udp_sent = cross_host.udp_seq if cross_host is not None else 0
     first_udp = None
@@ -197,19 +198,19 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
     )
 
 
-def emit_outputs(result: RunResult, outdir, window: Optional[tuple] = None) -> dict:
+def emit_outputs(result: RunResult, outdir) -> dict:
     """Write per-frame CSV, summary CSV, control trace, counters and a report."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    ws, we = window if window is not None else result.steady_window()
-    stats = summarize(result.records, ws, we)
+    ws, we = result.steady_window()
+    stats = result.sink.summarize(ws, we)
     paths = {
         "frames": outdir / "frames.csv",
         "summary": outdir / "summary.csv",
         "counters": outdir / "counters.json",
         "report": outdir / "report.txt",
     }
-    write_frame_csv(paths["frames"], result.records)
+    write_frame_csv(paths["frames"], result.sink)
     write_summary_csv(paths["summary"], stats, ws, we)
     write_counters(paths["counters"], result.counters)
     if result.control_trace:
@@ -233,7 +234,7 @@ def format_report(result: RunResult, stats: dict, ws: int, we: int) -> str:
     lines = [f"scenario: {cfg.name}",
              f"sdn_enabled: {cfg.sdn_enabled}",
              f"run_until_ns: {cfg.run_until_ns}",
-             f"frames recorded: {len(result.records)}",
+             f"frames recorded: {result.sink.count}",
              f"summary window (send_ns): [{ws}, {we})"]
     for flow in sorted(stats):
         st = stats[flow]

@@ -135,7 +135,8 @@ class SrTable:
         self._by_group: dict[tuple, StreamRecord] = {}
 
     def register_talker(self, msg: SrpMessage, port: int) -> str:
-        """Record a talker; returns 'new', 'unchanged' or 'moved'."""
+        """Record a talker; returns 'new', 'unchanged', 'changed' (a new
+        descriptor from the same port) or 'moved' (from another port)."""
         rec = self.streams.get(msg.stream_id)
         if rec is None:
             rec = self.streams[msg.stream_id] = StreamRecord(msg, port)
@@ -146,9 +147,9 @@ class SrTable:
             old = (rec.descriptor.dst_group, rec.descriptor.vlan.vid)
             if self._by_group.get(old) is rec:
                 del self._by_group[old]
+            status = "changed" if rec.talker_port == port else "moved"
             rec.descriptor = msg
             rec.talker_port = port
-            status = "moved"
         self._by_group[(msg.dst_group, msg.vlan.vid)] = rec
         return status
 
@@ -281,9 +282,12 @@ class Switch(Node):
         """
         msg = frame.payload
         if msg.kind is SrpKind.TALKER_ADVERTISE:
+            rec = self.sr_table.streams.get(msg.stream_id)
+            prev = rec.talker_port if rec is not None else None
             status = self.sr_table.register_talker(msg, in_port)
             if status == "moved":
-                self.log(f"{self.name}: stream {msg.stream_id} talker moved to port {in_port}")
+                self.log(f"{self.name}: stream {msg.stream_id} talker moved: "
+                         f"port {prev} -> {in_port}")
             if status != "unchanged":
                 self._flood(in_port, frame)
         else:

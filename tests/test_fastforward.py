@@ -13,11 +13,12 @@ from tssdnsim.cli import main, resolve_scenario
 from tssdnsim.config import load_config, parse_config
 from tssdnsim.control import ControlChannel, Controller
 from tssdnsim.engine import Simulator
-from tssdnsim.fastforward import (COUNTED, NORMALISED, SHIFTED, STATIC, SteadyState,
-                                  fields)
+from tssdnsim.fastforward import (COUNTED, NORMALISED, SHIFTED, STATIC, Cycle,
+                                  SteadyState, fields)
 from tssdnsim.hosts import Host
-from tssdnsim.metrics import MetricsSink
-from tssdnsim.scenario import build_network, run_scenario
+from tssdnsim.metrics import FlowStats, LatencyRecord, MetricsSink
+from tssdnsim.scenario import build_network, emit_outputs, run_scenario
+from tssdnsim.srp import CLASS_A
 from tssdnsim.shaping import CreditState, EgressPort
 from tssdnsim.switching import FlowTable, SrTable, Switch
 
@@ -48,6 +49,17 @@ def _outputs(result):
             "control": result.control_trace, "installs": result.flow_installs,
             "stream_start": result.stream_start_ns, "lr_arrival": result.lr_arrival_ns,
             "first_udp": result.udp_first_send_ns}
+
+
+def _emitted(result, outdir):
+    """The bytes of every file a run writes, by name; `report.txt` without its
+    fast-forward line."""
+    emit_outputs(result, outdir)
+    files = {path.name: path.read_bytes() for path in outdir.iterdir()}
+    files["report.txt"] = b"".join(
+        line for line in files["report.txt"].splitlines(keepends=True)
+        if not line.startswith(b"fast-forward:"))
+    return files
 
 
 # (id, scenario data, run_until, most ms not skipped): the network of a
@@ -86,12 +98,13 @@ EQUIVALENCE_CASES = [
 @pytest.mark.parametrize("raw, until, most_run_ms",
                          [case[1:] for case in EQUIVALENCE_CASES],
                          ids=[case[0] for case in EQUIVALENCE_CASES])
-def test_skipping_cycles_changes_no_output(raw, until, most_run_ms):
+def test_skipping_cycles_changes_no_output(raw, until, most_run_ms, tmp_path):
     raw = dict(raw, **({"run_until": until} if until else {}))
     fast = run_scenario(parse_config(raw))
     full = run_scenario(parse_config(raw), trace=lambda *_: None)
     assert full.skipped.cycles == 0
     assert _outputs(fast) == _outputs(full)
+    assert _emitted(fast, tmp_path / "fast") == _emitted(full, tmp_path / "full")
     if most_run_ms is not None:
         skipped_ns = fast.skipped.cycles * fast.skipped.period_ns
         assert fast.config.run_until_ns - skipped_ns <= most_run_ms * MS
@@ -159,7 +172,107 @@ def test_run_until_in_pieces_matches_one_call():
     for t_end in (50 * MS, 100 * MS + 250_001, 230 * MS, 230 * MS, cfg.run_until_ns):
         net.sim.run_until(t_end)
     assert net.sim.boundary.cycles_skipped > 0
-    assert net.sink.records == whole.records
+    assert list(net.sink.rows()) == whole.records
+
+
+P = 1_000
+STEPS = {"stream-1": 2, "udp": 1}
+
+
+def _sink_with_block(copies):
+    """A sink whose period [P, 2P) is stored once more as a block of `copies`
+    further copies, and the records the sink expands to. The udp and stream
+    frames received at 1_700 share a recv_ns; the stream latencies of the
+    template tie, and the frames before and after the block are faster."""
+    sink = MetricsSink()
+    sink.record("stream-1", 0, 100, 300)
+    prev = Cycle(P, P, None, frozenset())
+    prev.add_source("s", "stream-1", 1)
+    prev.add_source("u", "udp", 0)
+    sink.ff_state(prev)
+    template = [LatencyRecord("stream-1", 1, 1_100, 1_400),
+                LatencyRecord("udp", 0, 1_200, 1_700),
+                LatencyRecord("stream-1", 2, 1_400, 1_700)]
+    for rec in template:
+        sink.record(*rec)
+    cx = Cycle(2 * P, P, prev, frozenset())
+    cx.add_source("s", "stream-1", 1 + STEPS["stream-1"])
+    cx.add_source("u", "udp", STEPS["udp"])
+    sink.ff_state(cx)
+    cx.cycles = copies
+    sink.ff_shift(cx)
+    end = (2 + copies) * P
+    tail = [LatencyRecord("stream-1", 1 + 2 * (copies + 1), end + 100, end + 350)]
+    for rec in tail:
+        sink.record(*rec)
+    copied = [LatencyRecord(f, s + j * STEPS[f], t + j * P, r + j * P)
+              for j in range(1, copies + 1) for f, s, t, r in template]
+    return sink, [LatencyRecord("stream-1", 0, 100, 300), *template, *copied, *tail]
+
+
+def _summary_of(records, ws, we):
+    """Per-flow stats of a record list, one record at a time."""
+    out = {}
+    for flow in sorted({r.flow for r in records}):
+        lats = [r.latency_ns for r in records if r.flow == flow and ws <= r.send_ns < we]
+        out[flow] = (FlowStats(flow, len(lats), min(lats), sum(lats) / len(lats), max(lats))
+                     if lats else None)
+    return out
+
+
+def test_a_block_expands_to_its_copies_in_frame_order():
+    sink, expanded = _sink_with_block(10)
+    assert len(sink.records) == 5 and len(sink.repeats) == 1
+    assert sink.count == len(expanded) == 35
+    # at 1_700 + jP the stream frame sorts before the udp one it was stored after
+    in_frame_order = sorted(expanded, key=lambda r: (r.recv_ns, r.flow, r.seq))
+    assert in_frame_order != expanded
+    assert list(sink.rows()) == in_frame_order
+
+
+@pytest.mark.parametrize("ws, we", [
+    (0, 10**9),                        # everything
+    (0, P),                            # wholly before the block
+    (12 * P, 10**9),                   # wholly after it
+    (3 * P + 250, 7 * P + 600),        # starts and ends inside it
+    (P + 1_150, 12 * P + 120),         # starts in the template, ends after the block
+    (5 * P + 1_150, 5 * P + 1_150),    # empty
+    (5 * P + 500, 5 * P + 1_000),      # no send inside
+])
+def test_the_summary_of_a_block_equals_that_of_its_copies(ws, we):
+    sink, expanded = _sink_with_block(10)
+    assert sink.summarize(ws, we) == _summary_of(expanded, ws, we)
+
+
+def test_an_empty_window_gives_none_per_flow():
+    sink, _ = _sink_with_block(10)
+    assert sink.summarize(5 * P + 500, 5 * P + 1_000) == {"stream-1": None, "udp": None}
+
+
+def test_the_worst_frame_of_a_block_is_its_last_copy():
+    sink, expanded = _sink_with_block(10)
+    result = sink.check_guarantee(CLASS_A, 3)
+    # every copy of the template's stream frames takes 300 ns: the tie goes
+    # to the highest seq, the last copy of seq 2
+    assert result.worst == LatencyRecord("stream-1", 2 + 10 * 2, 1_400 + 10 * P,
+                                         1_700 + 10 * P)
+    assert result.worst == max((r for r in expanded if r.flow == "stream-1"),
+                               key=lambda r: (r.latency_ns, r.seq))
+    assert result.passed
+
+
+def test_a_longer_run_stores_no_more_records():
+    # a skip stores one block, whatever the number of periods it skips
+    def run(until_ns):
+        cfg = load_config(resolve_scenario("case_study_sdn"))
+        cfg.run_until_ns = until_ns
+        return run_scenario(cfg)
+
+    short, long = run(2_000 * MS), run(60_000 * MS)
+    assert len(long.sink.records) == len(short.sink.records)
+    assert len(long.sink.repeats) == len(short.sink.repeats)
+    assert long.sink.count == sum(1 for _ in long.sink.rows())
+    assert long.sink.count > 29 * short.sink.count
 
 
 def test_a_run_that_never_repeats_backs_off():

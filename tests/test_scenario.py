@@ -9,8 +9,7 @@ import yaml
 
 from tssdnsim.cli import main, resolve_scenario
 from tssdnsim.config import ConfigError, load_config, parse_config, parse_time_ns
-from tssdnsim.metrics import (FRAME_CSV_HEADER, LatencyRecord, MetricsSink,
-                              check_guarantee, summarize)
+from tssdnsim.metrics import FRAME_CSV_HEADER, MetricsSink
 from tssdnsim.scenario import compare_report, emit_outputs, run_scenario
 from tssdnsim.srp import CLASS_A
 
@@ -223,25 +222,28 @@ def test_shipped_scenarios_load():
 # -- metrics --------------------------------------------------------------
 
 
-def recs(flow, latencies, start=0, spacing=100):
-    return [LatencyRecord(flow, i, start + i * spacing, start + i * spacing + lat)
-            for i, lat in enumerate(latencies)]
+def sink_of(flow, latencies, start=0, spacing=100):
+    """A sink holding one record of `flow` per latency, sent `spacing` ns apart."""
+    sink = MetricsSink()
+    for i, lat in enumerate(latencies):
+        sink.record(flow, i, start + i * spacing, start + i * spacing + lat)
+    return sink
 
 
 def test_summarize_min_mean_max():
-    stats = summarize(recs("udp", [100 * US, 200 * US, 300 * US]), 0, 10 * MS)
+    stats = sink_of("udp", [100 * US, 200 * US, 300 * US]).summarize(0, 10 * MS)
     st = stats["udp"]
     assert (st.min_ns, st.mean_ns, st.max_ns) == (100 * US, 200 * US, 300 * US)
     assert st.count == 3
 
 
 def test_summarize_single_record():
-    st = summarize(recs("udp", [7]), 0, 10 * MS)["udp"]
+    st = sink_of("udp", [7]).summarize(0, 10 * MS)["udp"]
     assert st.min_ns == st.max_ns == 7 and st.mean_ns == 7.0
 
 
 def test_summarize_empty_window_is_explicit_none():
-    stats = summarize(recs("udp", [100, 200]), 5 * MS, 10 * MS)
+    stats = sink_of("udp", [100, 200]).summarize(5 * MS, 10 * MS)
     assert stats["udp"] is None
 
 
@@ -252,15 +254,14 @@ def test_sink_rejects_nonpositive_latency():
 
 
 def test_guarantee_with_no_stream_frames_fails_loudly():
-    result = check_guarantee(recs("udp", [1]), CLASS_A, 3)
+    result = sink_of("udp", [1]).check_guarantee(CLASS_A, 3)
     assert not result.passed
     assert result.reason == "no stream frames observed"
     assert result.worst is None
 
 
 def test_guarantee_names_the_worst_frame():
-    records = recs("stream-1", [100 * US, 800 * US])
-    result = check_guarantee(records, CLASS_A, 3)
+    result = sink_of("stream-1", [100 * US, 800 * US]).check_guarantee(CLASS_A, 3)
     assert not result.passed
     assert result.worst.seq == 1
     assert result.limit_ns == 750 * US

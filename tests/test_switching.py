@@ -4,7 +4,7 @@ from tssdnsim.engine import Simulator
 from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, MacAddress, SrpKind,
                              SrpMessage, StreamData, StreamId, UdpDatagram,
                              VlanTag, make_frame)
-from tssdnsim.switching import (Drop, FlowMatch, FlowTable, Output, Switch,
+from tssdnsim.switching import (Drop, FlowMatch, FlowTable, Output, SrTable, Switch,
                                 ToController)
 
 from conftest import Recorder, wire
@@ -22,8 +22,8 @@ def stream_frame(seq=0, group=G):
     return make_frame(T, group, StreamData(SID, seq, 0), 150, vlan=VLAN)
 
 
-def advertise_frame(group=G):
-    msg = SrpMessage(SrpKind.TALKER_ADVERTISE, SID, group, VLAN, 150, 125 * US, "A")
+def advertise_frame(group=G, frame_bytes=150):
+    msg = SrpMessage(SrpKind.TALKER_ADVERTISE, SID, group, VLAN, frame_bytes, 125 * US, "A")
     return make_frame(T, group, msg, 64)
 
 
@@ -277,6 +277,26 @@ def test_a_talker_readvertised_to_a_new_group_from_a_new_port_is_reindexed():
     # to the listener port alone: not dropped by the filter, not flooded
     assert (len(data[1]), len(data[2])) == (0, 1)
     assert sw.dropped_filter == 0
+
+
+def test_register_talker_tells_a_changed_descriptor_from_a_moved_talker():
+    table = SrTable()
+    assert table.register_talker(advertise_frame().payload, 1) == "new"
+    assert table.register_talker(advertise_frame().payload, 1) == "unchanged"
+    assert table.register_talker(advertise_frame(frame_bytes=300).payload, 1) == "changed"
+    assert table.register_talker(advertise_frame(frame_bytes=300).payload, 0) == "moved"
+    assert table.streams[SID].talker_port == 0
+
+
+def test_only_a_talker_on_a_new_port_is_logged_as_moved():
+    sim, sw, _ = make_switch(sdn=False)
+    logs = []
+    sw.log = logs.append
+    sw.handle_frame(1, advertise_frame())
+    sw.handle_frame(1, advertise_frame(frame_bytes=300))
+    assert logs == []
+    sw.handle_frame(0, advertise_frame(frame_bytes=300))
+    assert logs == [f"sw: stream {SID} talker moved: port 1 -> 0"]
 
 
 def test_tsn_mode_learns_macs_and_floods_unknown():
