@@ -10,19 +10,19 @@ of H, with every event before the boundary dispatched and none at or after it.
 
 At each boundary b it builds a cheap key: the pending events before b + H, as
 their time relative to b and their owner and method, and the sizes of the
-frames queued at each port. Equal states have equal keys. When the key at b
-was last seen at a boundary a, P = b - a is a candidate period: it takes a
-full snapshot of the model state normalised to b and, at b + P, another one.
-Only when the two are equal does the period from b + P on repeat the last
-one, and so does every later period up to the first pending event beyond the
-next one or the end of the run. Those k periods are skipped: the model's
-times move by k*P and its counters grow by k times their change over the last
-period. The latency records of the last period become the template of one
-repeat block (`metrics.Repeat`), which stores their place among the records,
-each one's seq step per period, k and P: copy j of a record is j*P later and
-j steps on. A skip thus costs the same however many periods it covers, and
-the sink's readers use the block without expanding it, except to write
-`frames.csv`. The outputs are byte-identical to a full run.
+frames in each non-empty queue, by the queue's index. Equal states have equal
+keys. When the key at b was last seen at a boundary a, P = b - a is a
+candidate period: it takes a full snapshot of the model state normalised to b
+and, at b + P, another one. Only when the two are equal does the period from
+b + P on repeat the last one, and so does every later period up to the first
+pending event beyond the next one or the end of the run. Those k periods are
+skipped: the model's times move by k*P and its counters grow by k times their
+change over the last period. The latency records of the last period become the
+template of one repeat block (`metrics.Repeat`), which stores their place
+among the records, each one's seq step per period, k and P: copy j of a record
+is j*P later and j steps on. A skip thus costs the same however many periods
+it covers, and the sink's readers use the block without expanding it, except
+to write `frames.csv`. The outputs are byte-identical to a full run.
 
 Each model class says how the fast-forward treats each of its fields, in a
 class attribute `FF_FIELDS` built by `fields()`:
@@ -51,9 +51,12 @@ next boundary it stops at. A run that never settles thus pays for about
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields, is_dataclass
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .engine import Event
+
+FRAME_BYTES = attrgetter("frame_bytes")
 
 STATIC = "static"
 NORMALISED = "normalised"
@@ -261,11 +264,12 @@ class SteadyState:
 
     def _key(self, b: int) -> tuple:
         """What equal states at b share: the pending events before b + H,
-        relative to b, and the frame sizes queued at each port."""
+        relative to b, and the frame sizes in each non-empty queue, by its index."""
         owners = self._owners
         events = tuple((ev.fire_at - b, *_method(ev.callback, owners))
                        for ev in self.sim.pending_before(b + self.period))
-        return events, tuple(tuple(frame.frame_bytes for frame in q) for q in self._queues)
+        return events, tuple((i, tuple(map(FRAME_BYTES, q)))
+                             for i, q in enumerate(self._queues) if q)
 
     def _snapshot(self, cx: Cycle) -> None:
         self.snapshots += 1

@@ -1,13 +1,16 @@
 """Dataplane domain model: Ethernet frames, VLAN tags, SRP/ARP/UDP/stream payloads.
 
-Frames are plain immutable values; no byte-exact header encoding is attempted.
+Frames and everything they carry are immutable `NamedTuple` values: they
+compare and hash by value, as tuples do, and no field can be assigned. A type
+with a constraint checks it in `__new__`, once, when the value is built;
+`_replace` copies a value without checking it again. No byte-exact header
+encoding is attempted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 MIN_FRAME_BYTES = 64
 MAX_FRAME_BYTES = 1522
@@ -17,16 +20,14 @@ MAX_UNIQUE_ID = 0xFFFF
 # preamble 7 + SFD 1 + interframe gap 12
 WIRE_OVERHEAD_BYTES = 20
 
-BROADCAST = None  # forward decl, assigned below
 
+class MacAddress(NamedTuple("MacAddress", [("octets", bytes)])):
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class MacAddress:
-    octets: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.octets) != 6:
-            raise ValueError(f"MAC address needs 6 octets, got {len(self.octets)}")
+    def __new__(cls, octets: bytes) -> "MacAddress":
+        if len(octets) != 6:
+            raise ValueError(f"MAC address needs 6 octets, got {len(octets)}")
+        return tuple.__new__(cls, (octets,))
 
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
@@ -51,26 +52,24 @@ def is_multicast(addr: MacAddress) -> bool:
     return addr.is_multicast
 
 
-@dataclass(frozen=True)
-class VlanTag:
-    vid: int
-    pcp: int
+class VlanTag(NamedTuple("VlanTag", [("vid", int), ("pcp", int)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.vid <= MAX_VID:
-            raise ValueError(f"VLAN id {self.vid} out of range")
-        if not 0 <= self.pcp <= MAX_PCP:
-            raise ValueError(f"PCP {self.pcp} out of range")
+    def __new__(cls, vid: int, pcp: int) -> "VlanTag":
+        if not 0 <= vid <= MAX_VID:
+            raise ValueError(f"VLAN id {vid} out of range")
+        if not 0 <= pcp <= MAX_PCP:
+            raise ValueError(f"PCP {pcp} out of range")
+        return tuple.__new__(cls, (vid, pcp))
 
 
-@dataclass(frozen=True)
-class StreamId:
-    talker: MacAddress
-    unique_id: int
+class StreamId(NamedTuple("StreamId", [("talker", MacAddress), ("unique_id", int)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.unique_id <= MAX_UNIQUE_ID:
-            raise ValueError(f"stream unique_id {self.unique_id} out of range")
+    def __new__(cls, talker: MacAddress, unique_id: int) -> "StreamId":
+        if not 0 <= unique_id <= MAX_UNIQUE_ID:
+            raise ValueError(f"stream unique_id {unique_id} out of range")
+        return tuple.__new__(cls, (talker, unique_id))
 
     def __str__(self) -> str:
         return f"{self.talker}#{self.unique_id}"
@@ -81,19 +80,21 @@ class SrpKind(Enum):
     LISTENER_READY = "listener_ready"
 
 
-@dataclass(frozen=True)
-class SrpMessage:
-    kind: SrpKind
-    stream_id: StreamId
-    dst_group: MacAddress
-    vlan: VlanTag
-    max_frame_bytes: int
-    interval_ns: int
-    sr_class: str  # "A" or "B"
+class SrpMessage(NamedTuple("SrpMessage", [
+        ("kind", SrpKind), ("stream_id", StreamId), ("dst_group", MacAddress),
+        ("vlan", VlanTag), ("max_frame_bytes", int), ("interval_ns", int),
+        ("sr_class", str)])):
+    """A talker advertise or listener ready; `sr_class` is "A" or "B"."""
 
-    def __post_init__(self) -> None:
-        if not self.dst_group.is_multicast:
+    __slots__ = ()
+
+    def __new__(cls, kind: SrpKind, stream_id: StreamId, dst_group: MacAddress,
+                vlan: VlanTag, max_frame_bytes: int, interval_ns: int,
+                sr_class: str) -> "SrpMessage":
+        if not dst_group.is_multicast:
             raise ValueError("stream listener group must be a multicast address")
+        return tuple.__new__(cls, (kind, stream_id, dst_group, vlan, max_frame_bytes,
+                                   interval_ns, sr_class))
 
 
 class ArpKind(Enum):
@@ -101,23 +102,20 @@ class ArpKind(Enum):
     REPLY = "reply"
 
 
-@dataclass(frozen=True)
-class ArpMessage:
+class ArpMessage(NamedTuple):
     kind: ArpKind
     asked: str
     answer: Optional[MacAddress] = None
 
 
-@dataclass(frozen=True)
-class UdpDatagram:
+class UdpDatagram(NamedTuple):
     seq: int
     sent_at: int
     src_addr: str
     dst_addr: str
 
 
-@dataclass(frozen=True)
-class StreamData:
+class StreamData(NamedTuple):
     stream_id: StreamId
     seq: int
     sent_at: int
@@ -126,19 +124,18 @@ class StreamData:
 Payload = Union[SrpMessage, ArpMessage, UdpDatagram, StreamData]
 
 
-@dataclass(frozen=True)
-class EthernetFrame:
-    src: MacAddress
-    dst: MacAddress
-    vlan: Optional[VlanTag]
-    payload: Payload
-    frame_bytes: int
+class EthernetFrame(NamedTuple("EthernetFrame", [
+        ("src", MacAddress), ("dst", MacAddress), ("vlan", Optional[VlanTag]),
+        ("payload", Payload), ("frame_bytes", int)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not MIN_FRAME_BYTES <= self.frame_bytes <= MAX_FRAME_BYTES:
-            raise ValueError(f"frame_bytes {self.frame_bytes} outside [64, 1522]")
-        if isinstance(self.payload, StreamData) and self.vlan is None:
+    def __new__(cls, src: MacAddress, dst: MacAddress, vlan: Optional[VlanTag],
+                payload: Payload, frame_bytes: int) -> "EthernetFrame":
+        if not MIN_FRAME_BYTES <= frame_bytes <= MAX_FRAME_BYTES:
+            raise ValueError(f"frame_bytes {frame_bytes} outside [64, 1522]")
+        if vlan is None and isinstance(payload, StreamData):
             raise ValueError("TSN stream frames must carry a VLAN tag")
+        return tuple.__new__(cls, (src, dst, vlan, payload, frame_bytes))
 
     @property
     def pcp(self) -> int:
@@ -174,8 +171,8 @@ def frame_state(frame: EthernetFrame, cx) -> EthernetFrame:
     key = _source(payload)
     if key is None:
         return frame
-    return replace(frame, payload=replace(payload, seq=cx.seq(key, payload.seq),
-                                          sent_at=payload.sent_at - cx.start))
+    return frame._replace(payload=payload._replace(seq=cx.seq(key, payload.seq),
+                                                   sent_at=payload.sent_at - cx.start))
 
 
 def frame_shifted(frame: EthernetFrame, cx) -> EthernetFrame:
@@ -184,5 +181,5 @@ def frame_shifted(frame: EthernetFrame, cx) -> EthernetFrame:
     key = _source(payload)
     if key is None:
         return frame
-    return replace(frame, payload=replace(payload, seq=payload.seq + cx.seq_shift(key),
-                                          sent_at=payload.sent_at + cx.shift_ns))
+    return frame._replace(payload=payload._replace(seq=payload.seq + cx.seq_shift(key),
+                                                   sent_at=payload.sent_at + cx.shift_ns))

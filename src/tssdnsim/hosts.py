@@ -112,6 +112,7 @@ class Host(Node):
         if self._arp_tries > ARP_RETRIES:
             self.sink.warn(f"{self.name}: ARP for {cfg.dst_node} unanswered after "
                            f"{ARP_RETRIES} retries; cross traffic never starts")
+            self._arp_retry_event = None    # given up: a late reply is ignored
             return
         self._arp_tries += 1
         frame = make_frame(self.mac, BROADCAST,
@@ -173,10 +174,11 @@ class Host(Node):
                 self.send(0, make_frame(self.mac, frame.src, reply, ARP_FRAME_BYTES))
         else:
             cfg = self.cross
-            if cfg is not None and msg.asked == cfg.dst_node and self._arp_resolved is None:
+            # a reply counts while a request is outstanding, its retry pending
+            if cfg is not None and msg.asked == cfg.dst_node and self._arp_resolved is None \
+                    and self._arp_retry_event is not None:
                 self._arp_resolved = msg.answer
-                if self._arp_retry_event is not None:
-                    self._arp_retry_event.cancel()
+                self._arp_retry_event.cancel()
                 self._send_udp_frame()
 
     # -- steady-state fast-forward (see fastforward.py) --------------------

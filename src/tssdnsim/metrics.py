@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator, NamedTuple, Optional
 
 from .fastforward import fields
@@ -63,7 +64,7 @@ class MetricsSink:
     `records` holds the records simulated, in the order received; `repeats`
     holds one block per fast-forward skip, whose copies are received after
     its template and before the next stored record. The readers below use
-    the blocks as they are; only `rows` expands them.
+    the blocks as they are; only `rows` and `write_frame_csv` expand them.
     """
 
     FF_FIELDS = fields(normalised="warnings", shifted="records repeats")
@@ -88,9 +89,11 @@ class MetricsSink:
         return len(self.records) + sum((rep.end - rep.start) * rep.copies
                                        for rep in self.repeats)
 
-    def rows(self) -> Iterator[tuple]:
-        """Every record as (flow, seq, send_ns, recv_ns), in `frames.csv`
-        order: by recv_ns, then flow and seq.
+    def runs(self) -> Iterator[tuple]:
+        """The records in `frames.csv` order, as (run, repeat) pairs: a run of
+        stored records with repeat None, or a block's template as
+        (record, seq step) pairs with its `Repeat`, which stands for the
+        template's copies 1..k.
 
         The stored records are in recv_ns order, and a block's copies fall
         between its template and the next stored record. So sorting moves
@@ -100,15 +103,23 @@ class MetricsSink:
         records = self.records
         done = 0
         for rep in self.repeats:
-            yield from sorted(records[done:rep.end], key=FRAME_ORDER)
+            yield sorted(records[done:rep.end], key=FRAME_ORDER), None
             done = rep.end
-            template = sorted(zip(records[rep.start:rep.end], rep.steps),
-                              key=lambda pair: FRAME_ORDER(pair[0]))
+            yield sorted(zip(records[rep.start:rep.end], rep.steps),
+                         key=lambda pair: FRAME_ORDER(pair[0])), rep
+        yield sorted(records[done:], key=FRAME_ORDER), None
+
+    def rows(self) -> Iterator[tuple]:
+        """Every record as (flow, seq, send_ns, recv_ns), in `frames.csv`
+        order: by recv_ns, then flow and seq."""
+        for run, rep in self.runs():
+            if rep is None:
+                yield from run
+                continue
             for j in range(1, rep.copies + 1):
                 dt = j * rep.period
-                for (flow, seq, send, recv), step in template:
+                for (flow, seq, send, recv), step in run:
                     yield flow, seq + j * step, send + dt, recv + dt
-        yield from sorted(records[done:], key=FRAME_ORDER)
 
     def summarize(self, window_start_ns: int, window_end_ns: int) -> dict:
         """Exact count and min/mean/max latency per flow over the records sent
@@ -192,11 +203,29 @@ class MetricsSink:
 
 
 def write_frame_csv(path: Path, sink: MetricsSink) -> None:
+    """`sink.rows()` as `csv.writer` writes them, CRLF included.
+
+    A block's copies are written from strings built once per template
+    record: the flow field and the latency field are the same in every copy,
+    so only seq, send_ns and recv_ns are formatted per row.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FRAME_CSV_HEADER)
-        writer.writerows((flow, seq, send, recv, recv - send)
-                         for flow, seq, send, recv in sink.rows())
+        # a writer whose file's write is `str` returns the line it renders
+        render = csv.writer(SimpleNamespace(write=str)).writerow
+        for run, rep in sink.runs():
+            if rep is None:
+                writer.writerows((flow, seq, send, recv, recv - send)
+                                 for flow, seq, send, recv in run)
+                continue
+            template = [(render((flow, "")).removesuffix("\r\n"), seq, step, send, recv,
+                         render(("", recv - send)))
+                        for (flow, seq, send, recv), step in run]
+            for j in range(1, rep.copies + 1):
+                dt = j * rep.period
+                fh.write("".join([f"{head}{seq + j * step},{send + dt},{recv + dt}{tail}"
+                                  for head, seq, step, send, recv, tail in template]))
 
 
 def write_summary_csv(path: Path, stats: dict, window_start_ns: int,

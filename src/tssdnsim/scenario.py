@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -35,6 +35,7 @@ class RunResult:
     udp_first_send_ns: Optional[int]
     scheduled_ports: Optional[int]
     skipped: Skipped
+    rejected_ports: tuple     # names of the ports that rejected a reservation
 
     @property
     def records(self) -> list:
@@ -61,9 +62,15 @@ class RunResult:
         return (start + self.config.convergence_bound_ns, self.config.run_until_ns)
 
     def check_guarantee(self) -> GuaranteeResult:
+        """The sink's latency check; a rejected reservation fails it whatever
+        the latencies, since the stream then ran unreserved."""
         cls = SR_CLASSES[self.config.talker.sr_class] if self.config.talker else SR_CLASSES["A"]
         ports = self.scheduled_ports if self.scheduled_ports else 1
-        return self.sink.check_guarantee(cls, ports)
+        result = self.sink.check_guarantee(cls, ports)
+        if self.rejected_ports:
+            return replace(result, passed=False, reason="reservation rejected on "
+                                                        + ", ".join(self.rejected_ports))
+        return result
 
     def frame_csv_hash(self) -> str:
         lines = "\n".join(f"{flow}|{seq}|{send}|{recv}"
@@ -193,6 +200,8 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
         lr_arrival_ns=talker_host.lr_arrival_ns if talker_host else None,
         udp_first_send_ns=first_udp,
         scheduled_ports=scheduled_ports,
+        rejected_ports=tuple(port.name for node in (*hosts.values(), *switches.values())
+                             for port in node.ports if port.reservations_rejected),
         skipped=(sim.boundary.summary() if sim.boundary is not None
                  else Skipped(0, None, reason="no periodic traffic source")),
     )

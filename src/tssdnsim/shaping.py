@@ -10,12 +10,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .engine import Endpoint, Event, Link, SimulationError, Simulator
+from .engine import NS_PER_S, Endpoint, Event, Link, SimulationError, Simulator
 from .fastforward import fields
-from .frames import EthernetFrame, frame_shifted, frame_state, wire_size
+from .frames import WIRE_OVERHEAD_BYTES, EthernetFrame, frame_shifted, frame_state
 
 NUM_QUEUES = 8
-PCPS_HIGH_FIRST = tuple(range(NUM_QUEUES - 1, -1, -1))
 
 
 @dataclass
@@ -42,9 +41,9 @@ class EgressPort:
 
     FF_FIELDS = fields(
         static="sim owner link name queue_capacity shaper_enabled rate_bps _peer",
-        normalised="total_reserved_bps transmitting_pcp _wakeup max_depth",
+        normalised="total_reserved_bps transmitting_pcp _wakeup max_depth _backlog",
         shifted="queues shaped tx_busy_until _in_flight",
-        counted="frames_sent dropped_overflow")
+        counted="frames_sent dropped_overflow reservations_rejected")
 
     def __init__(self, sim: Simulator, owner, link: Link, name: str,
                  queue_capacity: int, shaper_enabled: bool) -> None:
@@ -56,6 +55,7 @@ class EgressPort:
         self.shaper_enabled = shaper_enabled
         self.rate_bps = link.rate_bps
         self.queues: list[deque] = [deque() for _ in range(NUM_QUEUES)]
+        self._backlog = 0       # bit pcp set while queues[pcp] is not empty
         self.shaped: dict[int, CreditState] = {}
         self.total_reserved_bps = 0
         self.tx_busy_until = 0
@@ -67,6 +67,7 @@ class EgressPort:
         # counters
         self.frames_sent = 0
         self.dropped_overflow = 0
+        self.reservations_rejected = 0      # counted by srp.admit
         self.max_depth = [0] * NUM_QUEUES
 
     # -- reservations -----------------------------------------------------
@@ -92,14 +93,16 @@ class EgressPort:
 
     def enqueue(self, frame: EthernetFrame) -> bool:
         """Append a frame to its priority queue; returns False on overflow drop."""
-        now = self.sim.now()
         pcp = frame.pcp
         q = self.queues[pcp]
         if len(q) >= self.queue_capacity:
             self.dropped_overflow += 1
             return False
-        self._update_credits(now)
+        now = self.sim._now
+        if self.shaped:
+            self._update_credits(now)
         q.append(frame)
+        self._backlog |= 1 << pcp
         depth = len(q)
         if depth > self.max_depth[pcp]:
             self.max_depth[pcp] = depth
@@ -113,8 +116,6 @@ class EgressPort:
     # -- credit dynamics --------------------------------------------------
 
     def _update_credits(self, now: int) -> None:
-        if not self.shaped:
-            return
         for pcp, cs in self.shaped.items():
             dt = now - cs.last_update
             if dt < 0:
@@ -139,27 +140,31 @@ class EgressPort:
 
     def _select(self, now: int) -> None:
         """Pick the highest-priority eligible frame and start serializing it."""
-        if self._wakeup is not None:
-            self._wakeup.cancel()
-            self._wakeup = None
-        queues, shaped = self.queues, self.shaped
-        chosen = None
-        for pcp in PCPS_HIGH_FIRST:
-            if queues[pcp]:
-                cs = shaped.get(pcp)
-                if cs is None or cs.credit >= 0:
-                    chosen = pcp
-                    break
-        if chosen is None:
-            self._schedule_wakeup(now)
-            return
         if now < self.tx_busy_until:
             # a model bug: this port alone drives its direction of the link
             raise SimulationError(f"port {self.name}: overlapping transmission")
-        frame = queues[chosen].popleft()
+        if self._wakeup is not None:
+            self._wakeup.cancel()
+            self._wakeup = None
+        backlog = self._backlog
+        if not backlog:
+            return
+        shaped = self.shaped
+        pcp = backlog.bit_length() - 1     # the highest-priority backlogged class
+        while pcp in shaped and shaped[pcp].credit < 0:
+            backlog ^= 1 << pcp            # blocked on credit: the next one down
+            if not backlog:
+                self._schedule_wakeup(now)
+                return
+            pcp = backlog.bit_length() - 1
+        q = self.queues[pcp]
+        frame = q.popleft()
+        if not q:
+            self._backlog ^= 1 << pcp
         sim, link = self.sim, self.link
-        tx_end = now + link.serialization_ns(wire_size(frame))
-        self.transmitting_pcp = chosen
+        # Link.serialization_ns of the frame's wire size
+        tx_end = now + (frame.frame_bytes + WIRE_OVERHEAD_BYTES) * 8 * NS_PER_S // self.rate_bps
+        self.transmitting_pcp = pcp
         self.tx_busy_until = tx_end
         peer = self._peer
         if peer is None:
@@ -182,13 +187,15 @@ class EgressPort:
             self._in_flight = None
             peer = self._peer
             peer.node.handle_frame(peer.port, frame)
-        now = self.sim.now()
-        self._update_credits(now)
-        pcp = self.transmitting_pcp
+        now = self.sim._now
+        shaped = self.shaped
+        if shaped:
+            self._update_credits(now)
+            pcp = self.transmitting_pcp
+            cs = shaped.get(pcp)
+            if cs is not None and not self.queues[pcp] and cs.credit > 0:
+                cs.credit = 0
         self.transmitting_pcp = None
-        cs = self.shaped.get(pcp) if pcp is not None else None
-        if cs is not None and not self.queues[pcp] and cs.credit > 0:
-            cs.credit = 0
         self._select(now)
 
     def _schedule_wakeup(self, now: int) -> None:

@@ -58,10 +58,12 @@ def admit(port, advertise: SrpMessage,
     describes; on success raises the idle slope of its SR class's queue.
 
     The limit is `permille` thousandths of the port rate, compared in integers.
-    Returns None when admitted, a Rejected record otherwise.
+    Returns None when admitted, a Rejected record otherwise; a rejection is
+    also counted on the port, and fails the run's guarantee check.
     """
     new_bps = reserved_bps(advertise.max_frame_bytes, advertise.interval_ns)
     if 1000 * (port.total_reserved_bps + new_bps) > permille * port.rate_bps:
+        port.reservations_rejected += 1
         return Rejected(port.name, f"would exceed {permille / 10:g}% of "
                                    f"{port.rate_bps} bit/s")
     port.add_reservation(SR_CLASSES[advertise.sr_class].pcp, new_bps)

@@ -7,6 +7,7 @@ queueing behind the credit-based shaper.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -31,13 +32,11 @@ class FlowMatch:
     vlan_pcp: Optional[int] = None
 
     def covers(self, frame: EthernetFrame, in_port: int) -> bool:
-        # addresses compare by their octets: bytes equality runs in C, while
-        # the dataclass-generated MacAddress.__eq__ is a Python-level call
         if self.in_port is not None and self.in_port != in_port:
             return False
-        if self.eth_dst is not None and self.eth_dst.octets != frame.dst.octets:
+        if self.eth_dst is not None and self.eth_dst != frame.dst:
             return False
-        if self.eth_src is not None and self.eth_src.octets != frame.src.octets:
+        if self.eth_src is not None and self.eth_src != frame.src:
             return False
         if self.vlan_vid is not None and (frame.vlan is None or frame.vlan.vid != self.vlan_vid):
             return False
@@ -121,7 +120,7 @@ class FlowTable:
 class StreamRecord:
     descriptor: SrpMessage     # the talker advertise
     talker_port: int
-    listener_ports: set = field(default_factory=set)
+    listener_ports: list = field(default_factory=list)     # ascending
 
 
 class SrTable:
@@ -157,7 +156,7 @@ class SrTable:
         rec = self.streams[stream_id]
         if port in rec.listener_ports:
             return False
-        rec.listener_ports.add(port)
+        insort(rec.listener_ports, port)
         return True
 
     def lookup_group(self, dst: MacAddress, vid: Optional[int]) -> Optional[StreamRecord]:
@@ -226,12 +225,13 @@ class Switch(Node):
                      rec: Optional[StreamRecord]) -> None:
         self.mac_table[frame.src] = in_port
         if rec is not None:
-            out = rec.listener_ports - {in_port}
-            if not out:
+            forwarded = self.forwarded
+            for port in rec.listener_ports:
+                if port != in_port:
+                    self.send(port, frame)
+                    self.forwarded += 1
+            if self.forwarded == forwarded:
                 self.dropped_no_listener += 1
-            for port in sorted(out):
-                self.send(port, frame)
-                self.forwarded += 1
             return
         if frame.dst.is_multicast:
             self._flood(in_port, frame)

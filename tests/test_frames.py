@@ -59,3 +59,20 @@ def test_stream_frames_require_vlan_tag():
         EthernetFrame(talker, group, None, payload, 150)
     frame = make_frame(talker, group, payload, 150, vlan=VlanTag(2, 6))
     assert frame.pcp == 6
+
+
+def test_frames_are_immutable_values():
+    talker = MacAddress.parse("02:00:00:00:00:01")
+    group = MacAddress.parse("91:E0:F0:00:00:01")
+    frame = make_frame(talker, group, StreamData(StreamId(talker, 1), 0, 0), 150,
+                       vlan=VlanTag(2, 6))
+    for value, name in ((frame, "frame_bytes"), (frame, "payload"), (frame.payload, "seq"),
+                        (frame.vlan, "pcp"), (talker, "octets")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        frame.note = "an attribute the type does not have"
+    # equal fields make equal, interchangeable values
+    again = make_frame(MacAddress(talker.octets), group,
+                       StreamData(StreamId(talker, 1), 0, 0), 150, vlan=VlanTag(2, 6))
+    assert again == frame and hash(again) == hash(frame)

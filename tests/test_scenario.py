@@ -386,6 +386,35 @@ def test_links_with_propagation_delay_keep_their_frame_hashes(
         assert result.check_guarantee().passed is guarantee
 
 
+def test_an_arp_reply_after_the_give_up_starts_no_cross_traffic():
+    # over 1 ms links the reply to the first request comes back after the
+    # last retry has given up: the warning must stay true
+    result = _with_propagation("case_study_sdn", "1ms")
+    assert ("client0: ARP for client1 unanswered after 3 retries; "
+            "cross traffic never starts") in result.sink.warnings
+    assert result.counters["client0"]["sent_udp"] == 0
+    assert result.udp_records() == [] and result.udp_first_send_ns is None
+
+
+def _rejecting_reservation(path):
+    raw = yaml.safe_load(resolve_scenario("case_study_sdn").read_text())
+    raw["links"][1]["rate_bps"] = 13_000_000   # 75% of it is less than the stream needs
+    del raw["cross_traffic"]
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+def test_a_rejected_reservation_fails_the_guarantee(tmp_path, capsys):
+    scenario = _rejecting_reservation(tmp_path / "rejected.yaml")
+    result = run_scenario(load_config(scenario))
+    assert any("reservation rejected on switch0:1" in w for w in result.sink.warnings)
+    gr = result.check_guarantee()
+    assert not gr.passed
+    assert gr.reason == "reservation rejected on switch0:1"
+    assert main(["check", "--scenario", str(scenario), "--guarantee"]) == 1
+    assert "guarantee FAIL: reservation rejected on switch0:1" in capsys.readouterr().out
+
+
 def test_trace_hook_only_observes(sdn_result):
     kinds = []
     traced = run_scenario(load_config(resolve_scenario("case_study_sdn")),

@@ -231,7 +231,7 @@ def test_listener_ready_adds_port_and_raises_idle_slope():
     sw.handle_frame(1, advertise_frame())
     sw.handle_frame(2, ready_frame())
     sim.run_until(1_000_000)
-    assert sw.sr_table.streams[SID].listener_ports == {2}
+    assert sw.sr_table.streams[SID].listener_ports == [2]
     assert sw.ports[2].shaped[6].idle_slope_bps == 10_880_000
     # the ready is forwarded on the direct path toward the talker
     assert any(isinstance(f.payload, SrpMessage) for _, _, f in recs[1].received)
