@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .config import ConfigError, load_config, parse_time_ns
 from .scenario import compare_report, emit_outputs, run_scenario
 
 BUILTIN_SCENARIOS = ("case_study_sdn", "case_study_nosdn", "fault_injection")
+# the `tssdnsim.scenarios` package's directory
+SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
 
 def resolve_scenario(name: str) -> Path:
@@ -23,7 +24,7 @@ def resolve_scenario(name: str) -> Path:
     if path.exists():
         return path
     if name in BUILTIN_SCENARIOS:
-        return Path(str(resources.files("tssdnsim.scenarios") / f"{name}.yaml"))
+        return SCENARIO_DIR / f"{name}.yaml"
     raise ConfigError(f"scenario file not found: {name} "
                       f"(builtins: {', '.join(BUILTIN_SCENARIOS)})")
 

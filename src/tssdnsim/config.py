@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import yaml
 
@@ -20,7 +18,7 @@ class ConfigError(Exception):
     """Invalid scenario file; CLI maps this to exit code 2."""
 
 
-_TIME_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(ns|us|ms|s)?\s*$")
+_TIME_RE = re.compile(r"^\s*(\d+)(?:\.(\d+))?\s*(ns|us|ms|s)?\s*$")
 _UNIT_NS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": 1_000_000_000, None: 1}
 
 
@@ -35,28 +33,35 @@ def parse_time_ns(value, field_name: str = "time") -> int:
     m = _TIME_RE.match(value)
     if m is None:
         raise ConfigError(f"{field_name}: cannot parse time {value!r}")
-    amount = Fraction(m.group(1)) * _UNIT_NS[m.group(2)]
-    if amount.denominator != 1:
+    whole, fraction, unit = m.groups()
+    fraction = fraction or ""
+    # the decimal as the integer of all its digits over 10**(digits after the point)
+    try:
+        scaled = int(whole + fraction) * _UNIT_NS[unit]
+    except ValueError:          # more digits than int() converts
+        raise ConfigError(f"{field_name}: cannot parse time {value!r}")
+    ns, rest = divmod(scaled, 10 ** len(fraction))
+    if rest:
         raise ConfigError(f"{field_name}: {value!r} is not a whole number of ns")
-    return int(amount)
+    return ns
 
 
-@dataclass
-class LinkConfig:
+class LinkConfig(NamedTuple):
     a: str
     b: str
     rate_bps: int
     propagation_ns: int
 
 
-@dataclass
 class ControlConfig:
-    one_way_delay_ns: int
-    processing_delay_ns: int
+    __slots__ = ("one_way_delay_ns", "processing_delay_ns")
+
+    def __init__(self, one_way_delay_ns: int, processing_delay_ns: int) -> None:
+        self.one_way_delay_ns = one_way_delay_ns
+        self.processing_delay_ns = processing_delay_ns
 
 
-@dataclass
-class TalkerConfig:
+class TalkerConfig(NamedTuple):
     node: str
     unique_id: int
     dst_group: MacAddress
@@ -67,14 +72,12 @@ class TalkerConfig:
     advertise_at_ns: int
 
 
-@dataclass
-class ListenerSpec:
+class ListenerSpec(NamedTuple):
     node: str
     unique_id: int
 
 
-@dataclass
-class CrossTrafficConfig:
+class CrossTrafficConfig(NamedTuple):
     node: str
     dst_node: str
     frame_bytes: int
@@ -84,23 +87,34 @@ class CrossTrafficConfig:
     vlan: Optional[VlanTag] = None
 
 
-@dataclass
 class ScenarioConfig:
-    name: str
-    sdn_enabled: bool
-    idle_setup_ns: int
-    run_until_ns: int
-    clients: list
-    switches: list
-    links: list
-    controller: Optional[str]
-    control: ControlConfig
-    queue_capacity: int
-    shaper_enabled: bool
-    convergence_bound_ns: int
-    talker: Optional[TalkerConfig] = None
-    listeners: list = field(default_factory=list)
-    cross_traffic: Optional[CrossTrafficConfig] = None
+    """A parsed scenario; `parse_config` sets `talker`, `listeners` and
+    `cross_traffic` after the rest, and a caller may change `run_until_ns`."""
+
+    __slots__ = ("name", "sdn_enabled", "idle_setup_ns", "run_until_ns", "clients",
+                 "switches", "links", "controller", "control", "queue_capacity",
+                 "shaper_enabled", "convergence_bound_ns", "talker", "listeners",
+                 "cross_traffic")
+
+    def __init__(self, name: str, sdn_enabled: bool, idle_setup_ns: int,
+                 run_until_ns: int, clients: list, switches: list, links: list,
+                 controller: Optional[str], control: ControlConfig, queue_capacity: int,
+                 shaper_enabled: bool, convergence_bound_ns: int) -> None:
+        self.name = name
+        self.sdn_enabled = sdn_enabled
+        self.idle_setup_ns = idle_setup_ns
+        self.run_until_ns = run_until_ns
+        self.clients = clients
+        self.switches = switches
+        self.links = links
+        self.controller = controller
+        self.control = control
+        self.queue_capacity = queue_capacity
+        self.shaper_enabled = shaper_enabled
+        self.convergence_bound_ns = convergence_bound_ns
+        self.talker: Optional[TalkerConfig] = None
+        self.listeners: list = []
+        self.cross_traffic: Optional[CrossTrafficConfig] = None
 
     def node_names(self) -> list:
         return list(self.clients) + list(self.switches)
@@ -160,7 +174,9 @@ def _vlan(vid, pcp, where: str) -> VlanTag:
 def load_config(path) -> ScenarioConfig:
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        # libyaml's parser when PyYAML was built with it: the same documents
+        raw = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader",
+                                                         yaml.SafeLoader))
     except FileNotFoundError:
         raise ConfigError(f"scenario file not found: {path}")
     except yaml.YAMLError as exc:

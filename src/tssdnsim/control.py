@@ -7,7 +7,7 @@ message carries the original SRP frame unmodified, as a payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fastforward import fields
 from .frames import EthernetFrame, SrpKind, SrpMessage
@@ -18,49 +18,42 @@ from .switching import (FlowMatch, Output, REACTIVE_RULE_PRIORITY, STREAM_RULE_P
 # -- message kinds -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Hello:
-    pass
+    # no fields: a NamedTuple without them would equal () (see switching.Drop)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FeaturesReply:
+class FeaturesReply(NamedTuple):
     n_ports: int
 
 
-@dataclass(frozen=True)
-class FlowMod:
+class FlowMod(NamedTuple):
     match: FlowMatch
     priority: int
     actions: tuple
 
 
-@dataclass(frozen=True)
-class MissActionUpdate:
+class MissActionUpdate(NamedTuple):
     action: object
 
 
-@dataclass(frozen=True)
-class PacketIn:
+class PacketIn(NamedTuple):
     frame: EthernetFrame
     in_port: int
     reason: str
 
 
-@dataclass(frozen=True)
-class PacketOut:
+class PacketOut(NamedTuple):
     frame: EthernetFrame
     out_ports: tuple
 
 
-@dataclass(frozen=True)
-class ForwardSrp:
+class ForwardSrp(NamedTuple):
     frame: EthernetFrame
     in_port: int
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     time_ns: int
     direction: str  # "s2c" or "c2s"
     switch: str
@@ -68,8 +61,7 @@ class TraceEntry:
     xid: int
 
 
-@dataclass(frozen=True)
-class FlowInstall:
+class FlowInstall(NamedTuple):
     time_ns: int
     switch: str
     priority: int

@@ -31,7 +31,6 @@ engine normalises and moves its own state, the pending events: `ff_state` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Callable, Optional
 
@@ -44,13 +43,16 @@ class SimulationError(Exception):
     """A model bug or fatal configuration error (e.g. scheduling in the past)."""
 
 
-@dataclass(slots=True)
 class Event:
-    fire_at: int
-    seq: int
-    callback: Callable[[], None]
-    label: str = ""
-    cancelled: bool = False
+    __slots__ = ("fire_at", "seq", "callback", "label", "cancelled")
+
+    def __init__(self, fire_at: int, seq: int, callback: Callable[[], None],
+                 label: str = "", cancelled: bool = False) -> None:
+        self.fire_at = fire_at
+        self.seq = seq
+        self.callback = callback
+        self.label = label
+        self.cancelled = cancelled
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -147,25 +149,34 @@ class Simulator:
         heapify(self._heap)
 
 
-@dataclass
 class Endpoint:
-    node: "object"
-    port: int
+    """One end of a link: a node and its port number. Its fields are read at
+    every delivery, and slots read faster than tuple fields."""
+
+    __slots__ = ("node", "port")
+
+    def __init__(self, node: object, port: int) -> None:
+        self.node = node
+        self.port = port
 
 
-@dataclass
 class Link:
-    """Full-duplex point-to-point link; each direction is driven by one EgressPort."""
+    """Full-duplex point-to-point link; each direction is driven by one EgressPort.
 
-    a: Endpoint
-    b: Endpoint
-    rate_bps: int = 100_000_000
-    propagation_ns: int = 0
-    name: str = ""
+    The ends may be None at construction and set once the nodes have ports."""
 
-    def __post_init__(self) -> None:
-        if self.rate_bps <= 0:
-            raise SimulationError(f"link {self.name}: rate must be positive")
+    __slots__ = ("a", "b", "rate_bps", "propagation_ns", "name")
+
+    def __init__(self, a: Optional[Endpoint], b: Optional[Endpoint],
+                 rate_bps: int = 100_000_000, propagation_ns: int = 0,
+                 name: str = "") -> None:
+        if rate_bps <= 0:
+            raise SimulationError(f"link {name}: rate must be positive")
+        self.a = a
+        self.b = b
+        self.rate_bps = rate_bps
+        self.propagation_ns = propagation_ns
+        self.name = name
 
     def serialization_ns(self, wire_bytes: int) -> int:
         return wire_bytes * 8 * NS_PER_S // self.rate_bps

@@ -36,6 +36,15 @@ class attribute `FF_FIELDS` built by `fields()`:
 - counted: an integer that may grow; the skip adds k times its change over
   the last period.
 
+`Cycle.freeze` copies dicts, sets and lists, and copies a record with
+`__slots__` that is not a tuple as its type followed by each slot's value, in
+the order of the class's own `__slots__`. Such a record may be assigned to,
+and most compare by identity, so a snapshot that held the record itself would
+change with it and match any later one. The type comes first because the
+actions without fields (`switching.Drop`, `switching.ToController`) have no
+slot to tell them apart. Tuples, `NamedTuple`s among them, are immutable
+values and are kept as they are.
+
 A class without shifted fields may still define `ff_state`, to register on the
 cycle or to refuse the snapshot by raising `NotPeriodic`. The pending events
 are the engine's: `Simulator.ff_state` and `Simulator.ff_shift`.
@@ -50,7 +59,6 @@ next boundary it stops at. A run that never settles thus pays for about
 
 from __future__ import annotations
 
-from dataclasses import fields as dataclass_fields, is_dataclass
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
@@ -167,9 +175,11 @@ class Cycle:
             return tuple(self.freeze(item) for item in value)
         if isinstance(value, Event):
             return self.event(value)
-        if is_dataclass(value) and not type(value).__dataclass_params__.frozen:
-            return (type(value),) + tuple(self.freeze(getattr(value, f.name))
-                                          for f in dataclass_fields(value))
+        slots = getattr(type(value), "__slots__", None)
+        if slots is not None and not isinstance(value, tuple):
+            # a record whose fields may be assigned: its type, then each field
+            return (type(value),) + tuple(self.freeze(getattr(value, name))
+                                          for name in slots)
         return value
 
     def state_of(self, model) -> tuple:

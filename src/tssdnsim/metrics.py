@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -41,8 +40,7 @@ class Repeat(NamedTuple):
     period: int         # P, in ns
 
 
-@dataclass(frozen=True)
-class FlowStats:
+class FlowStats(NamedTuple):
     flow: str
     count: int
     min_ns: int
@@ -50,8 +48,7 @@ class FlowStats:
     max_ns: int
 
 
-@dataclass(frozen=True)
-class GuaranteeResult:
+class GuaranteeResult(NamedTuple):
     passed: bool
     limit_ns: int
     worst: Optional[LatencyRecord]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -23,8 +21,7 @@ def client_mac(index: int) -> MacAddress:
     return MacAddress(bytes([0x02, 0, 0, 0, 0, index + 1]))
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     config: ScenarioConfig
     sink: MetricsSink
     counters: dict
@@ -68,11 +65,13 @@ class RunResult:
         ports = self.scheduled_ports if self.scheduled_ports else 1
         result = self.sink.check_guarantee(cls, ports)
         if self.rejected_ports:
-            return replace(result, passed=False, reason="reservation rejected on "
-                                                        + ", ".join(self.rejected_ports))
+            return result._replace(passed=False, reason="reservation rejected on "
+                                                   + ", ".join(self.rejected_ports))
         return result
 
     def frame_csv_hash(self) -> str:
+        # imported here: no run, check or compare hashes, and the import costs
+        import hashlib
         lines = "\n".join(f"{flow}|{seq}|{send}|{recv}"
                           for flow, seq, send, recv in self.sink.rows())
         return hashlib.sha256(lines.encode()).hexdigest()

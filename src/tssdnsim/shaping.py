@@ -7,7 +7,6 @@ shaper replays exactly. A frame in transmission is never preempted.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import NS_PER_S, Endpoint, Event, Link, SimulationError, Simulator
@@ -17,14 +16,17 @@ from .frames import WIRE_OVERHEAD_BYTES, EthernetFrame, frame_shifted, frame_sta
 NUM_QUEUES = 8
 
 
-@dataclass
 class CreditState:
     """CBS state for one shaped class; credit is in nanobits (bits * ns/s)."""
 
-    idle_slope_bps: int
-    send_slope_bps: int
-    credit: int = 0
-    last_update: int = 0
+    __slots__ = ("idle_slope_bps", "send_slope_bps", "credit", "last_update")
+
+    def __init__(self, idle_slope_bps: int, send_slope_bps: int, credit: int = 0,
+                 last_update: int = 0) -> None:
+        self.idle_slope_bps = idle_slope_bps
+        self.send_slope_bps = send_slope_bps
+        self.credit = credit
+        self.last_update = last_update
 
     FF_FIELDS = fields(normalised="idle_slope_bps send_slope_bps credit",
                        shifted="last_update")
@@ -41,7 +43,8 @@ class EgressPort:
 
     FF_FIELDS = fields(
         static="sim owner link name queue_capacity shaper_enabled rate_bps _peer",
-        normalised="total_reserved_bps transmitting_pcp _wakeup max_depth _backlog",
+        normalised="total_reserved_bps reserved_streams transmitting_pcp _wakeup max_depth "
+                   "_backlog",
         shifted="queues shaped tx_busy_until _in_flight",
         counted="frames_sent dropped_overflow reservations_rejected")
 
@@ -58,6 +61,7 @@ class EgressPort:
         self._backlog = 0       # bit pcp set while queues[pcp] is not empty
         self.shaped: dict[int, CreditState] = {}
         self.total_reserved_bps = 0
+        self.reserved_streams: dict = {}    # stream id -> its advertise, by srp.admit
         self.tx_busy_until = 0
         self.transmitting_pcp: Optional[int] = None
         self._wakeup: Optional[Event] = None
@@ -73,7 +77,8 @@ class EgressPort:
     # -- reservations -----------------------------------------------------
 
     def add_reservation(self, pcp: int, bps: int) -> None:
-        """Raise the idle slope of a shaped class; called on SR-table changes."""
+        """Raise the idle slope of a shaped class by `bps`, or lower it by a
+        negative one when a reservation is released; called on SR-table changes."""
         now = self.sim.now()
         self._update_credits(now)
         if not self.shaper_enabled:

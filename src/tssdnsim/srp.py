@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import NS_PER_S
-from .frames import WIRE_OVERHEAD_BYTES, SrpMessage
+from .frames import WIRE_OVERHEAD_BYTES, SrpMessage, StreamId
 
 US = 1_000
 
 
-@dataclass(frozen=True)
-class SrClass:
+class SrClass(NamedTuple):
     name: str
     pcp: int
     per_hop_max_latency_ns: int
@@ -39,8 +37,7 @@ def reserved_bps(max_frame_bytes: int, interval_ns: int) -> int:
     return -(-(max_frame_bytes + WIRE_OVERHEAD_BYTES) * 8 * NS_PER_S // interval_ns)
 
 
-@dataclass(frozen=True)
-class Rejected:
+class Rejected(NamedTuple):
     port_name: str
     reason: str
 
@@ -59,7 +56,8 @@ def admit(port, advertise: SrpMessage,
 
     The limit is `permille` thousandths of the port rate, compared in integers.
     Returns None when admitted, a Rejected record otherwise; a rejection is
-    also counted on the port, and fails the run's guarantee check.
+    also counted on the port, and fails the run's guarantee check. A stream
+    admitted on a port is listed in its `reserved_streams` until `release`.
     """
     new_bps = reserved_bps(advertise.max_frame_bytes, advertise.interval_ns)
     if 1000 * (port.total_reserved_bps + new_bps) > permille * port.rate_bps:
@@ -67,7 +65,17 @@ def admit(port, advertise: SrpMessage,
         return Rejected(port.name, f"would exceed {permille / 10:g}% of "
                                    f"{port.rate_bps} bit/s")
     port.add_reservation(SR_CLASSES[advertise.sr_class].pcp, new_bps)
+    port.reserved_streams[advertise.stream_id] = advertise
     return None
+
+
+def release(port, stream_id: StreamId) -> None:
+    """Undo the `admit` of a stream on a port, if it was admitted there:
+    lower the idle slope of its SR class's queue by what was reserved."""
+    advertise = port.reserved_streams.pop(stream_id, None)
+    if advertise is not None:
+        port.add_reservation(SR_CLASSES[advertise.sr_class].pcp,
+                             -reserved_bps(advertise.max_frame_bytes, advertise.interval_ns))
 
 
 def count_scheduled_ports(adjacency: dict, talker: str, listener: str) -> int:

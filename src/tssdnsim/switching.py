@@ -8,28 +8,43 @@ queueing behind the credit-based shaper.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .fastforward import fields
 from .frames import (EthernetFrame, MacAddress, SrpKind, SrpMessage, StreamData,
                      StreamId)
 from .network import Node
-from .srp import admit
+from .srp import admit, release
 
 
 # -- flow table ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FlowMatch:
-    """The five Table-1 match fields; a None field is a wildcard."""
+    """The five Table-1 match fields; a None field is a wildcard.
 
-    in_port: Optional[int] = None
-    eth_dst: Optional[MacAddress] = None
-    eth_src: Optional[MacAddress] = None
-    vlan_vid: Optional[int] = None
-    vlan_pcp: Optional[int] = None
+    A value, equal to any match of the same fields, and never assigned to:
+    not a tuple, since `covers` reads slots faster than tuple fields."""
+
+    __slots__ = ("in_port", "eth_dst", "eth_src", "vlan_vid", "vlan_pcp")
+
+    def __init__(self, in_port: Optional[int] = None, eth_dst: Optional[MacAddress] = None,
+                 eth_src: Optional[MacAddress] = None, vlan_vid: Optional[int] = None,
+                 vlan_pcp: Optional[int] = None) -> None:
+        self.in_port = in_port
+        self.eth_dst = eth_dst
+        self.eth_src = eth_src
+        self.vlan_vid = vlan_vid
+        self.vlan_pcp = vlan_pcp
+
+    def _key(self) -> tuple:
+        return self.in_port, self.eth_dst, self.eth_src, self.vlan_vid, self.vlan_pcp
+
+    def __eq__(self, other) -> bool:
+        return type(other) is FlowMatch and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def covers(self, frame: EthernetFrame, in_port: int) -> bool:
         if self.in_port is not None and self.in_port != in_port:
@@ -45,39 +60,39 @@ class FlowMatch:
         return True
 
 
-@dataclass(frozen=True)
-class Output:
+class Output(NamedTuple("Output", [("ports", tuple)])):
     """Forward out of each listed port once, in ascending port order."""
 
-    ports: tuple
+    __slots__ = ()
 
-    def __init__(self, ports) -> None:
-        object.__setattr__(self, "ports", tuple(sorted(set(ports))))
+    def __new__(cls, ports) -> "Output":
+        return tuple.__new__(cls, (tuple(sorted(set(ports))),))
 
 
-@dataclass(frozen=True)
+# The two actions without fields are not tuples, which would all equal ():
+# each is a class of its own, and a snapshot copies one as its type.
 class ToController:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Drop:
-    pass
+    __slots__ = ()
 
 
 Action = Union[Output, ToController, Drop]
 
 
-@dataclass
 class FlowEntry:
-    match: FlowMatch
-    priority: int
-    actions: list
-    install_seq: int
+    __slots__ = ("match", "priority", "actions", "install_seq")
 
-    def __post_init__(self) -> None:
-        if not self.actions:
+    def __init__(self, match: FlowMatch, priority: int, actions: list,
+                 install_seq: int) -> None:
+        if not actions:
             raise ValueError("flow entry needs at least one action")
+        self.match = match
+        self.priority = priority
+        self.actions = actions
+        self.install_seq = install_seq
 
 
 class FlowTable:
@@ -116,11 +131,18 @@ class FlowTable:
 # -- SR table -----------------------------------------------------------
 
 
-@dataclass
 class StreamRecord:
-    descriptor: SrpMessage     # the talker advertise
-    talker_port: int
-    listener_ports: list = field(default_factory=list)     # ascending
+    __slots__ = ("descriptor", "talker_port", "listener_ports")
+
+    def __init__(self, descriptor: SrpMessage, talker_port: int) -> None:
+        self.descriptor = descriptor        # the talker advertise
+        self.talker_port = talker_port
+        self.listener_ports: list = []      # ascending
+
+    def __eq__(self, other) -> bool:
+        # the controller's record of a stream equals the switch's
+        return type(other) is StreamRecord and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 class SrTable:
@@ -281,26 +303,37 @@ class Switch(Node):
         controller; in TSN-only mode it runs directly on arrival.
         """
         msg = frame.payload
+        rec = self.sr_table.streams.get(msg.stream_id)
         if msg.kind is SrpKind.TALKER_ADVERTISE:
-            rec = self.sr_table.streams.get(msg.stream_id)
             prev = rec.talker_port if rec is not None else None
+            old = rec.descriptor if rec is not None else None
             status = self.sr_table.register_talker(msg, in_port)
+            if status == "unchanged":
+                return
             if status == "moved":
                 self.log(f"{self.name}: stream {msg.stream_id} talker moved: "
                          f"port {prev} -> {in_port}")
-            if status != "unchanged":
-                self._flood(in_port, frame)
+            if old is not None and old != msg:
+                # a changed descriptor: each listener port swaps its reservation
+                for port in rec.listener_ports:
+                    release(self.ports[port], msg.stream_id)
+                    self._reserve(port, msg)
+            self._flood(in_port, frame)
         else:
-            rec = self.sr_table.streams.get(msg.stream_id)
             if rec is None:
                 self.log(f"{self.name}: listener ready for unknown stream {msg.stream_id}, dropped")
                 return
             if self.sr_table.add_listener(msg.stream_id, in_port):
-                rejected = admit(self.ports[in_port], rec.descriptor)
-                if rejected is not None:
-                    self.log(f"{self.name}: reservation rejected on {rejected.port_name}: "
-                             f"{rejected.reason}")
+                self._reserve(in_port, rec.descriptor)
             self.send(rec.talker_port, frame)
+
+    def _reserve(self, port: int, advertise: SrpMessage) -> None:
+        """Admit a stream on a listener port; a rejection is counted on the
+        port and logged."""
+        rejected = admit(self.ports[port], advertise)
+        if rejected is not None:
+            self.log(f"{self.name}: reservation rejected on {rejected.port_name}: "
+                     f"{rejected.reason}")
 
     # -- metrics ----------------------------------------------------------
 

@@ -4,7 +4,8 @@ from tssdnsim.cli import resolve_scenario
 from tssdnsim.config import load_config, parse_config
 from tssdnsim.control import Controller
 from tssdnsim.engine import Simulator
-from tssdnsim.frames import MacAddress, UdpDatagram, make_frame
+from tssdnsim.frames import (MacAddress, SrpKind, SrpMessage, StreamId, UdpDatagram,
+                             VlanTag, make_frame)
 from tssdnsim.scenario import build_network
 from tssdnsim.switching import Drop, Switch, ToController
 
@@ -87,6 +88,39 @@ def test_channel_is_fifo_per_direction():
     sim.run_until(2 * MS)
     # both land at the same instant; the later send must win
     assert isinstance(sw.flow_table.miss_action, Drop)
+
+
+# -- SRP through the controller -------------------------------------------
+
+
+def srp(kind, frame_bytes):
+    """A Class A SRP frame of stream A#1: an advertise to its group, or a
+    ready back to talker A."""
+    group = MacAddress.parse("91:E0:F0:00:00:01")
+    msg = SrpMessage(kind, StreamId(A, 1), group, VlanTag(2, 6), frame_bytes,
+                     125 * US, "A")
+    if kind is SrpKind.TALKER_ADVERTISE:
+        return make_frame(A, group, msg, 64)
+    return make_frame(B, A, msg, 64)
+
+
+def test_a_changed_descriptor_swaps_the_reservation_through_the_controller():
+    # the ForwardSrp path: the switch re-admits when the controller hands
+    # the changed advertise back
+    sim, sw, ctl, _ = make_rig(n_ports=3)
+    for at, port, kind, frame_bytes in (
+            (1 * MS, 1, SrpKind.TALKER_ADVERTISE, 150),
+            (2 * MS, 2, SrpKind.LISTENER_READY, 150),
+            (3 * MS, 1, SrpKind.TALKER_ADVERTISE, 300),
+            (4 * MS, 2, SrpKind.LISTENER_READY, 300)):
+        frame = srp(kind, frame_bytes)
+        sim.schedule(at, lambda f=frame, p=port: sw.handle_frame(p, f))
+    sim.run_until(3 * MS)
+    assert sw.ports[2].shaped[6].idle_slope_bps == 10_880_000
+    sim.run_until(5 * MS)
+    assert sw.ports[2].shaped[6].idle_slope_bps == 20_480_000
+    assert sw.ports[2].total_reserved_bps == 20_480_000
+    assert ctl.sr_tables["sw0"].streams == sw.sr_table.streams
 
 
 # -- reactive forwarding --------------------------------------------------

@@ -18,13 +18,15 @@ from tssdnsim.engine import Simulator
 from tssdnsim.fastforward import (COUNTED, NORMALISED, SHIFTED, STATIC, Cycle,
                                   SteadyState, fields)
 from tssdnsim.hosts import Host
-from tssdnsim.frames import ArpKind, ArpMessage, BROADCAST, MacAddress, make_frame
+from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, MacAddress, SrpKind,
+                             SrpMessage, StreamId, VlanTag, make_frame)
 from tssdnsim.metrics import (FRAME_CSV_HEADER, FlowStats, LatencyRecord, MetricsSink,
                               Repeat, write_frame_csv)
 from tssdnsim.scenario import build_network, emit_outputs, run_scenario
 from tssdnsim.srp import CLASS_A
 from tssdnsim.shaping import CreditState, EgressPort
-from tssdnsim.switching import FlowTable, SrTable, Switch
+from tssdnsim.switching import (Drop, FlowMatch, FlowTable, Output, SrTable, Switch,
+                                ToController)
 
 from conftest import workloads
 
@@ -372,6 +374,53 @@ def test_a_scenario_without_a_source_reports_why_nothing_was_skipped():
         "fast-forward: 0 cycles skipped (no periodic traffic source)"
 
 
+# -- value copies of the records a snapshot holds -----------------------------
+
+
+def _cycle():
+    return Cycle(0, P, None, frozenset())
+
+
+def _flow_table(miss_action):
+    table = FlowTable()
+    table.install(FlowMatch(in_port=1), 10, [Output([2])])
+    table.miss_action = miss_action
+    return table
+
+
+def test_the_fieldless_actions_differ_and_freeze_by_their_type():
+    # a NamedTuple without fields equals (), and so every other one
+    cx = _cycle()
+    assert Drop() != ToController()
+    assert cx.freeze(Drop()) == cx.freeze(Drop()) != cx.freeze(ToController())
+
+
+def test_flow_tables_that_differ_only_in_their_miss_action_freeze_apart():
+    cx = _cycle()
+    assert cx.state_of(_flow_table(Drop())) == cx.state_of(_flow_table(Drop()))
+    assert cx.state_of(_flow_table(Drop())) != cx.state_of(_flow_table(ToController()))
+
+
+def test_a_record_changed_after_a_snapshot_leaves_the_frozen_copy():
+    # a snapshot holding the record itself would change with it, and a
+    # changed table would pass as the state come round
+    cx = _cycle()
+    table = _flow_table(Drop())
+    frozen = cx.state_of(table)
+    table.install(FlowMatch(in_port=1), 10, [Output([3])])     # same entry, new actions
+    assert cx.state_of(table) != frozen
+
+    sid = StreamId(MacAddress.parse("02:00:00:00:00:01"), 1)
+    streams = SrTable()
+    streams.register_talker(SrpMessage(SrpKind.TALKER_ADVERTISE, sid,
+                                       MacAddress.parse("91:E0:F0:00:00:01"),
+                                       VlanTag(2, 6), 150, 125_000, "A"), 0)
+    streams.add_listener(sid, 1)
+    frozen = cx.state_of(streams)
+    streams.add_listener(sid, 2)                                # the same list, grown
+    assert cx.state_of(streams) != frozen
+
+
 GUARDED_CLASSES = (EgressPort, CreditState, Host, Switch, FlowTable, SrTable,
                    Controller, ControlChannel, MetricsSink)
 
@@ -391,7 +440,9 @@ def test_every_model_field_is_classified_for_the_fast_forward():
             continue
         seen.add(cls)
         kinds = cls.FF_FIELDS
-        assert set(vars(model)) == set(kinds), cls.__name__
+        # a record with `__slots__` has no `__dict__`: its slots are its fields
+        names = cls.__slots__ if hasattr(cls, "__slots__") else vars(model)
+        assert set(names) == set(kinds), cls.__name__
         assert set(kinds.values()) <= {STATIC, NORMALISED, SHIFTED, COUNTED}
         if SHIFTED in kinds.values():
             assert hasattr(cls, "ff_state") and hasattr(cls, "ff_shift"), cls.__name__

@@ -1,13 +1,19 @@
 import csv
 import hashlib
 import json
+import os
+import random
 import re
+import subprocess
+import sys
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import yaml
 
-from tssdnsim.cli import main, resolve_scenario
+from tssdnsim.cli import BUILTIN_SCENARIOS, main, resolve_scenario
 from tssdnsim.config import ConfigError, load_config, parse_config, parse_time_ns
 from tssdnsim.metrics import FRAME_CSV_HEADER, MetricsSink
 from tssdnsim.scenario import compare_report, emit_outputs, run_scenario
@@ -37,6 +43,54 @@ def test_parse_time_rejects_garbage():
     for bad in ("fast", "10 minutes", "-3us", None):
         with pytest.raises(ConfigError):
             parse_time_ns(bad)
+
+
+def _reference_time_ns(text):
+    """What `parse_time_ns` must return for a string, by exact `Fraction`
+    arithmetic; None where it must refuse."""
+    m = re.match(r"^\s*(\d+(?:\.\d+)?)\s*(ns|us|ms|s)?\s*$", text)
+    if m is None:
+        return None
+    amount = Fraction(m.group(1)) * {"ns": 1, "us": US, "ms": MS, "s": 1_000 * MS,
+                                     None: 1}[m.group(2)]
+    return int(amount) if amount.denominator == 1 else None
+
+
+def _random_time(rng):
+    """A time string: digits with leading zeros, maybe a fraction, maybe a
+    unit, spaces around; now and then a character that makes it malformed."""
+    parts = [rng.choice(["", " ", "  ", "\t"]),
+             "0" * rng.randrange(3) + str(rng.randrange(10 ** rng.randrange(1, 10)))]
+    if rng.random() < 0.6:
+        parts.append("." + "".join(rng.choice("0123456789")
+                                   for _ in range(rng.randrange(0, 12))))
+    parts += [rng.choice(["", " "]), rng.choice(["", "ns", "us", "ms", "s"]),
+              rng.choice(["", " ", "\n"])]
+    if rng.random() < 0.1:
+        parts.insert(rng.randrange(len(parts) + 1), rng.choice(["-", "+", "e3", "..", "x"]))
+    return "".join(parts)
+
+
+def test_parse_time_agrees_with_exact_fractions():
+    rng = random.Random(20261018)
+    cases = ["3.5ms", "0.000001ms", "0.0000001ms", " 007.250 us ", "0ns", "00.0s",
+             "1.", ".5ms"] + [_random_time(rng) for _ in range(3_000)]
+    refused = 0
+    for text in cases:
+        want = _reference_time_ns(text)
+        if want is None:
+            refused += 1
+            with pytest.raises(ConfigError):
+                parse_time_ns(text)
+        else:
+            assert parse_time_ns(text) == want, text
+    assert parse_time_ns("3.5ms") == 3_500_000
+    assert parse_time_ns("0.000001ms") == 1
+    assert _reference_time_ns("0.0000001ms") is None
+    # more digits than int() converts: refused, not a ValueError traceback
+    with pytest.raises(ConfigError):
+        parse_time_ns("9" * 5_000 + "ms")
+    assert 0 < refused < len(cases)     # both outcomes are swept
 
 
 # -- config validation ----------------------------------------------------
@@ -217,6 +271,59 @@ def test_shipped_scenarios_load():
     assert nosdn.controller is None
     assert fault.shaper_enabled is False
     assert fault.cross_traffic.vlan.pcp == 6
+
+
+def _value(record):
+    """A config as nested tuples: each `__slots__` record as its type and
+    fields, since such a record compares by identity."""
+    slots = getattr(type(record), "__slots__", None)
+    if slots is None or isinstance(record, tuple):
+        return record
+    return (type(record),) + tuple(_value(getattr(record, name)) for name in slots)
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_shipped_scenarios_load_alike_without_libyaml(name, monkeypatch):
+    path = resolve_scenario(name)
+    loaded = load_config(path)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert _value(load_config(path)) == _value(loaded)
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+@pytest.mark.parametrize("text", ["name: [unclosed\nrun_until: 10ms\n",
+                                  "name: a: b\n"], ids=["unclosed", "nested-colon"])
+def test_malformed_yaml_is_a_config_error_under_either_loader(
+        tmp_path, monkeypatch, capsys, libyaml, text):
+    if libyaml and not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML here has no libyaml")
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="YAML parse error"):
+        load_config(path)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "YAML parse error" in capsys.readouterr().err
+
+
+def test_a_run_imports_no_module_it_does_not_use(tmp_path):
+    # by count, not time: each of these takes milliseconds to import, and a
+    # run needs none; those the interpreter loads before the package do not count
+    unused = {"dataclasses", "inspect", "fractions", "decimal", "hashlib"}
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "from tssdnsim import cli\n"
+            "rc = cli.main(['run', '--scenario', 'case_study_sdn', '--out', sys.argv[1]])\n"
+            "print('loaded', rc, *sorted(set(sys.modules) - before))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    _, rc, *loaded = proc.stdout.splitlines()[-1].split()
+    assert rc == "0" and "tssdnsim.scenario" in loaded
+    assert unused.isdisjoint(loaded)
 
 
 # -- metrics --------------------------------------------------------------

@@ -27,8 +27,8 @@ def advertise_frame(group=G, frame_bytes=150):
     return make_frame(T, group, msg, 64)
 
 
-def ready_frame():
-    msg = SrpMessage(SrpKind.LISTENER_READY, SID, G, VLAN, 150, 125 * US, "A")
+def ready_frame(frame_bytes=150):
+    msg = SrpMessage(SrpKind.LISTENER_READY, SID, G, VLAN, frame_bytes, 125 * US, "A")
     return make_frame(L, T, msg, 64)
 
 
@@ -235,6 +235,40 @@ def test_listener_ready_adds_port_and_raises_idle_slope():
     assert sw.ports[2].shaped[6].idle_slope_bps == 10_880_000
     # the ready is forwarded on the direct path toward the talker
     assert any(isinstance(f.payload, SrpMessage) for _, _, f in recs[1].received)
+
+
+def test_a_changed_descriptor_swaps_the_listener_ports_reservation():
+    # (150 + 20) bytes * 8 bits every 125 us reserve 10,880,000 bit/s; the
+    # same stream re-advertised with 300-byte frames needs 20,480,000
+    sim, sw, _ = make_switch(sdn=False)
+    sw.handle_frame(1, advertise_frame())
+    sw.handle_frame(2, ready_frame())
+    assert sw.ports[2].shaped[6].idle_slope_bps == 10_880_000
+    sw.handle_frame(1, advertise_frame(frame_bytes=300))
+    sw.handle_frame(2, ready_frame(frame_bytes=300))
+    sim.run_until(1_000_000)
+    assert sw.ports[2].shaped[6].idle_slope_bps == 20_480_000
+    assert sw.ports[2].total_reserved_bps == 20_480_000
+    assert sw.ports[2].reservations_rejected == 0
+
+
+def test_a_rejected_readmission_is_counted_and_reserves_nothing():
+    logs = []
+    sim, sw, _ = make_switch(sdn=False)
+    sw.log = logs.append
+    sw.handle_frame(1, advertise_frame())
+    sw.handle_frame(2, ready_frame())
+    # (1500 + 20) bytes * 8 bits every 125 us is 97,280,000 bit/s: over 75%
+    sw.handle_frame(1, advertise_frame(frame_bytes=1500))
+    port = sw.ports[2]
+    assert port.reservations_rejected == 1
+    assert (port.shaped[6].idle_slope_bps, port.total_reserved_bps) == (0, 0)
+    assert logs == ["sw: reservation rejected on sw:2: would exceed 75% of "
+                    "100000000 bit/s"]
+    # a port that holds no reservation has none to release
+    sw.handle_frame(1, advertise_frame())
+    assert (port.shaped[6].idle_slope_bps, port.total_reserved_bps) == (10_880_000,
+                                                                        10_880_000)
 
 
 def test_listener_ready_for_unknown_stream_dropped_and_logged():
