@@ -21,8 +21,9 @@ change over the last period. The latency records of the last period become the
 template of one repeat block (`metrics.Repeat`), which stores their place
 among the records, each one's seq step per period, k and P: copy j of a record
 is j*P later and j steps on. A skip thus costs the same however many periods
-it covers, and the sink's readers use the block without expanding it, except
-to write `frames.csv`. The outputs are byte-identical to a full run.
+it covers. The sink's readers walk a block's copies as arithmetic
+progressions (`MetricsSink.progressions`); only `MetricsSink.rows` and
+`write_frame_csv` expand a block. The outputs are byte-identical to a full run.
 
 Each model class says how the fast-forward treats each of its fields, in a
 class attribute `FF_FIELDS` built by `fields()`:

@@ -48,10 +48,6 @@ class MacAddress(NamedTuple("MacAddress", [("octets", bytes)])):
 BROADCAST = MacAddress(b"\xff" * 6)
 
 
-def is_multicast(addr: MacAddress) -> bool:
-    return addr.is_multicast
-
-
 class VlanTag(NamedTuple("VlanTag", [("vid", int), ("pcp", int)])):
     __slots__ = ()
 

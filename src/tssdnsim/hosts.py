@@ -39,7 +39,7 @@ class Host(Node):
         static="sim name ports mac protocol_addr sink talker stream_id "
                "streams_listened cross _lr_timeout",
         normalised="lr_arrival_ns _lr_sent _arp_resolved _arp_tries _arp_retry_event",
-        counted="stream_seq udp_seq sent_stream sent_udp")
+        counted="stream_seq udp_seq")
 
     def __init__(self, sim, name, mac: MacAddress, protocol_addr: str, sink) -> None:
         super().__init__(sim, name)
@@ -58,8 +58,6 @@ class Host(Node):
         self._arp_tries = 0
         self._arp_retry_event = None
         self.udp_seq = 0
-        self.sent_stream = 0
-        self.sent_udp = 0
 
     # -- app wiring -------------------------------------------------------
 
@@ -99,7 +97,6 @@ class Host(Node):
                            StreamData(self.stream_id, self.stream_seq, self.sim.now()),
                            cfg.frame_bytes, vlan=cfg.vlan)
         self.stream_seq += 1
-        self.sent_stream += 1
         self.send(0, frame)
         self.sim.schedule_in(cfg.interval_ns, self._send_stream_frame)
 
@@ -130,7 +127,6 @@ class Host(Node):
                                        self.protocol_addr, cfg.dst_node),
                            cfg.frame_bytes, vlan=cfg.vlan)
         self.udp_seq += 1
-        self.sent_udp += 1
         self.send(0, frame)
         self.sim.schedule_in(cfg.send_interval_ns, self._send_udp_frame)
 

@@ -10,9 +10,9 @@ from .control import Controller
 from .engine import Endpoint, Link, Simulator, Trace
 from .fastforward import Skipped, SteadyState
 from .frames import MacAddress
-from .hosts import Host
-from .metrics import (GuaranteeResult, LatencyRecord, MetricsSink, write_control_trace,
-                      write_counters, write_frame_csv, write_summary_csv)
+from .hosts import UDP_FLOW, Host
+from .metrics import (FlowSeqs, GuaranteeResult, MetricsSink, flow_seqs, pair_by_seq,
+                      write_control_trace, write_counters, write_frame_csv, write_summary_csv)
 from .srp import SR_CLASSES, count_scheduled_ports
 from .switching import Switch
 
@@ -35,18 +35,6 @@ class RunResult(NamedTuple):
     rejected_ports: tuple     # names of the ports that rejected a reservation
 
     @property
-    def records(self) -> list:
-        """Every record, each block's copies expanded, in `frames.csv` order."""
-        return list(map(LatencyRecord._make, self.sink.rows()))
-
-    def stream_records(self) -> list:
-        return sorted((r for r in self.records if r.flow.startswith("stream")),
-                      key=lambda r: r.seq)
-
-    def udp_records(self) -> list:
-        return sorted((r for r in self.records if r.flow == "udp"), key=lambda r: r.seq)
-
-    @property
     def traffic_start_ns(self) -> Optional[int]:
         starts = [t for t in (self.stream_start_ns, self.udp_first_send_ns) if t is not None]
         return min(starts) if starts else None
@@ -60,10 +48,18 @@ class RunResult(NamedTuple):
 
     def check_guarantee(self) -> GuaranteeResult:
         """The sink's latency check; a rejected reservation fails it whatever
-        the latencies, since the stream then ran unreserved."""
-        cls = SR_CLASSES[self.config.talker.sr_class] if self.config.talker else SR_CLASSES["A"]
-        ports = self.scheduled_ports if self.scheduled_ports else 1
-        result = self.sink.check_guarantee(cls, ports)
+        the latencies, since the stream then ran unreserved. Without a talker
+        and a listener there is no stream, and so no bound to check."""
+        cfg = self.config
+        if cfg.talker is None:
+            return GuaranteeResult(False, None, None, "no talker configured")
+        if not cfg.listeners:
+            return GuaranteeResult(False, None, None, "no listener configured")
+        if not self.scheduled_ports:
+            return GuaranteeResult(False, None, None,
+                                   f"listener {cfg.listeners[0].node} is the talker's node")
+        result = self.sink.check_guarantee(SR_CLASSES[cfg.talker.sr_class],
+                                           self.scheduled_ports)
         if self.rejected_ports:
             return result._replace(passed=False, reason="reservation rejected on "
                                                    + ", ".join(self.rejected_ports))
@@ -165,27 +161,26 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
         scheduled_ports = count_scheduled_ports(
             cfg.adjacency(), cfg.talker.node, cfg.listeners[0].node)
 
-    # the first sends are stored records: a block's copies come after its template
-    stream_records = [r for r in sink.records if r.flow.startswith("stream")]
-    udp_sent = cross_host.udp_seq if cross_host is not None else 0
-    first_udp = None
-    if cross_host is not None and udp_sent:
-        udp_recs = [r for r in sink.records if r.flow == "udp"]
-        if udp_recs:
-            first_udp = min(r.send_ns for r in udp_recs)
+    first_stream = first_udp = None
+    for flow, _, _, send, _, _, _ in sink.progressions():
+        if flow == UDP_FLOW:
+            if first_udp is None or send < first_udp:
+                first_udp = send
+        elif first_stream is None or send < first_stream:
+            first_stream = send
 
     counters = {name: switches[name].counters() for name in cfg.switches}
     for name, host in hosts.items():
         counters[name] = {
-            "sent_stream": host.sent_stream,
-            "sent_udp": host.sent_udp,
+            "sent_stream": host.stream_seq,
+            "sent_udp": host.udp_seq,
             "dropped_overflow": sum(p.dropped_overflow for p in host.ports),
         }
 
     stream_start = None
     if talker_host is not None and talker_host.lr_arrival_ns is not None \
-            and talker_host.sent_stream:
-        stream_start = min(r.send_ns for r in stream_records) if stream_records else None
+            and talker_host.stream_seq:
+        stream_start = first_stream
         if stream_start is None:
             stream_start = talker_host.lr_arrival_ns + cfg.talker.interval_ns
 
@@ -257,9 +252,9 @@ def format_report(result: RunResult, stats: dict, ws: int, we: int) -> str:
         lines.append(f"first UDP send: {result.udp_first_send_ns} ns")
     lines.append(result.skipped.line())
     gr = result.check_guarantee()
-    lines.append(f"guarantee check ({gr.limit_ns} ns over "
-                 f"{result.scheduled_ports} scheduled ports): "
-                 f"{'PASS' if gr.passed else 'FAIL'} -- {gr.reason}")
+    bound = ("" if gr.limit_ns is None else
+             f" ({gr.limit_ns} ns over {result.scheduled_ports} scheduled ports)")
+    lines.append(f"guarantee check{bound}: {'PASS' if gr.passed else 'FAIL'} -- {gr.reason}")
     for warning in result.sink.warnings:
         lines.append(f"warning: {warning}")
     lines.append("")
@@ -267,37 +262,33 @@ def format_report(result: RunResult, stats: dict, ws: int, we: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _steady_latencies(result: RunResult) -> dict:
-    """flow -> {seq: latency_ns} for the frames sent in the run's steady window."""
-    ws, we = result.steady_window()
-    out: dict = {}
-    for r in result.records:
-        if ws <= r.send_ns < we:
-            out.setdefault(r.flow, {})[r.seq] = r.latency_ns
-    return out
-
-
 def compare_report(sdn: RunResult, nosdn: RunResult) -> str:
     """Differential SDN vs no-SDN report over the seqs both steady windows hold.
 
     Each run keeps its own steady window; records are paired by (flow, seq),
-    so a setup shift that moves which seqs a window holds adds no delta.
+    so a setup shift that moves which seqs a window holds adds no delta. The
+    pairs are counted from each block's progressions without expanding
+    them, and the latency sums are integers, so each mean is the one a
+    per-seq pairing gives.
     """
-    sdn_lat, nosdn_lat = _steady_latencies(sdn), _steady_latencies(nosdn)
     (sws, swe), (nws, nwe) = sdn.steady_window(), nosdn.steady_window()
+    sdn_seqs, nosdn_seqs = flow_seqs(sdn.sink, sws, swe), flow_seqs(nosdn.sink, nws, nwe)
     lines = ["SDN vs no-SDN comparison",
              f"steady-state windows (send_ns): SDN [{sws}, {swe}), noSDN [{nws}, {nwe})"]
     if sdn.stream_start_ns is not None and nosdn.stream_start_ns is not None:
         delta = sdn.stream_start_ns - nosdn.stream_start_ns
         lines.append(f"stream start delta (SDN - noSDN): {delta} ns")
-    for flow in sorted(set(sdn_lat) | set(nosdn_lat)):
-        a, b = sdn_lat.get(flow, {}), nosdn_lat.get(flow, {})
-        common = a.keys() & b.keys()
-        if not common:
+    for flow in sorted(sdn_seqs.keys() | nosdn_seqs.keys()):
+        paired = pair_by_seq(sdn_seqs.get(flow, FlowSeqs()), nosdn_seqs.get(flow, FlowSeqs()))
+        if paired is None:
+            lines.append(f"  {flow}: a seq recorded more than once in a run; not paired")
+            continue
+        count, sum_sdn, sum_nosdn = paired
+        if not count:
             lines.append(f"  {flow}: no seq in both steady windows")
             continue
-        mean_a = sum(a[s] for s in common) / len(common)
-        mean_b = sum(b[s] for s in common) / len(common)
+        mean_a = sum_sdn / count
+        mean_b = sum_nosdn / count
         lines.append(f"  {flow}: steady mean delta {mean_a - mean_b:+.1f} ns over "
-                     f"{len(common)} seqs (SDN {mean_a:.1f} vs noSDN {mean_b:.1f})")
+                     f"{count} seqs (SDN {mean_a:.1f} vs noSDN {mean_b:.1f})")
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ from tssdnsim.config import load_config
 from tssdnsim.cli import resolve_scenario
 from tssdnsim.engine import Endpoint, Link, Simulator
 from tssdnsim.frames import MacAddress
+from tssdnsim.metrics import LatencyRecord
 from tssdnsim.network import Node
 from tssdnsim.scenario import run_scenario
 
@@ -48,6 +49,20 @@ _spec.loader.exec_module(workloads)
 
 def mac(text):
     return MacAddress.parse(text)
+
+
+def records(sink):
+    """Every record of a sink, each block's copies expanded, in `frames.csv` order."""
+    return list(map(LatencyRecord._make, sink.rows()))
+
+
+def stream_records(sink):
+    return sorted((r for r in records(sink) if r.flow.startswith("stream")),
+                  key=lambda r: r.seq)
+
+
+def udp_records(sink):
+    return sorted((r for r in records(sink) if r.flow == "udp"), key=lambda r: r.seq)
 
 
 @pytest.fixture(scope="session")

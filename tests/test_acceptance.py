@@ -10,6 +10,7 @@ from tssdnsim.cli import resolve_scenario
 from tssdnsim.config import load_config
 from tssdnsim.scenario import run_scenario
 
+from conftest import stream_records, udp_records
 from test_shaping import (
     test_cbs_conservation_on_randomized_saturating_patterns as check_cbs_conservation,
     test_credit_nonpositive_after_queue_drains_on_random_patterns as check_credit_reset,
@@ -37,15 +38,15 @@ def zero_delay_sdn_result():
 
 def by_seq(result, flow_prefix, window):
     ws, we = window
-    records = result.stream_records() if flow_prefix == "stream" else result.udp_records()
-    return {r.seq: r.latency_ns for r in records if ws <= r.send_ns < we}
+    of_flow = stream_records if flow_prefix == "stream" else udp_records
+    return {r.seq: r.latency_ns for r in of_flow(result.sink) if ws <= r.send_ns < we}
 
 
 def test_01_stream_guarantee_holds_in_both_case_studies(capsys, sdn_result, nosdn_result):
     ok = True
     for result in (sdn_result, nosdn_result):
         gr = result.check_guarantee()
-        worst = max(r.latency_ns for r in result.stream_records())
+        worst = max(r.latency_ns for r in stream_records(result.sink))
         ok = ok and gr.passed and gr.limit_ns == LATENCY_BOUND_NS and worst <= LATENCY_BOUND_NS
     report(capsys, ok, "01 every stream frame within 750 us in both case studies")
 
@@ -71,11 +72,11 @@ def test_03_setup_delay_is_exactly_the_control_round_trips(capsys, sdn_result,
 
 
 def test_04_first_udp_frames_pay_then_converge(capsys, sdn_result, nosdn_result):
-    udp = sdn_result.udp_records()
+    udp = udp_records(sdn_result.sink)
     steady = by_seq(sdn_result, "udp", sdn_result.steady_window())
     ok = bool(steady) and udp[0].latency_ns > max(steady.values())
     # convergence to the no-SDN latencies within 10 ms of traffic start
-    nosdn_by_seq = {r.seq: r.latency_ns for r in nosdn_result.udp_records()}
+    nosdn_by_seq = {r.seq: r.latency_ns for r in udp_records(nosdn_result.sink)}
     deadline = sdn_result.traffic_start_ns + 10 * MS
     tail = [r for r in udp if r.send_ns >= deadline]
     ok = ok and tail and all(r.latency_ns == nosdn_by_seq.get(r.seq) for r in tail)
@@ -89,7 +90,7 @@ def test_05_latency_rises_step_by_step_as_rules_install(capsys, sdn_result):
     edges = [start] + [t for t in reactive if start < t < steady_start] + [steady_start]
     means = []
     for lo, hi in zip(edges, edges[1:]):
-        window = [r.latency_ns for r in sdn_result.stream_records() if lo <= r.send_ns < hi]
+        window = [r.latency_ns for r in stream_records(sdn_result.sink) if lo <= r.send_ns < hi]
         if window:
             means.append(sum(window) / len(window))
     ok = len(means) >= 2

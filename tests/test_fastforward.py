@@ -28,7 +28,7 @@ from tssdnsim.shaping import CreditState, EgressPort
 from tssdnsim.switching import (Drop, FlowMatch, FlowTable, Output, SrTable, Switch,
                                 ToController)
 
-from conftest import workloads
+from conftest import records, workloads
 
 MS = 1_000_000
 
@@ -50,7 +50,7 @@ def _shipped(name, **changes):
 
 def _outputs(result):
     """Everything a run reports, except what the fast-forward did."""
-    return {"frames": result.frame_csv_hash(), "records": result.records,
+    return {"frames": result.frame_csv_hash(), "records": records(result.sink),
             "counters": result.counters, "warnings": result.sink.warnings,
             "control": result.control_trace, "installs": result.flow_installs,
             "stream_start": result.stream_start_ns, "lr_arrival": result.lr_arrival_ns,
@@ -178,7 +178,7 @@ def test_run_until_in_pieces_matches_one_call():
     for t_end in (50 * MS, 100 * MS + 250_001, 230 * MS, 230 * MS, cfg.run_until_ns):
         net.sim.run_until(t_end)
     assert net.sim.boundary.cycles_skipped > 0
-    assert list(net.sink.rows()) == whole.records
+    assert list(net.sink.rows()) == records(whole.sink)
 
 
 P = 1_000

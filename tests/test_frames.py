@@ -2,7 +2,7 @@ import pytest
 
 from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, EthernetFrame,
                              MacAddress, StreamData, StreamId, VlanTag,
-                             is_multicast, make_frame, wire_size)
+                             make_frame, wire_size)
 
 
 def test_wire_size_adds_fixed_overhead():
@@ -31,12 +31,12 @@ def test_oversize_frame_rejected():
 
 
 def test_multicast_bit():
-    assert is_multicast(MacAddress.parse("01:00:5E:00:00:01"))
-    assert not is_multicast(MacAddress.parse("00:11:22:33:44:55"))
+    assert MacAddress.parse("01:00:5E:00:00:01").is_multicast
+    assert not MacAddress.parse("00:11:22:33:44:55").is_multicast
 
 
 def test_broadcast_is_multicast():
-    assert is_multicast(MacAddress.parse("FF:FF:FF:FF:FF:FF"))
+    assert MacAddress.parse("FF:FF:FF:FF:FF:FF").is_multicast
 
 
 def test_mac_parse_roundtrip():

@@ -4,7 +4,7 @@ from tssdnsim.frames import (ArpKind, ArpMessage, MacAddress, SrpKind,
 from tssdnsim.hosts import CrossTrafficConfig, Host, TalkerConfig
 from tssdnsim.metrics import MetricsSink
 
-from conftest import Recorder, mac, wire
+from conftest import Recorder, mac, records, stream_records, udp_records, wire
 
 US = 1_000
 MS = 1_000_000
@@ -31,7 +31,7 @@ def test_talker_without_listener_warns_and_stays_silent():
     wire(sim, talker, Recorder(sim))  # peer never answers the advertise
     talker.run_talker(talker_config())
     sim.run_until(3_000 * MS)
-    assert talker.sent_stream == 0
+    assert talker.stream_seq == 0
     assert any("no listener ready" in w for w in sink.warnings)
 
 
@@ -77,10 +77,10 @@ def test_stream_clock_anchors_one_interval_after_listener_ready():
     listener.run_listener(1)
     sim.run_until(10 * MS)
     assert talker.lr_arrival_ns is not None
-    first = min(r.send_ns for r in sink.records if r.flow.startswith("stream"))
+    first = min(r.send_ns for r in stream_records(sink))
     assert first == talker.lr_arrival_ns + 125 * US
     # each stream frame crosses the empty direct link in one serialization time
-    assert all(r.latency_ns == (150 + 20) * 8 * 10 for r in sink.records)
+    assert all(r.latency_ns == (150 + 20) * 8 * 10 for r in records(sink))
 
 
 def test_arp_gives_up_after_retries():
@@ -95,7 +95,7 @@ def test_arp_gives_up_after_retries():
     sim.run_until(100 * MS)
     requests = [f for _, _, f in rec.received if isinstance(f.payload, ArpMessage)]
     assert len(requests) == 4  # the original plus three retries
-    assert host.sent_udp == 0
+    assert host.udp_seq == 0
     assert any("unanswered" in w for w in sink.warnings)
 
 
@@ -109,10 +109,10 @@ def test_first_udp_frame_goes_out_at_arp_reply_time():
     sim.run_until(10 * MS)
     # request and reply are 64-byte frames: one serialization each way
     reply_at = 1 * MS + 2 * 6_720
-    udp = sorted((r for r in sink.records if r.flow == "udp"), key=lambda r: r.seq)
+    udp = udp_records(sink)
     assert udp[0].send_ns == reply_at
     assert [r.seq for r in udp] == [0, 1, 2, 3, 4]
-    assert a.sent_udp == 5
+    assert a.udp_seq == 5
 
 
 def test_arp_request_for_another_address_is_ignored():
@@ -131,12 +131,12 @@ def test_arp_request_for_another_address_is_ignored():
 
 
 def test_stream_frames_start_after_ready_arrives(nosdn_result):
-    sends = [r.send_ns for r in nosdn_result.stream_records()]
+    sends = [r.send_ns for r in stream_records(nosdn_result.sink)]
     assert min(sends) == nosdn_result.lr_arrival_ns + 125 * US
 
 
 def test_stream_sequence_is_gapless(nosdn_result):
-    seqs = [r.seq for r in nosdn_result.stream_records()]
+    seqs = [r.seq for r in stream_records(nosdn_result.sink)]
     assert seqs == list(range(len(seqs)))
 
 
@@ -145,8 +145,8 @@ def test_every_sent_frame_is_received_or_accounted(nosdn_result):
     sent_udp = sum(h.get("sent_udp", 0) for h in c.values())
     sent_stream = sum(h.get("sent_stream", 0) for h in c.values())
     dropped = sum(h.get("dropped_overflow", 0) for h in c.values())
-    udp_got = len(nosdn_result.udp_records())
-    stream_got = len(nosdn_result.stream_records())
+    udp_got = len(udp_records(nosdn_result.sink))
+    stream_got = len(stream_records(nosdn_result.sink))
     # frames still in flight or queued at cutoff explain any remainder
     assert stream_got <= sent_stream
     assert udp_got <= sent_udp

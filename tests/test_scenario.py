@@ -19,6 +19,8 @@ from tssdnsim.metrics import FRAME_CSV_HEADER, MetricsSink
 from tssdnsim.scenario import compare_report, emit_outputs, run_scenario
 from tssdnsim.srp import CLASS_A
 
+from conftest import records, stream_records, udp_records
+
 US = 1_000
 MS = 1_000_000
 
@@ -381,7 +383,7 @@ def test_run_ending_before_setup_produces_no_records():
     cfg = load_config(resolve_scenario("case_study_nosdn"))
     cfg.run_until_ns = 50 * MS  # before anything is scheduled to start
     result = run_scenario(cfg)
-    assert result.records == []
+    assert records(result.sink) == []
     assert result.stream_start_ns is None
     assert result.check_guarantee().reason == "no stream frames observed"
 
@@ -389,7 +391,7 @@ def test_run_ending_before_setup_produces_no_records():
 def test_cross_traffic_disturbs_the_stream_immediately(nosdn_result):
     # with 1000-byte frames contending from the start, even the first stream
     # frame waits behind best-effort traffic somewhere on the path
-    first = nosdn_result.stream_records()[0]
+    first = stream_records(nosdn_result.sink)[0]
     assert first.latency_ns > 100 * US
 
 
@@ -398,7 +400,7 @@ def test_emitted_frame_csv_layout(tmp_path, nosdn_result):
     with open(paths["frames"]) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == FRAME_CSV_HEADER
-    assert len(rows) == 1 + len(nosdn_result.records)
+    assert len(rows) == 1 + len(records(nosdn_result.sink))
     flow, seq, send_ns, recv_ns, latency_ns = rows[1]
     assert int(recv_ns) - int(send_ns) == int(latency_ns)
     assert (tmp_path / "report.txt").read_text().startswith("scenario:")
@@ -489,7 +491,7 @@ def test_links_with_propagation_delay_keep_their_frame_hashes(
     result = _with_propagation(scenario, default, per_link)
     assert result.frame_csv_hash()[:16] == digest
     if frames is not None:
-        assert len(result.records) == frames
+        assert len(records(result.sink)) == frames
         assert result.check_guarantee().passed is guarantee
 
 
@@ -500,7 +502,7 @@ def test_an_arp_reply_after_the_give_up_starts_no_cross_traffic():
     assert ("client0: ARP for client1 unanswered after 3 retries; "
             "cross traffic never starts") in result.sink.warnings
     assert result.counters["client0"]["sent_udp"] == 0
-    assert result.udp_records() == [] and result.udp_first_send_ns is None
+    assert udp_records(result.sink) == [] and result.udp_first_send_ns is None
 
 
 def _rejecting_reservation(path):
@@ -520,6 +522,33 @@ def test_a_rejected_reservation_fails_the_guarantee(tmp_path, capsys):
     assert gr.reason == "reservation rejected on switch0:1"
     assert main(["check", "--scenario", str(scenario), "--guarantee"]) == 1
     assert "guarantee FAIL: reservation rejected on switch0:1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("change, reason", [
+    ({"talker": None}, "no talker configured"),
+    ({"listeners": []}, "no listener configured"),
+    ({"listeners": [{"node": "client0", "unique_id": 1}]},
+     "listener client0 is the talker's node"),
+], ids=["no-talker", "no-listener", "listener-on-talker"])
+def test_a_scenario_without_a_stream_to_check_gets_no_invented_bound(
+        change, reason, tmp_path, capsys):
+    # no stream has a class or a path, so there is no bound to print
+    raw = yaml.safe_load(resolve_scenario("case_study_sdn").read_text())
+    for key, value in change.items():
+        if value is None:
+            del raw[key]
+        else:
+            raw[key] = value
+    scenario = tmp_path / "no-stream.yaml"
+    scenario.write_text(yaml.safe_dump(raw))
+    result = run_scenario(load_config(scenario))
+    gr = result.check_guarantee()
+    assert (gr.passed, gr.limit_ns, gr.worst, gr.reason) == (False, None, None, reason)
+    emit_outputs(result, tmp_path / "out")
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert f"guarantee check: FAIL -- {reason}" in report
+    assert main(["check", "--scenario", str(scenario), "--guarantee"]) == 1
+    assert capsys.readouterr().out == f"guarantee FAIL: {reason}\n"
 
 
 def test_trace_hook_only_observes(sdn_result):
