@@ -129,7 +129,7 @@ class ControlChannel:
             sw.apply_srp(msg.frame, msg.in_port)
         elif isinstance(msg, PacketOut):
             for port in msg.out_ports:
-                sw.send(port, msg.frame)
+                sw.ports[port].enqueue(msg.frame)
         # FeaturesReply needs no switch-side action in this model
 
 

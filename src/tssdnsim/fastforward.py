@@ -37,14 +37,33 @@ class attribute `FF_FIELDS` built by `fields()`:
 - counted: an integer that may grow; the skip adds k times its change over
   the last period.
 
-`Cycle.freeze` copies dicts, sets and lists, and copies a record with
-`__slots__` that is not a tuple as its type followed by each slot's value, in
-the order of the class's own `__slots__`. Such a record may be assigned to,
-and most compare by identity, so a snapshot that held the record itself would
-change with it and match any later one. The type comes first because the
-actions without fields (`switching.Drop`, `switching.ToController`) have no
-slot to tell them apart. Tuples, `NamedTuple`s among them, are immutable
-values and are kept as they are.
+`Cycle.freeze` copies a normalised value by the kind of its type, which a
+table (`KINDS`) finds on the type's first sight and keeps:
+
+- kept as they are: the immutable values, that is `int`, `bool`, `float`,
+  `str`, `bytes`, `None`, `frozenset`, `Enum` members and tuples,
+  `NamedTuple`s among them. A copied container keeps such an item without
+  a call;
+- copied: a dict as a dict of its values' copies, a list as a tuple of its
+  items' copies, a set as a frozenset, an `Event` as its time relative to b
+  (`Cycle.event`), and a record with `__slots__` and no `__dict__` as its type
+  followed by the copy of each slot's value, the class's own slots first,
+  then its bases'.
+  Such a record may be assigned to, and most compare by identity, so a
+  snapshot that held the record itself would change with it and match any
+  later one. The type comes first because the actions without fields
+  (`switching.Drop`, `switching.ToController`) have no slot to tell them
+  apart;
+- refused with a `TypeError` naming the type: any other type, such as a
+  `deque`, a `bytearray` or an object with a `__dict__`. Kept as it is, such
+  a value would be one live object in both snapshots, which would always
+  compare equal, and a run would skip periods in which it changed.
+
+`Cycle.state_of` reads a model through its class's plan (`PLANS`), built on
+the class's first snapshot: the class's `ff_state` or None, and a getter of
+its normalised fields. It runs `ff_state` first, since a host registers its
+traffic sources there before anything is normalised against them, and then
+copies the fields.
 
 A class without shifted fields may still define `ff_state`, to register on the
 cycle or to refuse the snapshot by raising `NotPeriodic`. The pending events
@@ -60,8 +79,9 @@ next boundary it stops at. A run that never settles thus pays for about
 
 from __future__ import annotations
 
+from enum import Enum
 from operator import attrgetter
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .engine import Event
 
@@ -168,26 +188,107 @@ class Cycle:
 
     def freeze(self, value):
         """A value copy of a normalised field, untouched by later changes to it."""
-        if isinstance(value, dict):
-            return {key: self.freeze(item) for key, item in value.items()}
-        if isinstance(value, set):
-            return frozenset(value)
-        if isinstance(value, list):
-            return tuple(self.freeze(item) for item in value)
-        if isinstance(value, Event):
-            return self.event(value)
-        slots = getattr(type(value), "__slots__", None)
-        if slots is not None and not isinstance(value, tuple):
-            # a record whose fields may be assigned: its type, then each field
-            return (type(value),) + tuple(self.freeze(getattr(value, name))
-                                          for name in slots)
-        return value
+        kind = KINDS[type(value)]
+        return value if kind is None else kind(self, value)
 
     def state_of(self, model) -> tuple:
-        """A model object's normalised fields, frozen, and its own `ff_state`."""
-        own = model.ff_state(self) if hasattr(model, "ff_state") else None
-        return tuple(self.freeze(getattr(model, name))
-                     for name in _named(model, NORMALISED)), own
+        """A model object's normalised fields, frozen, and its own `ff_state`,
+        which runs first: a host registers its sources there."""
+        own_state, normalised = PLANS[type(model)]
+        own = None if own_state is None else own_state(model, self)
+        return tuple([value if (kind := KINDS[type(value)]) is None else kind(self, value)
+                      for value in normalised(model)]), own
+
+
+# -- the freeze table -------------------------------------------------------
+#
+# A kind is None for a value kept as it is, or a function (cx, value) that
+# returns its copy. The copying functions look up the kind of each item
+# themselves, so a kept item costs no call.
+
+# immutable values besides tuples, `NamedTuple`s among them
+_KEPT = (int, float, str, bytes, frozenset, tuple, Enum, type(None))
+
+
+def _dict(cx: Cycle, value: dict) -> dict:
+    return {key: item if (kind := KINDS[type(item)]) is None else kind(cx, item)
+            for key, item in value.items()}
+
+
+def _list(cx: Cycle, value: list) -> tuple:
+    return tuple([item if (kind := KINDS[type(item)]) is None else kind(cx, item)
+                  for item in value])
+
+
+def _set(cx: Cycle, value: set) -> frozenset:
+    return frozenset(value)
+
+
+def _getter(names) -> Callable[[object], tuple]:
+    """A function that returns the named attributes of an object as a tuple."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(*names)
+        return lambda obj: (get(obj),)
+    return lambda obj: ()
+
+
+def _record(cls: type):
+    """The kind of a record with `__slots__` and no `__dict__`: its type, then
+    the copy of each slot's value, its own slots first, then its bases'."""
+    values = _getter([name for klass in cls.__mro__
+                      for name in vars(klass).get("__slots__", ())])
+
+    def record(cx: Cycle, value) -> tuple:
+        return (cls, *[item if (kind := KINDS[type(item)]) is None else kind(cx, item)
+                       for item in values(value)])
+    return record
+
+
+class _Kinds(dict):
+    """type -> its kind, found on a type's first freeze."""
+
+    def __missing__(self, cls: type):
+        if issubclass(cls, dict):
+            kind = _dict
+        elif issubclass(cls, set):
+            kind = _set
+        elif issubclass(cls, list):
+            kind = _list
+        elif issubclass(cls, Event):
+            kind = Cycle.event
+        elif issubclass(cls, _KEPT):
+            kind = None
+        elif "__slots__" in vars(cls) and not cls.__dictoffset__:
+            kind = _record(cls)
+        else:
+            # kept, it would be one live object in both snapshots
+            raise TypeError(f"a snapshot cannot copy a {cls.__module__}.{cls.__qualname__}: "
+                            "not a dict, list, set, immutable value or record with "
+                            "__slots__")
+        self[cls] = kind
+        return kind
+
+
+def plan(own_state, names) -> tuple:
+    """How `Cycle.state_of` reads a model class: its `ff_state` or None, and a
+    function that returns the values of its normalised fields `names`."""
+    return own_state, _getter(names)
+
+
+class _Plans(dict):
+    """model class -> its plan, built on the class's first snapshot."""
+
+    def __missing__(self, cls: type) -> tuple:
+        self[cls] = found = plan(getattr(cls, "ff_state", None),
+                                 [name for name, kind in cls.FF_FIELDS.items()
+                                  if kind == NORMALISED])
+        return found
+
+
+KINDS = _Kinds()
+PLANS = _Plans()
 
 
 class Skipped(NamedTuple):

@@ -85,7 +85,7 @@ class Host(Node):
         if rejected is not None:
             self.sink.warn(f"{self.name}: NIC reservation rejected: {rejected.reason}")
             return
-        self.send(0, make_frame(self.mac, cfg.dst_group, advertise, SRP_FRAME_BYTES))
+        self.ports[0].enqueue(make_frame(self.mac, cfg.dst_group, advertise, SRP_FRAME_BYTES))
 
     def _lr_timed_out(self) -> None:
         self.sink.warn(f"{self.name}: no listener ready within timeout; "
@@ -97,7 +97,7 @@ class Host(Node):
                            StreamData(self.stream_id, self.stream_seq, self.sim.now()),
                            cfg.frame_bytes, vlan=cfg.vlan)
         self.stream_seq += 1
-        self.send(0, frame)
+        self.ports[0].enqueue(frame)
         self.sim.schedule_in(cfg.interval_ns, self._send_stream_frame)
 
     # -- cross traffic ----------------------------------------------------
@@ -114,7 +114,7 @@ class Host(Node):
         self._arp_tries += 1
         frame = make_frame(self.mac, BROADCAST,
                            ArpMessage(ArpKind.REQUEST, cfg.dst_node), ARP_FRAME_BYTES)
-        self.send(0, frame)
+        self.ports[0].enqueue(frame)
         self._arp_retry_event = self.sim.schedule_in(ARP_RETRY_INTERVAL_NS,
                                                      self._send_arp_request)
 
@@ -127,7 +127,7 @@ class Host(Node):
                                        self.protocol_addr, cfg.dst_node),
                            cfg.frame_bytes, vlan=cfg.vlan)
         self.udp_seq += 1
-        self.send(0, frame)
+        self.ports[0].enqueue(frame)
         self.sim.schedule_in(cfg.send_interval_ns, self._send_udp_frame)
 
     # -- receive path -----------------------------------------------------
@@ -154,8 +154,8 @@ class Host(Node):
                 ready = SrpMessage(SrpKind.LISTENER_READY, msg.stream_id, msg.dst_group,
                                    msg.vlan, msg.max_frame_bytes, msg.interval_ns,
                                    msg.sr_class)
-                self.send(0, make_frame(self.mac, msg.stream_id.talker, ready,
-                                        SRP_FRAME_BYTES))
+                self.ports[0].enqueue(make_frame(self.mac, msg.stream_id.talker, ready,
+                                                 SRP_FRAME_BYTES))
         else:
             if self.stream_id == msg.stream_id and self.lr_arrival_ns is None:
                 self.lr_arrival_ns = self.sim.now()
@@ -167,7 +167,7 @@ class Host(Node):
         if msg.kind is ArpKind.REQUEST:
             if msg.asked == self.protocol_addr:
                 reply = ArpMessage(ArpKind.REPLY, msg.asked, self.mac)
-                self.send(0, make_frame(self.mac, frame.src, reply, ARP_FRAME_BYTES))
+                self.ports[0].enqueue(make_frame(self.mac, frame.src, reply, ARP_FRAME_BYTES))
         else:
             cfg = self.cross
             # a reply counts while a request is outstanding, its retry pending

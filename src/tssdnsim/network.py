@@ -20,8 +20,5 @@ class Node:
         self.ports.append(port)
         return port_id
 
-    def send(self, port_id: int, frame: EthernetFrame) -> None:
-        self.ports[port_id].enqueue(frame)
-
     def handle_frame(self, in_port: int, frame: EthernetFrame) -> None:
         raise NotImplementedError

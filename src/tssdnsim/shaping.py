@@ -201,7 +201,8 @@ class EgressPort:
             if cs is not None and not self.queues[pcp] and cs.credit > 0:
                 cs.credit = 0
         self.transmitting_pcp = None
-        self._select(now)
+        if self._backlog or self._wakeup is not None:
+            self._select(now)
 
     def _schedule_wakeup(self, now: int) -> None:
         """Idle port, every backlogged class blocked on credit: wake at first zero."""
@@ -227,7 +228,8 @@ class EgressPort:
 
     def ff_state(self, cx) -> tuple:
         in_flight = self._in_flight
-        return (tuple(tuple(frame_state(frame, cx) for frame in q) for q in self.queues),
+        return (tuple([tuple([frame_state(frame, cx) for frame in q]) if q else ()
+                       for q in self.queues]),
                 {pcp: cx.state_of(cs) for pcp, cs in self.shaped.items()},
                 # a transmission that ended by the boundary no longer matters
                 max(self.tx_busy_until - cx.start, 0),

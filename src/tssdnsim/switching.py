@@ -248,9 +248,10 @@ class Switch(Node):
         self.mac_table[frame.src] = in_port
         if rec is not None:
             forwarded = self.forwarded
+            ports = self.ports
             for port in rec.listener_ports:
                 if port != in_port:
-                    self.send(port, frame)
+                    ports[port].enqueue(frame)
                     self.forwarded += 1
             if self.forwarded == forwarded:
                 self.dropped_no_listener += 1
@@ -260,7 +261,7 @@ class Switch(Node):
             return
         port = self.mac_table.get(frame.dst)
         if port is not None:
-            self.send(port, frame)
+            self.ports[port].enqueue(frame)
             self.forwarded += 1
         else:
             self._flood(in_port, frame)
@@ -268,8 +269,9 @@ class Switch(Node):
     def _apply_actions(self, actions, frame, in_port, reason) -> None:
         for action in actions:
             if isinstance(action, Output):
+                ports = self.ports
                 for port in action.ports:
-                    self.send(port, frame)
+                    ports[port].enqueue(frame)
                     self.forwarded += 1
             elif isinstance(action, ToController):
                 self.to_controller_count += 1
@@ -281,9 +283,9 @@ class Switch(Node):
                     self.dropped_action += 1
 
     def _flood(self, in_port: int, frame: EthernetFrame) -> None:
-        for port in range(len(self.ports)):
+        for port, egress in enumerate(self.ports):
             if port != in_port:
-                self.send(port, frame)
+                egress.enqueue(frame)
                 self.forwarded += 1
 
     # -- SRP handling -----------------------------------------------------
@@ -325,7 +327,7 @@ class Switch(Node):
                 return
             if self.sr_table.add_listener(msg.stream_id, in_port):
                 self._reserve(in_port, rec.descriptor)
-            self.send(rec.talker_port, frame)
+            self.ports[rec.talker_port].enqueue(frame)
 
     def _reserve(self, port: int, advertise: SrpMessage) -> None:
         """Admit a stream on a listener port; a rejection is counted on the

@@ -102,14 +102,14 @@ def test_a_busy_port_refuses_a_second_start_and_the_reverse_direction_is_free():
     wire(sim, a, b)
     frame = make_frame(mac("02:00:00:00:00:01"), mac("02:00:00:00:00:02"),
                        UdpDatagram(0, 0, "a", "b"), 64)
-    a.send(0, frame)
+    a.ports[0].enqueue(frame)
     port = a.ports[0]
     assert port.tx_busy_until == 6_720
     port.queues[frame.pcp].append(frame)
     with pytest.raises(SimulationError, match="overlapping transmission"):
         port._select(sim.now())
     # the reverse direction has its own port, so it starts at once (full duplex)
-    b.send(0, frame)
+    b.ports[0].enqueue(frame)
     assert b.ports[0].tx_busy_until == 6_720
 
 

@@ -6,17 +6,19 @@ with a no-op hook is the reference every untraced run is compared against.
 
 import csv
 import math
+import re
 from collections import deque
 
 import pytest
 import yaml
 
+from tssdnsim import fastforward
 from tssdnsim.cli import main, resolve_scenario
 from tssdnsim.config import load_config, parse_config
 from tssdnsim.control import ControlChannel, Controller
-from tssdnsim.engine import Simulator
+from tssdnsim.engine import Event, Simulator
 from tssdnsim.fastforward import (COUNTED, NORMALISED, SHIFTED, STATIC, Cycle,
-                                  SteadyState, fields)
+                                  NotPeriodic, SteadyState, fields)
 from tssdnsim.hosts import Host
 from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, MacAddress, SrpKind,
                              SrpMessage, StreamId, VlanTag, make_frame)
@@ -421,6 +423,145 @@ def test_a_record_changed_after_a_snapshot_leaves_the_frozen_copy():
     assert cx.state_of(streams) != frozen
 
 
+class Logger(Ticker):
+    """A ticker that logs each tick in a deque, a normalised field."""
+
+    FF_FIELDS = fields(static="sim period delay as_lambda", normalised="log",
+                       counted="ticks landed")
+
+    def __init__(self, *args):
+        self.log = deque()
+        super().__init__(*args)
+
+    def tick(self):
+        super().tick()
+        self.log.append(self.ticks)
+
+
+def test_a_snapshot_refuses_a_deque_it_cannot_copy():
+    # kept as it is, the deque would be one object in both snapshots, which
+    # would always match: the run would skip 97 of 100 cycles and log 3 ticks
+    sim = Simulator()
+    logger = Logger(sim, P, 600)
+    sim.trace = lambda *_: None
+    sim.run_until(100 * P)
+    assert len(logger.log) == 100
+    sim = Simulator()
+    logger = Logger(sim, P, 600)
+    sim.boundary = SteadyState(sim, P, [logger])
+    with pytest.raises(TypeError, match="collections.deque"):
+        sim.run_until(100 * P)
+
+
+class Plain:
+    """A record without `__slots__`: its fields live in a `__dict__`."""
+
+    def __init__(self):
+        self.x = 0
+
+
+@pytest.mark.parametrize("value, name", [
+    (deque([1]), "collections.deque"),
+    (bytearray(b"x"), "builtins.bytearray"),
+    (Plain(), "Plain"),
+    ([1, {"a": deque()}], "collections.deque"),     # found inside a copied value
+], ids=["deque", "bytearray", "no-slots", "nested-deque"])
+def test_freeze_refuses_a_mutable_value_it_cannot_copy(value, name):
+    with pytest.raises(TypeError, match=re.escape(name)):
+        _cycle().freeze(value)
+
+
+class Base:
+    __slots__ = ("a",)
+
+
+class Derived(Base):
+    __slots__ = ("b",)
+
+
+def test_a_record_freezes_the_slots_of_its_bases_after_its_own():
+    record = Derived()
+    record.a, record.b = 1, [2]
+    assert _cycle().freeze(record) == (Derived, (2,), 1)
+
+
+# -- the freeze table and plans against the generic freeze they replaced ------
+
+
+class ReferenceCycle(Cycle):
+    """A `Cycle` with the generic freeze that the kind table and the per-class
+    plans replaced: an isinstance chain on every value, and the normalised
+    names looked up at every snapshot. Every snapshot must equal the one it
+    takes."""
+
+    def freeze(self, value):
+        if isinstance(value, dict):
+            return {key: self.freeze(item) for key, item in value.items()}
+        if isinstance(value, set):
+            return frozenset(value)
+        if isinstance(value, list):
+            return tuple(self.freeze(item) for item in value)
+        if isinstance(value, Event):
+            return self.event(value)
+        slots = getattr(type(value), "__slots__", None)
+        if slots is not None and not isinstance(value, tuple):
+            return (type(value),) + tuple(self.freeze(getattr(value, name))
+                                          for name in slots)
+        return value
+
+    def state_of(self, model):
+        own = model.ff_state(self) if hasattr(model, "ff_state") else None
+        return tuple(self.freeze(getattr(model, name))
+                     for name, kind in type(model).FF_FIELDS.items()
+                     if kind == NORMALISED), own
+
+
+@pytest.fixture
+def checked_snapshots(monkeypatch):
+    """Check each snapshot a run takes against the reference's, taken on a
+    cycle of its own at the same boundary; one bool per snapshot, True when
+    they are equal or both refused for the same reason."""
+    matches = []
+    snapshot = SteadyState._snapshot
+
+    def checked(self, cx):
+        ref = ReferenceCycle(cx.start, cx.period, cx.prev, cx._owners)
+        try:
+            expected = (self.sim.ff_state(ref), [ref.state_of(m) for m in self._models])
+        except NotPeriodic as exc:
+            expected = str(exc)
+        try:
+            snapshot(self, cx)
+        except NotPeriodic as exc:
+            matches.append(str(exc) == expected)
+            raise
+        matches.append(cx.state == expected)
+
+    monkeypatch.setattr(SteadyState, "_snapshot", checked)
+    return matches
+
+
+SNAPSHOT_CASES = [case[:3] for case in EQUIVALENCE_CASES] + [
+    ("line8-default", workloads.line_scenario(8), None)]
+
+
+@pytest.mark.parametrize("raw, until", [case[1:] for case in SNAPSHOT_CASES],
+                         ids=[case[0] for case in SNAPSHOT_CASES])
+def test_every_snapshot_equals_the_generic_freeze(raw, until, checked_snapshots):
+    raw = dict(raw, **({"run_until": until} if until else {}))
+    run_scenario(parse_config(raw))
+    assert checked_snapshots and all(checked_snapshots), checked_snapshots
+
+
+def test_a_plan_that_drops_a_normalised_field_fails_the_reference(
+        checked_snapshots, monkeypatch):
+    # the negative control: the comparison above sees a field left out
+    names = [name for name, kind in FlowTable.FF_FIELDS.items() if kind == NORMALISED]
+    monkeypatch.setitem(fastforward.PLANS, FlowTable, fastforward.plan(None, names[:-1]))
+    run_scenario(load_config(resolve_scenario("case_study_sdn")))
+    assert checked_snapshots and not any(checked_snapshots)
+
+
 GUARDED_CLASSES = (EgressPort, CreditState, Host, Switch, FlowTable, SrTable,
                    Controller, ControlChannel, MetricsSink)
 
@@ -451,9 +592,9 @@ def test_every_model_field_is_classified_for_the_fast_forward():
             if kind == COUNTED:
                 assert isinstance(value, int), f"{cls.__name__}.{name}"
             if kind == NORMALISED:
-                # `Cycle.freeze` returns a model unchanged, so it would compare
-                # by identity and always match: a model is a static field and
-                # goes into `Network.models()` on its own
+                # `Cycle.freeze` refuses a model, whose fields live in its
+                # `__dict__`: a model is a static field and goes into
+                # `Network.models()` on its own
                 items = value.values() if isinstance(value, dict) else ()
                 for item in (value, *items):
                     assert not hasattr(item, "FF_FIELDS"), f"{cls.__name__}.{name}"

@@ -19,7 +19,7 @@ from tssdnsim.metrics import FRAME_CSV_HEADER, MetricsSink
 from tssdnsim.scenario import compare_report, emit_outputs, run_scenario
 from tssdnsim.srp import CLASS_A
 
-from conftest import records, stream_records, udp_records
+from conftest import records, stream_records, udp_records, workloads
 
 US = 1_000
 MS = 1_000_000
@@ -566,6 +566,15 @@ def test_a_zero_propagation_hop_costs_one_dispatch():
     run_scenario(load_config(resolve_scenario("case_study_sdn")),
                  trace=lambda kind, *_: kinds.update((kind,)))
     assert kinds == {"dispatch": 3_048, "tx": 2_148}
+
+
+def test_the_line_of_8_switches_costs_one_dispatch_per_hop():
+    # the same pin on the benchmark's line at its default 140 ms: a change to
+    # the hop can neither add nor drop an event
+    kinds = Counter()
+    run_scenario(parse_config(workloads.line_scenario(8)),
+                 trace=lambda kind, *_: kinds.update((kind,)))
+    assert kinds == {"dispatch": 7_919, "tx": 6_261}
 
 
 # -- command line ---------------------------------------------------------

@@ -95,6 +95,34 @@ def test_queue_empty_with_positive_credit_resets_to_zero():
     assert cs.credit == 0
 
 
+def test_a_class_idle_at_zero_credit_is_not_credited_for_its_idle_gap():
+    # idle since its reservation at 0; a best-effort frame holds the port from
+    # 50 us, and the stream frame waits from 51 us. Only that wait accrues
+    # idle slope: the update at each enqueue moves the class's last update on
+    sim, port, _ = make_rig()
+    port.add_reservation(6, 75_000_000)
+    sim.run_until(50 * US)
+    port.enqueue(be_frame(frame_bytes=1522))      # until 50 us + 123.36 us
+    sim.run_until(51 * US)
+    port.enqueue(stream_frame())
+    sim.run_until(173_360)
+    cs = port.shaped[6]
+    assert port.transmitting_pcp == 6
+    assert cs.last_update == 173_360
+    assert cs.credit == 75_000_000 * (173_360 - 51 * US)
+
+
+def test_a_class_idle_at_zero_credit_pays_only_for_its_own_transmission():
+    # enqueued on an idle port after 50 us idle: it enters transmission at
+    # once, and its tx-done charges the send slope over 6.72 us, not since 0
+    sim, port, _ = make_rig()
+    port.add_reservation(6, 75_000_000)
+    sim.run_until(50 * US)
+    port.enqueue(stream_frame())
+    sim.run_until(50 * US + 6_720)
+    assert port.shaped[6].credit == -168 * NS_PER_S
+
+
 def test_strict_priority_higher_pcp_first():
     sim, port, rx = make_rig(shaper_enabled=False)
     port.enqueue(be_frame(frame_bytes=64))        # starts transmitting
