@@ -69,9 +69,16 @@ class FlowInstall(NamedTuple):
 
 
 class ControlChannel:
-    """FIFO per direction; fixed delays, never reorders."""
+    """FIFO per direction; fixed delays, never reorders.
+
+    Each direction keeps its messages in flight, oldest first, and each
+    arrival takes the head. A snapshot compares them as they are: a message
+    that carries a data frame holds its absolute seq and send time, so it
+    tells two boundaries apart and never makes their snapshots falsely equal.
+    """
 
     FF_FIELDS = fields(static="sim switch controller one_way_ns processing_ns",
+                       normalised="_to_controller _to_switch",
                        counted="_xid")
 
     def __init__(self, sim, switch: Switch, controller: "Controller",
@@ -82,6 +89,8 @@ class ControlChannel:
         self.one_way_ns = one_way_ns
         self.processing_ns = processing_ns
         self._xid = 0
+        self._to_controller: list = []
+        self._to_switch: list = []
 
     def _next_xid(self) -> int:
         self._xid += 1
@@ -96,8 +105,12 @@ class ControlChannel:
     def send_to_controller(self, msg) -> None:
         xid = self._next_xid()
         self._trace("s2c", msg, xid)
-        arrival = self.sim.now() + self.one_way_ns + self.processing_ns
-        self.sim.schedule(arrival, lambda: self.controller.on_message(self.switch, msg))
+        self._to_controller.append(msg)
+        self.sim.schedule(self.sim.now() + self.one_way_ns + self.processing_ns,
+                          self._at_controller)
+
+    def _at_controller(self) -> None:
+        self.controller.on_message(self.switch, self._to_controller.pop(0))
 
     def hello(self) -> None:
         self.send_to_controller(Hello())
@@ -113,14 +126,14 @@ class ControlChannel:
     def send_to_switch(self, msg) -> None:
         xid = self._next_xid()
         self._trace("c2s", msg, xid)
-        arrival = self.sim.now() + self.one_way_ns
-        self.sim.schedule(arrival, lambda: self._apply_at_switch(msg))
+        self._to_switch.append(msg)
+        self.sim.schedule(self.sim.now() + self.one_way_ns, self._at_switch)
 
-    def _apply_at_switch(self, msg) -> None:
+    def _at_switch(self) -> None:
+        msg = self._to_switch.pop(0)
         sw = self.switch
         if isinstance(msg, MissActionUpdate):
             sw.flow_table.miss_action = msg.action
-            self.controller.bootstrapped.add(sw.name)
         elif isinstance(msg, FlowMod):
             sw.flow_table.install(msg.match, msg.priority, list(msg.actions))
             self.controller.flow_installs.append(
@@ -139,7 +152,7 @@ class Controller:
     # the SR tables are models of their own
     FF_FIELDS = fields(
         static="sim name channels sr_tables log",
-        normalised="trace flow_installs bootstrapped mac_locations")
+        normalised="trace flow_installs mac_locations")
 
     def __init__(self, sim, name: str = "controller", log=None) -> None:
         self.sim = sim
@@ -147,7 +160,6 @@ class Controller:
         self.channels: dict[str, ControlChannel] = {}
         self.trace: list[TraceEntry] = []
         self.flow_installs: list[FlowInstall] = []
-        self.bootstrapped: set = set()
         self.log = log if log is not None else (lambda msg: None)
         # each switch's streams, learned before the switch applies the message
         self.sr_tables: dict[str, SrTable] = {}

@@ -1,4 +1,4 @@
-"""Deterministic discrete-event engine: integer-nanosecond clock, event queue, links.
+"""Deterministic discrete-event engine: integer-nanosecond clock and event queue.
 
 All simulation time is integer nanoseconds; there is no floating-point time
 anywhere, so two runs of the same configuration replay bit-identically.
@@ -15,7 +15,7 @@ subject, detail)`:
 A transmission over a link without propagation delay costs one dispatch:
 `EgressPort._on_tx_done`, which delivers the frame to the far end and then
 frees the port. A link with propagation delay adds a separate delivery event,
-scheduled when the transmission starts.
+`EgressPort._deliver`, scheduled when the transmission starts.
 
 The hook only observes: it must not schedule events or change model state.
 It sees every dispatch, so a traced run simulates every cycle.
@@ -37,6 +37,11 @@ from typing import Callable, Optional
 Trace = Callable[[str, int, object, object], None]
 
 NS_PER_S = 1_000_000_000
+
+
+def serialization_ns(wire_bytes: int, rate_bps: int) -> int:
+    """How long `wire_bytes` take to serialize at `rate_bps`, rounded down."""
+    return wire_bytes * 8 * NS_PER_S // rate_bps
 
 
 class SimulationError(Exception):
@@ -147,43 +152,3 @@ class Simulator:
             ev.fire_at += cx.shift_ns
         self._heap[:] = [(ev.fire_at, ev.seq, ev) for _, _, ev in self._heap if not ev.cancelled]
         heapify(self._heap)
-
-
-class Endpoint:
-    """One end of a link: a node and its port number. Its fields are read at
-    every delivery, and slots read faster than tuple fields."""
-
-    __slots__ = ("node", "port")
-
-    def __init__(self, node: object, port: int) -> None:
-        self.node = node
-        self.port = port
-
-
-class Link:
-    """Full-duplex point-to-point link; each direction is driven by one EgressPort.
-
-    The ends may be None at construction and set once the nodes have ports."""
-
-    __slots__ = ("a", "b", "rate_bps", "propagation_ns", "name")
-
-    def __init__(self, a: Optional[Endpoint], b: Optional[Endpoint],
-                 rate_bps: int = 100_000_000, propagation_ns: int = 0,
-                 name: str = "") -> None:
-        if rate_bps <= 0:
-            raise SimulationError(f"link {name}: rate must be positive")
-        self.a = a
-        self.b = b
-        self.rate_bps = rate_bps
-        self.propagation_ns = propagation_ns
-        self.name = name
-
-    def serialization_ns(self, wire_bytes: int) -> int:
-        return wire_bytes * 8 * NS_PER_S // self.rate_bps
-
-    def peer_of(self, node: object) -> Endpoint:
-        if self.a.node is node:
-            return self.b
-        if self.b.node is node:
-            return self.a
-        raise SimulationError(f"node not attached to link {self.name}")

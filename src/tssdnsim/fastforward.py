@@ -69,12 +69,19 @@ A class without shifted fields may still define `ff_state`, to register on the
 cycle or to refuse the snapshot by raising `NotPeriodic`. The pending events
 are the engine's: `Simulator.ff_state` and `Simulator.ff_shift`.
 
-A key or snapshot that cannot be normalised (a pending lambda, such as a
-control message in flight or a delivery over a link with propagation delay,
-or a count-limited source still sending), or a candidate whose state did not
-come round, forgets the keys seen and doubles the number of cycles until the
-next boundary it stops at. A run that never settles thus pays for about
-2*log2(cycles) snapshots. The wait starts over after each skip.
+What is in flight is model state: a port's frames on the wire and a control
+channel's messages are FIFOs, and their delivery events are model methods. No
+model schedules a lambda, so only a tracer's wrapper is a pending callback
+that a snapshot refuses. A delivery due at or after b + H is a far event,
+compared as it is; when each cycle sends a frame over a link whose
+propagation delay is at least H, each adds a new far event, no two snapshots
+are equal and nothing is skipped.
+
+A key or snapshot that cannot be normalised (a callback that is not a model
+method, or a count-limited source still sending), or a candidate whose state
+did not come round, forgets the keys seen and doubles the number of cycles
+until the next boundary it stops at. A run that never settles thus pays for
+about 2*log2(cycles) snapshots. The wait starts over after each skip.
 """
 
 from __future__ import annotations

@@ -151,9 +151,7 @@ class Host(Node):
             if msg.stream_id.unique_id in self.streams_listened \
                     and msg.stream_id not in self._lr_sent:
                 self._lr_sent.add(msg.stream_id)
-                ready = SrpMessage(SrpKind.LISTENER_READY, msg.stream_id, msg.dst_group,
-                                   msg.vlan, msg.max_frame_bytes, msg.interval_ns,
-                                   msg.sr_class)
+                ready = msg._replace(kind=SrpKind.LISTENER_READY)
                 self.ports[0].enqueue(make_frame(self.mac, msg.stream_id.talker, ready,
                                                  SRP_FRAME_BYTES))
         else:

@@ -1,8 +1,9 @@
-"""Node base: a named device with numbered ports, each feeding one link."""
+"""Nodes and links: a named device with numbered ports, and `connect`, which
+joins two of them with one full-duplex link."""
 
 from __future__ import annotations
 
-from .engine import Link, Simulator
+from .engine import Simulator
 from .frames import EthernetFrame
 from .shaping import EgressPort
 
@@ -13,12 +14,16 @@ class Node:
         self.name = name
         self.ports: list[EgressPort] = []
 
-    def attach_port(self, link: Link, queue_capacity: int, shaper_enabled: bool) -> int:
-        port_id = len(self.ports)
-        port = EgressPort(self.sim, self, link, name=f"{self.name}:{port_id}",
-                          queue_capacity=queue_capacity, shaper_enabled=shaper_enabled)
-        self.ports.append(port)
-        return port_id
-
     def handle_frame(self, in_port: int, frame: EthernetFrame) -> None:
         raise NotImplementedError
+
+
+def connect(a: Node, b: Node, rate_bps: int, propagation_ns: int, queue_capacity: int,
+            shaper_enabled: bool) -> tuple[EgressPort, EgressPort]:
+    """Join `a` and `b` with a link: a new port on each, sending to the other."""
+    ends = (a, len(a.ports)), (b, len(b.ports))
+    for (node, port_id), (peer, peer_port) in zip(ends, reversed(ends)):
+        node.ports.append(EgressPort(node.sim, f"{node.name}:{port_id}", peer, peer_port,
+                                     rate_bps, propagation_ns, queue_capacity,
+                                     shaper_enabled))
+    return a.ports[-1], b.ports[-1]

@@ -7,12 +7,13 @@ from typing import NamedTuple, Optional
 
 from .config import ScenarioConfig
 from .control import Controller
-from .engine import Endpoint, Link, Simulator, Trace
+from .engine import Simulator, Trace
 from .fastforward import Skipped, SteadyState
 from .frames import MacAddress
 from .hosts import UDP_FLOW, Host
 from .metrics import (FlowSeqs, GuaranteeResult, MetricsSink, flow_seqs, pair_by_seq,
                       write_control_trace, write_counters, write_frame_csv, write_summary_csv)
+from .network import connect
 from .srp import SR_CLASSES, count_scheduled_ports
 from .switching import Switch
 
@@ -111,17 +112,9 @@ def build_network(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> Network
         switches[name] = Switch(sim, name, sdn=cfg.sdn_enabled, log=sink.warn)
     nodes = {**hosts, **switches}
 
-    for link_cfg in cfg.links:
-        node_a, node_b = nodes[link_cfg.a], nodes[link_cfg.b]
-        link = Link(a=None, b=None, rate_bps=link_cfg.rate_bps,
-                    propagation_ns=link_cfg.propagation_ns,
-                    name=f"{link_cfg.a}--{link_cfg.b}")
-        port_a = node_a.attach_port(link, queue_capacity=cfg.queue_capacity,
-                                    shaper_enabled=cfg.shaper_enabled)
-        port_b = node_b.attach_port(link, queue_capacity=cfg.queue_capacity,
-                                    shaper_enabled=cfg.shaper_enabled)
-        link.a = Endpoint(node_a, port_a)
-        link.b = Endpoint(node_b, port_b)
+    for link in cfg.links:
+        connect(nodes[link.a], nodes[link.b], link.rate_bps, link.propagation_ns,
+                cfg.queue_capacity, cfg.shaper_enabled)
 
     controller = None
     if cfg.sdn_enabled:
@@ -153,7 +146,6 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
     sim, sink, hosts, switches = net.sim, net.sink, net.hosts, net.switches
     sim.run_until(cfg.run_until_ns)
     talker_host = hosts[cfg.talker.node] if cfg.talker is not None else None
-    cross_host = hosts[cfg.cross_traffic.node] if cfg.cross_traffic is not None else None
     controller = net.controller
 
     scheduled_ports = None

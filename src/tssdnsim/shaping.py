@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .engine import NS_PER_S, Endpoint, Event, Link, SimulationError, Simulator
+from .engine import NS_PER_S, Event, SimulationError, Simulator
 from .fastforward import fields
 from .frames import WIRE_OVERHEAD_BYTES, EthernetFrame, frame_shifted, frame_state
 
@@ -39,24 +39,28 @@ class CreditState:
 
 
 class EgressPort:
-    """One transmit direction of a node port, feeding exactly one link."""
+    """One transmit direction of a link: it sends to port `peer_port` of
+    node `peer`, which sees each frame `propagation_ns` after its last bit."""
 
     FF_FIELDS = fields(
-        static="sim owner link name queue_capacity shaper_enabled rate_bps _peer",
+        static="sim name peer peer_port rate_bps propagation_ns queue_capacity shaper_enabled",
         normalised="total_reserved_bps reserved_streams transmitting_pcp _wakeup max_depth "
                    "_backlog",
-        shifted="queues shaped tx_busy_until _in_flight",
+        shifted="queues shaped tx_busy_until _wire",
         counted="frames_sent dropped_overflow reservations_rejected")
 
-    def __init__(self, sim: Simulator, owner, link: Link, name: str,
-                 queue_capacity: int, shaper_enabled: bool) -> None:
+    def __init__(self, sim: Simulator, name: str, peer, peer_port: int, rate_bps: int,
+                 propagation_ns: int, queue_capacity: int, shaper_enabled: bool) -> None:
+        if rate_bps <= 0:
+            raise SimulationError(f"port {name}: rate must be positive")
         self.sim = sim
-        self.owner = owner
-        self.link = link
         self.name = name
+        self.peer = peer
+        self.peer_port = peer_port
+        self.rate_bps = rate_bps
+        self.propagation_ns = propagation_ns
         self.queue_capacity = queue_capacity
         self.shaper_enabled = shaper_enabled
-        self.rate_bps = link.rate_bps
         self.queues: list[deque] = [deque() for _ in range(NUM_QUEUES)]
         self._backlog = 0       # bit pcp set while queues[pcp] is not empty
         self.shaped: dict[int, CreditState] = {}
@@ -65,9 +69,9 @@ class EgressPort:
         self.tx_busy_until = 0
         self.transmitting_pcp: Optional[int] = None
         self._wakeup: Optional[Event] = None
-        self._peer: Optional[Endpoint] = None   # far end of the link, found on first send
-        # frame on a zero-propagation wire, handed to the peer by _on_tx_done
-        self._in_flight: Optional[EthernetFrame] = None
+        # the frames sent and not yet delivered, oldest first: the delay is
+        # fixed, so they arrive in the order they were sent
+        self._wire: deque = deque()
         # counters
         self.frames_sent = 0
         self.dropped_overflow = 0
@@ -114,9 +118,6 @@ class EgressPort:
         if self.transmitting_pcp is None and now >= self.tx_busy_until:
             self._select(now)
         return True
-
-    def queue_depth(self, pcp: int) -> int:
-        return len(self.queues[pcp])
 
     # -- credit dynamics --------------------------------------------------
 
@@ -166,32 +167,29 @@ class EgressPort:
         frame = q.popleft()
         if not q:
             self._backlog ^= 1 << pcp
-        sim, link = self.sim, self.link
-        # Link.serialization_ns of the frame's wire size
+        sim = self.sim
+        # engine.serialization_ns of the frame's wire size
         tx_end = now + (frame.frame_bytes + WIRE_OVERHEAD_BYTES) * 8 * NS_PER_S // self.rate_bps
         self.transmitting_pcp = pcp
         self.tx_busy_until = tx_end
-        peer = self._peer
-        if peer is None:
-            peer = self._peer = link.peer_of(self.owner)
-        if link.propagation_ns:
-            sim.schedule(tx_end + link.propagation_ns,
-                         lambda f=frame, p=peer: p.node.handle_frame(p.port, f))
-        else:
-            self._in_flight = frame
+        self._wire.append(frame)
+        if self.propagation_ns:
+            sim.schedule(tx_end + self.propagation_ns, self._deliver)
         sim.schedule(tx_end, self._on_tx_done)
         self.frames_sent += 1
         if sim.trace is not None:
             sim.trace("tx", now, self, frame)
 
+    def _deliver(self) -> None:
+        """The frame at the head of the wire reaches the peer."""
+        self.peer.handle_frame(self.peer_port, self._wire.popleft())
+
     def _on_tx_done(self) -> None:
-        # The peer sees the frame before the port picks its next one: the
-        # order a delivery event scheduled at transmit time would dispatch in.
-        frame = self._in_flight
-        if frame is not None:
-            self._in_flight = None
-            peer = self._peer
-            peer.node.handle_frame(peer.port, frame)
+        # Without propagation delay the peer sees the frame before the port
+        # picks its next one: the order a delivery event scheduled at
+        # transmit time would dispatch in.
+        if not self.propagation_ns:
+            self._deliver()
         now = self.sim._now
         shaped = self.shaped
         if shaped:
@@ -227,16 +225,14 @@ class EgressPort:
     # -- steady-state fast-forward (see fastforward.py) --------------------
 
     def ff_state(self, cx) -> tuple:
-        in_flight = self._in_flight
         return (tuple([tuple([frame_state(frame, cx) for frame in q]) if q else ()
-                       for q in self.queues]),
+                       for q in (*self.queues, self._wire)]),
                 {pcp: cx.state_of(cs) for pcp, cs in self.shaped.items()},
                 # a transmission that ended by the boundary no longer matters
-                max(self.tx_busy_until - cx.start, 0),
-                None if in_flight is None else frame_state(in_flight, cx))
+                max(self.tx_busy_until - cx.start, 0))
 
     def ff_shift(self, cx) -> None:
-        for q in self.queues:
+        for q in (*self.queues, self._wire):
             if q:
                 moved = [frame_shifted(frame, cx) for frame in q]
                 q.clear()
@@ -244,5 +240,3 @@ class EgressPort:
         for cs in self.shaped.values():
             cs.ff_shift(cx)
         self.tx_busy_until += cx.shift_ns
-        if self._in_flight is not None:
-            self._in_flight = frame_shifted(self._in_flight, cx)

@@ -8,10 +8,10 @@ import pytest
 
 from tssdnsim.config import load_config
 from tssdnsim.cli import resolve_scenario
-from tssdnsim.engine import Endpoint, Link, Simulator
+from tssdnsim.engine import Simulator
 from tssdnsim.frames import MacAddress
 from tssdnsim.metrics import LatencyRecord
-from tssdnsim.network import Node
+from tssdnsim.network import Node, connect
 from tssdnsim.scenario import run_scenario
 
 
@@ -28,16 +28,8 @@ class Recorder(Node):
 
 def wire(sim, node_a, node_b, rate_bps=100_000_000, propagation_ns=0,
          queue_capacity=100, shaper_enabled=True):
-    """Connect two nodes with one link; returns (link, port_at_a, port_at_b)."""
-    link = Link(a=None, b=None, rate_bps=rate_bps, propagation_ns=propagation_ns,
-                name=f"{node_a.name}--{node_b.name}")
-    pa = node_a.attach_port(link, queue_capacity=queue_capacity,
-                            shaper_enabled=shaper_enabled)
-    pb = node_b.attach_port(link, queue_capacity=queue_capacity,
-                            shaper_enabled=shaper_enabled)
-    link.a = Endpoint(node_a, pa)
-    link.b = Endpoint(node_b, pb)
-    return link, pa, pb
+    """`network.connect` with the defaults the unit tests share."""
+    return connect(node_a, node_b, rate_bps, propagation_ns, queue_capacity, shaper_enabled)
 
 
 # the benchmark's line-topology generator, loaded from its file

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tssdnsim.engine import Link, SimulationError, Simulator
+from tssdnsim.engine import SimulationError, Simulator, serialization_ns
 from tssdnsim.frames import UdpDatagram, make_frame
 
 from conftest import Recorder, mac, wire
@@ -86,14 +86,12 @@ def test_identical_runs_produce_identical_dispatch_logs():
 
 
 def test_serialization_arithmetic_64_bytes():
-    link = Link(a=None, b=None, rate_bps=100_000_000)
     # (64 + 20) bytes * 8 bits at 100 Mbit/s
-    assert link.serialization_ns(84) == 6_720
+    assert serialization_ns(84, 100_000_000) == 6_720
 
 
 def test_serialization_arithmetic_max_frame():
-    link = Link(a=None, b=None, rate_bps=100_000_000)
-    assert link.serialization_ns(1542) == 123_360
+    assert serialization_ns(1542, 100_000_000) == 123_360
 
 
 def test_a_busy_port_refuses_a_second_start_and_the_reverse_direction_is_free():
@@ -114,5 +112,6 @@ def test_a_busy_port_refuses_a_second_start_and_the_reverse_direction_is_free():
 
 
 def test_zero_rate_link_rejected():
-    with pytest.raises(SimulationError):
-        Link(a=None, b=None, rate_bps=0)
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="rate must be positive"):
+        wire(sim, Recorder(sim, "a"), Recorder(sim, "b"), rate_bps=0)

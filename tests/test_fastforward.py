@@ -36,8 +36,12 @@ MS = 1_000_000
 
 
 def _shipped(name, **changes):
-    """A shipped scenario as YAML data; a change whose value is None drops the key."""
-    raw = yaml.safe_load(resolve_scenario(name).read_text())
+    """A shipped scenario as YAML data, changed as `_changed` does."""
+    return _changed(yaml.safe_load(resolve_scenario(name).read_text()), **changes)
+
+
+def _changed(raw, **changes):
+    """Scenario data with each dotted path set; a value of None drops the key."""
     for path, value in changes.items():
         *parents, key = path.split(".")
         node = raw
@@ -83,8 +87,16 @@ EQUIVALENCE_CASES = [
     # the overload repeats every 72 cycles from about 417 ms on; 2 s is the
     # benchmark's run length
     ("fault_injection-2s", _shipped("fault_injection"), "2s", 520),
+    # frames on the wire at the boundaries
     ("propagation-500ns", _shipped("case_study_sdn", **{"defaults.propagation": "500ns"}),
-     "400ms", None),
+     "400ms", 30),
+    ("fault_injection-500ns-2s",
+     _shipped("fault_injection", **{"defaults.propagation": "500ns"}), "2s", 520),
+    ("line8-500ns", _changed(workloads.line_scenario(8), **{"defaults.propagation": "500ns"}),
+     "400ms", 30),
+    # control messages in flight at the boundaries
+    ("control-delay-1ms", _shipped("case_study_sdn", **{"control.one_way_delay": "1ms"}),
+     "500ms", 30),
     *[(f"line{n}", workloads.line_scenario(n), "400ms", 30) for n in (1, 2, 3, 5, 8)],
     # the source stops at 400 ms; the network repeats only from then on
     ("count-3000", _shipped("case_study_sdn", **{"cross_traffic.count": 3000}), "500ms",
@@ -101,6 +113,22 @@ EQUIVALENCE_CASES = [
     ("fault-shaper-on", _shipped("fault_injection", shaper_enabled=True), "400ms", None),
     ("queue-capacity-3", _shipped("case_study_sdn", queue_capacity=3), "400ms", 30),
 ]
+
+
+@pytest.mark.parametrize("propagation", ["0ns", "500ns"])
+def test_no_model_schedules_a_lambda(propagation):
+    # a snapshot compares a pending event by its owner and method, so every
+    # callback the network dispatches must be a method of one of its models
+    raw = _shipped("case_study_sdn", **{"defaults.propagation": propagation})
+    cfg = parse_config(raw)
+    callbacks = set()
+    net = build_network(cfg, trace=lambda kind, _, ev, __: callbacks.add(ev.callback)
+                        if kind == "dispatch" else None)
+    net.sim.run_until(cfg.run_until_ns)
+    owners = {id(model) for model in net.models()}
+    strays = sorted({getattr(cb, "__qualname__", repr(cb)) for cb in callbacks
+                     if id(getattr(cb, "__self__", None)) not in owners})
+    assert not strays
 
 
 @pytest.mark.parametrize("raw, until, most_run_ms",

@@ -169,7 +169,7 @@ def test_untagged_frames_use_queue_zero():
     arp = make_frame(SRC, BROADCAST, ArpMessage(ArpKind.REQUEST, "x"), 64)
     port.enqueue(be_frame())
     port.enqueue(arp)
-    assert port.queue_depth(0) == 1  # second frame queued behind the transmitting one
+    assert len(port.queues[0]) == 1  # second frame queued behind the transmitting one
 
 
 def test_queue_overflow_drops_and_counts():

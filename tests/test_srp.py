@@ -1,6 +1,6 @@
 import pytest
 
-from tssdnsim.engine import Link, Simulator
+from tssdnsim.engine import Simulator
 from tssdnsim.frames import MacAddress, SrpKind, SrpMessage, StreamId, VlanTag
 from tssdnsim.network import Node
 from tssdnsim.srp import (CLASS_A, Rejected, admit, analytic_guarantee,
