@@ -72,11 +72,6 @@ class TalkerConfig(NamedTuple):
     advertise_at_ns: int
 
 
-class ListenerSpec(NamedTuple):
-    node: str
-    unique_id: int
-
-
 class CrossTrafficConfig(NamedTuple):
     node: str
     dst_node: str
@@ -88,8 +83,9 @@ class CrossTrafficConfig(NamedTuple):
 
 
 class ScenarioConfig:
-    """A parsed scenario; `parse_config` sets `talker`, `listeners` and
-    `cross_traffic` after the rest, and a caller may change `run_until_ns`."""
+    """A parsed scenario; `parse_config` sets `talker`, `listeners` (the
+    talker's listener nodes) and `cross_traffic` after the rest, and a caller
+    may change `run_until_ns`."""
 
     __slots__ = ("name", "sdn_enabled", "idle_setup_ns", "run_until_ns", "clients",
                  "switches", "links", "controller", "control", "queue_capacity",
@@ -116,9 +112,6 @@ class ScenarioConfig:
         self.listeners: list = []
         self.cross_traffic: Optional[CrossTrafficConfig] = None
 
-    def node_names(self) -> list:
-        return list(self.clients) + list(self.switches)
-
     def hyperperiod_ns(self) -> Optional[int]:
         """The least common multiple of the traffic sources' intervals, the
         period a settled network repeats with; None without a source."""
@@ -130,11 +123,25 @@ class ScenarioConfig:
         return math.lcm(*intervals) if intervals else None
 
     def adjacency(self) -> dict:
-        adj: dict = {n: set() for n in self.node_names()}
+        adj: dict = {n: set() for n in (*self.clients, *self.switches)}
         for link in self.links:
             adj[link.a].add(link.b)
             adj[link.b].add(link.a)
         return adj
+
+
+def hops(adjacency: dict, start: str) -> dict:
+    """Each node reachable from `start`, mapped to the number of links on its
+    shortest path; on a stream's path, the egress ports it leaves, the
+    talker's NIC included."""
+    dist = {start: 0}
+    queue = [start]
+    for node in queue:          # breadth first: the queue grows as it is walked
+        for neigh in adjacency[node]:
+            if neigh not in dist:
+                dist[neigh] = dist[node] + 1
+                queue.append(neigh)
+    return dist
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -285,7 +292,7 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         if cfg.talker is not None and unique_id != cfg.talker.unique_id:
             raise ConfigError(f"{where}.unique_id: {unique_id} names no talker "
                               f"(talker.unique_id is {cfg.talker.unique_id})")
-        cfg.listeners.append(ListenerSpec(node, unique_id))
+        cfg.listeners.append(node)
 
     if "cross_traffic" in raw:
         c = raw["cross_traffic"]
@@ -314,17 +321,8 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
             vlan=vlan,
         )
 
-    # connectivity check over the data topology
-    adj = cfg.adjacency()
     if names:
-        seen = {names[0]}
-        stack = [names[0]]
-        while stack:
-            for neigh in adj[stack.pop()]:
-                if neigh not in seen:
-                    seen.add(neigh)
-                    stack.append(neigh)
-        if seen != set(names):
+        if len(hops(cfg.adjacency(), names[0])) != len(names):
             raise ConfigError(f"{source}: topology graph is not connected")
         # a connected graph is a tree iff it has one link fewer than nodes; this
         # also refuses parallel links and self-loops, which no bridge forwards over

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .config import ControlConfig
 from .fastforward import fields
 from .frames import EthernetFrame, SrpKind, SrpMessage
 from .switching import (FlowMatch, Output, REACTIVE_RULE_PRIORITY, STREAM_RULE_PRIORITY,
@@ -77,17 +78,16 @@ class ControlChannel:
     tells two boundaries apart and never makes their snapshots falsely equal.
     """
 
-    FF_FIELDS = fields(static="sim switch controller one_way_ns processing_ns",
+    FF_FIELDS = fields(static="sim switch controller control",
                        normalised="_to_controller _to_switch",
                        counted="_xid")
 
     def __init__(self, sim, switch: Switch, controller: "Controller",
-                 one_way_ns: int, processing_ns: int) -> None:
+                 control: ControlConfig) -> None:
         self.sim = sim
         self.switch = switch
         self.controller = controller
-        self.one_way_ns = one_way_ns
-        self.processing_ns = processing_ns
+        self.control = control
         self._xid = 0
         self._to_controller: list = []
         self._to_switch: list = []
@@ -106,8 +106,9 @@ class ControlChannel:
         xid = self._next_xid()
         self._trace("s2c", msg, xid)
         self._to_controller.append(msg)
-        self.sim.schedule(self.sim.now() + self.one_way_ns + self.processing_ns,
-                          self._at_controller)
+        control = self.control
+        self.sim.schedule(self.sim.now() + control.one_way_delay_ns
+                          + control.processing_delay_ns, self._at_controller)
 
     def _at_controller(self) -> None:
         self.controller.on_message(self.switch, self._to_controller.pop(0))
@@ -127,7 +128,7 @@ class ControlChannel:
         xid = self._next_xid()
         self._trace("c2s", msg, xid)
         self._to_switch.append(msg)
-        self.sim.schedule(self.sim.now() + self.one_way_ns, self._at_switch)
+        self.sim.schedule(self.sim.now() + self.control.one_way_delay_ns, self._at_switch)
 
     def _at_switch(self) -> None:
         msg = self._to_switch.pop(0)
@@ -165,8 +166,8 @@ class Controller:
         self.sr_tables: dict[str, SrTable] = {}
         self.mac_locations: dict = {}               # switch -> {mac: port}
 
-    def attach_switch(self, switch: Switch, one_way_ns: int, processing_ns: int) -> ControlChannel:
-        channel = ControlChannel(self.sim, switch, self, one_way_ns, processing_ns)
+    def attach_switch(self, switch: Switch, control: ControlConfig) -> ControlChannel:
+        channel = ControlChannel(self.sim, switch, self, control)
         self.channels[switch.name] = channel
         switch.control = channel
         self.sr_tables[switch.name] = SrTable()

@@ -81,9 +81,9 @@ class Host(Node):
         cfg = self.talker
         advertise = SrpMessage(SrpKind.TALKER_ADVERTISE, self.stream_id, cfg.dst_group,
                                cfg.vlan, cfg.frame_bytes, cfg.interval_ns, cfg.sr_class)
-        rejected = admit(self.ports[0], advertise)
-        if rejected is not None:
-            self.sink.warn(f"{self.name}: NIC reservation rejected: {rejected.reason}")
+        reason = admit(self.ports[0], advertise)
+        if reason is not None:
+            self.sink.warn(f"{self.name}: NIC reservation rejected: {reason}")
             return
         self.ports[0].enqueue(make_frame(self.mac, cfg.dst_group, advertise, SRP_FRAME_BYTES))
 

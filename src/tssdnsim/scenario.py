@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, hops
 from .control import Controller
 from .engine import Simulator, Trace
 from .fastforward import Skipped, SteadyState
@@ -14,7 +14,7 @@ from .hosts import UDP_FLOW, Host
 from .metrics import (FlowSeqs, GuaranteeResult, MetricsSink, flow_seqs, pair_by_seq,
                       write_control_trace, write_counters, write_frame_csv, write_summary_csv)
 from .network import connect
-from .srp import SR_CLASSES, count_scheduled_ports
+from .srp import SR_CLASSES
 from .switching import Switch
 
 
@@ -58,7 +58,7 @@ class RunResult(NamedTuple):
             return GuaranteeResult(False, None, None, "no listener configured")
         if not self.scheduled_ports:
             return GuaranteeResult(False, None, None,
-                                   f"listener {cfg.listeners[0].node} is the talker's node")
+                                   f"listener {cfg.talker.node} is the talker's node")
         result = self.sink.check_guarantee(SR_CLASSES[cfg.talker.sr_class],
                                            self.scheduled_ports)
         if self.rejected_ports:
@@ -120,15 +120,13 @@ def build_network(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> Network
     if cfg.sdn_enabled:
         controller = Controller(sim, cfg.controller, log=sink.warn)
         for name in cfg.switches:
-            controller.attach_switch(switches[name],
-                                     cfg.control.one_way_delay_ns,
-                                     cfg.control.processing_delay_ns)
+            controller.attach_switch(switches[name], cfg.control)
         controller.start()
 
     if cfg.talker is not None:
         hosts[cfg.talker.node].run_talker(cfg.talker)
-    for spec in cfg.listeners:
-        hosts[spec.node].run_listener(spec.unique_id)
+        for node in cfg.listeners:
+            hosts[node].run_listener(cfg.talker.unique_id)
 
     if cfg.cross_traffic is not None:
         hosts[cfg.cross_traffic.node].run_udp_source(cfg.cross_traffic)
@@ -150,8 +148,9 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
 
     scheduled_ports = None
     if cfg.talker is not None and cfg.listeners:
-        scheduled_ports = count_scheduled_ports(
-            cfg.adjacency(), cfg.talker.node, cfg.listeners[0].node)
+        # the nearest listener's: every frame is held to the tightest bound
+        ports = hops(cfg.adjacency(), cfg.talker.node)
+        scheduled_ports = min(ports[node] for node in cfg.listeners)
 
     first_stream = first_udp = None
     for flow, _, _, send, _, _, _ in sink.progressions():

@@ -19,16 +19,14 @@ NUM_QUEUES = 8
 class CreditState:
     """CBS state for one shaped class; credit is in nanobits (bits * ns/s)."""
 
-    __slots__ = ("idle_slope_bps", "send_slope_bps", "credit", "last_update")
+    __slots__ = ("idle_slope_bps", "credit", "last_update")
 
-    def __init__(self, idle_slope_bps: int, send_slope_bps: int, credit: int = 0,
-                 last_update: int = 0) -> None:
+    def __init__(self, idle_slope_bps: int, credit: int = 0, last_update: int = 0) -> None:
         self.idle_slope_bps = idle_slope_bps
-        self.send_slope_bps = send_slope_bps
         self.credit = credit
         self.last_update = last_update
 
-    FF_FIELDS = fields(normalised="idle_slope_bps send_slope_bps credit",
+    FF_FIELDS = fields(normalised="idle_slope_bps credit",
                        shifted="last_update")
 
     def ff_state(self, cx) -> int:
@@ -90,10 +88,9 @@ class EgressPort:
             return
         cs = self.shaped.get(pcp)
         if cs is None:
-            cs = CreditState(idle_slope_bps=0, send_slope_bps=-self.rate_bps, last_update=now)
+            cs = CreditState(idle_slope_bps=0, last_update=now)
             self.shaped[pcp] = cs
         cs.idle_slope_bps += bps
-        cs.send_slope_bps = cs.idle_slope_bps - self.rate_bps
         self.total_reserved_bps += bps
         if self._idle(now):
             self._select(now)
@@ -129,7 +126,8 @@ class EgressPort:
             if dt == 0:
                 continue
             if self.transmitting_pcp == pcp:
-                cs.credit += cs.send_slope_bps * dt
+                # the send slope: idle slope minus the port rate
+                cs.credit += (cs.idle_slope_bps - self.rate_bps) * dt
             elif self.queues[pcp]:
                 cs.credit += cs.idle_slope_bps * dt
             elif cs.credit < 0:

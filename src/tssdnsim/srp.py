@@ -24,7 +24,7 @@ CLASS_B = SrClass("B", pcp=5, per_hop_max_latency_ns=1_000_000)
 SR_CLASSES = {"A": CLASS_A, "B": CLASS_B}
 
 # share of a port's rate that reservations may take, in thousandths
-DEFAULT_ADMISSION_PERMILLE = 750
+ADMISSION_PERMILLE = 750
 
 
 def reserved_bps(max_frame_bytes: int, interval_ns: int) -> int:
@@ -37,11 +37,6 @@ def reserved_bps(max_frame_bytes: int, interval_ns: int) -> int:
     return -(-(max_frame_bytes + WIRE_OVERHEAD_BYTES) * 8 * NS_PER_S // interval_ns)
 
 
-class Rejected(NamedTuple):
-    port_name: str
-    reason: str
-
-
 def analytic_guarantee(sr_class: SrClass, scheduled_ports: int) -> int:
     """Worst-case end-to-end latency bound: per-hop bound times scheduled ports."""
     if scheduled_ports < 1:
@@ -49,21 +44,19 @@ def analytic_guarantee(sr_class: SrClass, scheduled_ports: int) -> int:
     return sr_class.per_hop_max_latency_ns * scheduled_ports
 
 
-def admit(port, advertise: SrpMessage,
-          permille: int = DEFAULT_ADMISSION_PERMILLE) -> Optional[Rejected]:
+def admit(port, advertise: SrpMessage) -> Optional[str]:
     """Admission control on an egress port for the stream a talker advertise
     describes; on success raises the idle slope of its SR class's queue.
 
-    The limit is `permille` thousandths of the port rate, compared in integers.
-    Returns None when admitted, a Rejected record otherwise; a rejection is
-    also counted on the port, and fails the run's guarantee check. A stream
+    The limit is `ADMISSION_PERMILLE` thousandths of the port rate, compared
+    in integers. Returns None when admitted, the reason otherwise; a rejection
+    is also counted on the port, and fails the run's guarantee check. A stream
     admitted on a port is listed in its `reserved_streams` until `release`.
     """
     new_bps = reserved_bps(advertise.max_frame_bytes, advertise.interval_ns)
-    if 1000 * (port.total_reserved_bps + new_bps) > permille * port.rate_bps:
+    if 1000 * (port.total_reserved_bps + new_bps) > ADMISSION_PERMILLE * port.rate_bps:
         port.reservations_rejected += 1
-        return Rejected(port.name, f"would exceed {permille / 10:g}% of "
-                                   f"{port.rate_bps} bit/s")
+        return f"would exceed {ADMISSION_PERMILLE / 10:g}% of {port.rate_bps} bit/s"
     port.add_reservation(SR_CLASSES[advertise.sr_class].pcp, new_bps)
     port.reserved_streams[advertise.stream_id] = advertise
     return None
@@ -76,26 +69,3 @@ def release(port, stream_id: StreamId) -> None:
     if advertise is not None:
         port.add_reservation(SR_CLASSES[advertise.sr_class].pcp,
                              -reserved_bps(advertise.max_frame_bytes, advertise.interval_ns))
-
-
-def count_scheduled_ports(adjacency: dict, talker: str, listener: str) -> int:
-    """Number of egress ports a stream traverses, including the talker NIC.
-
-    `adjacency` maps node name to the set of directly linked node names.
-    Equals the hop count of the shortest path.
-    """
-    if talker == listener:
-        return 0
-    seen = {talker: 0}
-    frontier = [talker]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for neigh in sorted(adjacency.get(node, ())):
-                if neigh not in seen:
-                    seen[neigh] = seen[node] + 1
-                    if neigh == listener:
-                        return seen[neigh]
-                    nxt.append(neigh)
-        frontier = nxt
-    raise ValueError(f"no path between {talker} and {listener}")

@@ -332,10 +332,10 @@ class Switch(Node):
     def _reserve(self, port: int, advertise: SrpMessage) -> None:
         """Admit a stream on a listener port; a rejection is counted on the
         port and logged."""
-        rejected = admit(self.ports[port], advertise)
-        if rejected is not None:
-            self.log(f"{self.name}: reservation rejected on {rejected.port_name}: "
-                     f"{rejected.reason}")
+        reason = admit(self.ports[port], advertise)
+        if reason is not None:
+            self.log(f"{self.name}: reservation rejected on {self.ports[port].name}: "
+                     f"{reason}")
 
     # -- metrics ----------------------------------------------------------
 

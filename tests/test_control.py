@@ -1,7 +1,7 @@
 import pytest
 
 from tssdnsim.cli import resolve_scenario
-from tssdnsim.config import load_config, parse_config
+from tssdnsim.config import ControlConfig, load_config, parse_config
 from tssdnsim.control import Controller
 from tssdnsim.engine import Simulator
 from tssdnsim.frames import (MacAddress, SrpKind, SrpMessage, StreamId, UdpDatagram,
@@ -26,7 +26,7 @@ def make_rig(one_way=25 * US, processing=25 * US, n_ports=2):
         wire(sim, sw, rec)
         recs.append(rec)
     ctl = Controller(sim, "ctl")
-    ctl.attach_switch(sw, one_way, processing)
+    ctl.attach_switch(sw, ControlConfig(one_way, processing))
     ctl.start()
     return sim, sw, ctl, recs
 

@@ -146,6 +146,15 @@ def test_disconnected_topology_rejected():
         parse_config(raw)
 
 
+def test_two_components_are_refused_as_not_connected():
+    # a ring and an island: as many links as a tree has, but no path to c1
+    raw = minimal_raw(switches=["s0", "s1", "s2"],
+                      links=[{"a": "c0", "b": "s0"}, {"a": "s0", "b": "s1"},
+                             {"a": "s1", "b": "s2"}, {"a": "s2", "b": "s0"}])
+    with pytest.raises(ConfigError, match="not connected"):
+        parse_config(raw)
+
+
 RING_LINKS = [{"a": "c0", "b": "s0"}, {"a": "s0", "b": "s1"}, {"a": "s1", "b": "s2"},
               {"a": "s2", "b": "s0"}, {"a": "s2", "b": "c1"}]
 PARALLEL_LINKS = [{"a": "c0", "b": "s0"}, {"a": "s0", "b": "c1"}, {"a": "s0", "b": "c1"}]
@@ -549,6 +558,24 @@ def test_a_scenario_without_a_stream_to_check_gets_no_invented_bound(
     assert f"guarantee check: FAIL -- {reason}" in report
     assert main(["check", "--scenario", str(scenario), "--guarantee"]) == 1
     assert capsys.readouterr().out == f"guarantee FAIL: {reason}\n"
+
+
+@pytest.mark.parametrize("near_first", [False, True], ids=["near-second", "near-first"])
+def test_the_bound_is_the_nearest_listeners_whatever_the_list_order(
+        near_first, tmp_path):
+    # client2 hangs off switch0: 2 scheduled ports against client1's 3. Every
+    # frame is held to the tighter bound, so no listener can pass on another's.
+    raw = yaml.safe_load(resolve_scenario("case_study_nosdn").read_text())
+    raw["clients"].append("client2")
+    raw["links"].append({"a": "switch0", "b": "client2"})
+    near = {"node": "client2", "unique_id": 1}
+    raw["listeners"].insert(0 if near_first else 1, near)
+    result = run_scenario(parse_config(raw))
+    assert result.scheduled_ports == 2
+    emit_outputs(result, tmp_path / "out")
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert ("guarantee check (500000 ns over 2 scheduled ports): PASS -- "
+            "all deadlines met") in report
 
 
 def test_trace_hook_only_observes(sdn_result):

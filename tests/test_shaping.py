@@ -53,13 +53,6 @@ def test_back_to_back_frames_arrive_after_serialization_plus_propagation(
     assert seen.count("dispatch") == dispatches
 
 
-def test_send_slope_is_idle_slope_minus_rate():
-    sim, port, _ = make_rig()
-    port.add_reservation(6, 75_000_000)
-    cs = port.shaped[6]
-    assert cs.send_slope_bps == 75_000_000 - 100_000_000
-
-
 def test_transmitting_one_frame_costs_send_slope_times_serialization():
     sim, port, _ = make_rig()
     port.add_reservation(6, 75_000_000)
