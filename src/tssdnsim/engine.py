@@ -38,6 +38,8 @@ Trace = Callable[[str, int, object, object], None]
 
 NS_PER_S = 1_000_000_000
 
+_new = object.__new__
+
 
 def serialization_ns(wire_bytes: int, rate_bps: int) -> int:
     """How long `wire_bytes` take to serialize at `rate_bps`, rounded down."""
@@ -49,15 +51,9 @@ class SimulationError(Exception):
 
 
 class Event:
-    __slots__ = ("fire_at", "seq", "callback", "label", "cancelled")
+    """A pending callback, made by `Simulator.schedule`, which sets every slot."""
 
-    def __init__(self, fire_at: int, seq: int, callback: Callable[[], None],
-                 label: str = "", cancelled: bool = False) -> None:
-        self.fire_at = fire_at
-        self.seq = seq
-        self.callback = callback
-        self.label = label
-        self.cancelled = cancelled
+    __slots__ = ("fire_at", "seq", "callback", "label", "cancelled")
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -86,7 +82,13 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(fire_at, seq, callback, label)
+        # no `__init__`: a class call runs one from C, in a frame of its own
+        ev = _new(Event)
+        ev.fire_at = fire_at
+        ev.seq = seq
+        ev.callback = callback
+        ev.label = label
+        ev.cancelled = False
         heappush(self._heap, (fire_at, seq, ev))
         return ev
 

@@ -81,7 +81,9 @@ A key or snapshot that cannot be normalised (a callback that is not a model
 method, or a count-limited source still sending), or a candidate whose state
 did not come round, forgets the keys seen and doubles the number of cycles
 until the next boundary it stops at. A run that never settles thus pays for
-about 2*log2(cycles) snapshots. The wait starts over after each skip.
+about 2*log2(cycles) snapshots. The wait starts over after each skip. A
+period confirmed with less than one period of the run left skips nothing, and
+the fast-forward line names it (`Skipped.unused`).
 """
 
 from __future__ import annotations
@@ -306,17 +308,27 @@ class Skipped(NamedTuple):
     snapshots: int = 0      # taken, normalisable or not
     reason: str = ""        # why no cycle was skipped
     repeat_ns: Optional[int] = None  # the period of the last skip
+    # (period, ns confirmed at, ns left) of a period confirmed after the
+    # last skip, if any, with less than one period left to skip
+    unused: Optional[tuple] = None
 
     def line(self) -> str:
         if self.period_ns is None:
             return f"fast-forward: 0 cycles skipped ({self.reason})"
+        if self.unused is not None:
+            period, at, left = self.unused
+            unused = (f"a {period} ns period confirmed at {at} ns, with {left} ns left, "
+                      "less than one period")
         if not self.cycles:
-            return f"fast-forward: 0 cycles of {self.period_ns} ns skipped ({self.reason})"
+            reason = self.reason if self.unused is None else unused
+            return f"fast-forward: 0 cycles of {self.period_ns} ns skipped ({reason})"
         line = (f"fast-forward: {self.cycles} cycles of {self.period_ns} ns skipped, "
                 f"{self.cycles * self.period_ns} ns of simulated time")
         if self.repeat_ns != self.period_ns:
             line += (f" (period {self.repeat_ns} ns = "
                      f"{self.repeat_ns // self.period_ns} cycles)")
+        if self.unused is not None:
+            line += f"; then {unused}"
         return line
 
 
@@ -344,10 +356,12 @@ class SteadyState:
         self.snapshots = 0
         self.cycles_skipped = 0
         self.repeat: Optional[int] = None
+        self.unused: Optional[tuple] = None
         self.reason = "no state came round before the end of the run"
 
     def first_stop(self, now: int) -> int:
         """The first stop of a `run_until` call that starts at `now`."""
+        self.unused = None              # the end it was short of is not this call's
         if self.next_stop <= now:       # an earlier call dispatched past it
             self.next_stop = (now // self.period + 1) * self.period
             self._forget()
@@ -410,6 +424,8 @@ class SteadyState:
         limit = t_end if cx.first_far is None else min(t_end, cx.first_far)
         cycles = (limit - b) // period
         if not cycles:
+            # a far event is at least a period away, so only the end is nearer
+            self.unused = period, b, t_end - b
             return b + self.period
         self._skip(cx, cycles)
         return b + cycles * period
@@ -436,9 +452,11 @@ class SteadyState:
             setattr(model, name, now + cycles * (now - before))
         self.cycles_skipped += cycles * (cx.period // self.period)
         self.repeat = cx.period
+        self.unused = None
 
     def summary(self) -> Skipped:
         reason = self.reason
         if self.sim.trace is not None:
             reason = "a trace hook sees every dispatch"
-        return Skipped(self.cycles_skipped, self.period, self.snapshots, reason, self.repeat)
+        return Skipped(self.cycles_skipped, self.period, self.snapshots, reason, self.repeat,
+                       self.unused)

@@ -141,7 +141,8 @@ class EthernetFrame(NamedTuple("EthernetFrame", [
 def make_frame(src: MacAddress, dst: MacAddress, payload: Payload,
                frame_bytes: int, vlan: Optional[VlanTag] = None) -> EthernetFrame:
     """Build a frame, padding short payloads to the 64-byte Ethernet minimum."""
-    return EthernetFrame(src, dst, vlan, payload, max(frame_bytes, MIN_FRAME_BYTES))
+    return EthernetFrame(src, dst, vlan, payload,
+                         frame_bytes if frame_bytes > MIN_FRAME_BYTES else MIN_FRAME_BYTES)
 
 
 def wire_size(frame: EthernetFrame) -> int:

@@ -93,12 +93,14 @@ class Host(Node):
 
     def _send_stream_frame(self) -> None:
         cfg = self.talker
+        sim = self.sim
+        now = sim._now
         frame = make_frame(self.mac, cfg.dst_group,
-                           StreamData(self.stream_id, self.stream_seq, self.sim.now()),
-                           cfg.frame_bytes, vlan=cfg.vlan)
+                           StreamData(self.stream_id, self.stream_seq, now),
+                           cfg.frame_bytes, cfg.vlan)
         self.stream_seq += 1
         self.ports[0].enqueue(frame)
-        self.sim.schedule_in(cfg.interval_ns, self._send_stream_frame)
+        sim.schedule(now + cfg.interval_ns, self._send_stream_frame)
 
     # -- cross traffic ----------------------------------------------------
 
@@ -122,29 +124,32 @@ class Host(Node):
         cfg = self.cross
         if cfg.count is not None and self.udp_seq >= cfg.count:
             return
+        sim = self.sim
+        now = sim._now
         frame = make_frame(self.mac, self._arp_resolved,
-                           UdpDatagram(self.udp_seq, self.sim.now(),
-                                       self.protocol_addr, cfg.dst_node),
-                           cfg.frame_bytes, vlan=cfg.vlan)
+                           UdpDatagram(self.udp_seq, now, self.protocol_addr, cfg.dst_node),
+                           cfg.frame_bytes, cfg.vlan)
         self.udp_seq += 1
         self.ports[0].enqueue(frame)
-        self.sim.schedule_in(cfg.send_interval_ns, self._send_udp_frame)
+        sim.schedule(now + cfg.send_interval_ns, self._send_udp_frame)
 
     # -- receive path -----------------------------------------------------
 
     def handle_frame(self, in_port: int, frame: EthernetFrame) -> None:
+        # by the payload's exact type, the data frames first
         payload = frame.payload
-        if isinstance(payload, SrpMessage):
-            self._handle_srp(payload)
-        elif isinstance(payload, ArpMessage):
-            self._handle_arp(frame, payload)
-        elif isinstance(payload, StreamData):
+        kind = type(payload)
+        if kind is StreamData:
             flow = self.streams_listened.get(payload.stream_id.unique_id)
             if flow is not None:
-                self.sink.record(flow, payload.seq, payload.sent_at, self.sim.now())
-        elif isinstance(payload, UdpDatagram):
+                self.sink.record(flow, payload.seq, payload.sent_at, self.sim._now)
+        elif kind is UdpDatagram:
             if payload.dst_addr == self.protocol_addr:
-                self.sink.record(UDP_FLOW, payload.seq, payload.sent_at, self.sim.now())
+                self.sink.record(UDP_FLOW, payload.seq, payload.sent_at, self.sim._now)
+        elif kind is SrpMessage:
+            self._handle_srp(payload)
+        elif kind is ArpMessage:
+            self._handle_arp(frame, payload)
 
     def _handle_srp(self, msg: SrpMessage) -> None:
         if msg.kind is SrpKind.TALKER_ADVERTISE:

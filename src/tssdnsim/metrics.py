@@ -74,13 +74,16 @@ class MetricsSink:
         self.warnings: list[str] = []
 
     def record(self, flow: str, seq: int, send_ns: int, recv_ns: int) -> None:
-        rec = LatencyRecord(flow, seq, send_ns, recv_ns)
-        if rec.latency_ns <= 0:
+        if recv_ns <= send_ns:
             raise ValueError(f"non-positive latency for {flow} seq {seq}")
-        self.records.append(rec)
+        self.records.append(LatencyRecord(flow, seq, send_ns, recv_ns))
 
     def warn(self, message: str) -> None:
         self.warnings.append(message)
+
+    def flows(self) -> set:
+        """The flows with a record; a block's template records are stored ones."""
+        return {rec[0] for rec in self.records}
 
     @property
     def count(self) -> int:

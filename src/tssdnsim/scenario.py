@@ -261,15 +261,25 @@ def compare_report(sdn: RunResult, nosdn: RunResult) -> str:
     pairs are counted from each block's progressions without expanding
     them, and the latency sums are integers, so each mean is the one a
     per-seq pairing gives.
+
+    A flow recorded in one run only is named with that run, and then every
+    delta is marked: it compares runs that carried different traffic.
     """
     (sws, swe), (nws, nwe) = sdn.steady_window(), nosdn.steady_window()
     sdn_seqs, nosdn_seqs = flow_seqs(sdn.sink, sws, swe), flow_seqs(nosdn.sink, nws, nwe)
+    sdn_flows, nosdn_flows = sdn.sink.flows(), nosdn.sink.flows()
+    only_in = {**dict.fromkeys(sdn_flows - nosdn_flows, "SDN"),
+               **dict.fromkeys(nosdn_flows - sdn_flows, "noSDN")}
+    unlike = "; the runs carried different traffic" if only_in else ""
     lines = ["SDN vs no-SDN comparison",
              f"steady-state windows (send_ns): SDN [{sws}, {swe}), noSDN [{nws}, {nwe})"]
     if sdn.stream_start_ns is not None and nosdn.stream_start_ns is not None:
         delta = sdn.stream_start_ns - nosdn.stream_start_ns
         lines.append(f"stream start delta (SDN - noSDN): {delta} ns")
-    for flow in sorted(sdn_seqs.keys() | nosdn_seqs.keys()):
+    for flow in sorted(sdn_seqs.keys() | nosdn_seqs.keys() | only_in.keys()):
+        if flow in only_in:
+            lines.append(f"  {flow}: recorded only in the {only_in[flow]} run")
+            continue
         paired = pair_by_seq(sdn_seqs.get(flow, FlowSeqs()), nosdn_seqs.get(flow, FlowSeqs()))
         if paired is None:
             lines.append(f"  {flow}: a seq recorded more than once in a run; not paired")
@@ -281,5 +291,5 @@ def compare_report(sdn: RunResult, nosdn: RunResult) -> str:
         mean_a = sum_sdn / count
         mean_b = sum_nosdn / count
         lines.append(f"  {flow}: steady mean delta {mean_a - mean_b:+.1f} ns over "
-                     f"{count} seqs (SDN {mean_a:.1f} vs noSDN {mean_b:.1f})")
+                     f"{count} seqs (SDN {mean_a:.1f} vs noSDN {mean_b:.1f}){unlike}")
     return "\n".join(lines) + "\n"

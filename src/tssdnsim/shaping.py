@@ -38,10 +38,17 @@ class CreditState:
 
 class EgressPort:
     """One transmit direction of a link: it sends to port `peer_port` of
-    node `peer`, which sees each frame `propagation_ns` after its last bit."""
+    node `peer`, which sees each frame `propagation_ns` after its last bit.
+
+    A transmission sets `transmitting_pcp` and ends at `tx_busy_until`, where
+    `_on_tx_done` clears it, so a port is idle exactly when it is None. A
+    credit wakeup is pending only while the port is idle: it is scheduled
+    when `_select` starts nothing, and `_select` cancels it first.
+    """
 
     FF_FIELDS = fields(
-        static="sim name peer peer_port rate_bps propagation_ns queue_capacity shaper_enabled",
+        static="sim name peer peer_port rate_bps propagation_ns queue_capacity shaper_enabled "
+               "_classes",
         normalised="total_reserved_bps reserved_streams transmitting_pcp _wakeup max_depth "
                    "_backlog",
         shifted="queues shaped tx_busy_until _wire",
@@ -62,6 +69,8 @@ class EgressPort:
         self.queues: list[deque] = [deque() for _ in range(NUM_QUEUES)]
         self._backlog = 0       # bit pcp set while queues[pcp] is not empty
         self.shaped: dict[int, CreditState] = {}
+        # (pcp, its CreditState, its queue) per shaped class, in `shaped` order
+        self._classes: tuple = ()
         self.total_reserved_bps = 0
         self.reserved_streams: dict = {}    # stream id -> its advertise, by srp.admit
         self.tx_busy_until = 0
@@ -81,7 +90,7 @@ class EgressPort:
     def add_reservation(self, pcp: int, bps: int) -> None:
         """Raise the idle slope of a shaped class by `bps`, or lower it by a
         negative one when a reservation is released; called on SR-table changes."""
-        now = self.sim.now()
+        now = self.sim._now
         self._update_credits(now)
         if not self.shaper_enabled:
             self.total_reserved_bps += bps
@@ -90,18 +99,21 @@ class EgressPort:
         if cs is None:
             cs = CreditState(idle_slope_bps=0, last_update=now)
             self.shaped[pcp] = cs
+            self._classes += ((pcp, cs, self.queues[pcp]),)
         cs.idle_slope_bps += bps
         self.total_reserved_bps += bps
-        if self._idle(now):
+        if self.transmitting_pcp is None:
             self._select(now)
 
     # -- queueing ---------------------------------------------------------
 
     def enqueue(self, frame: EthernetFrame) -> bool:
         """Append a frame to its priority queue; returns False on overflow drop."""
-        pcp = frame.pcp
+        vlan = frame.vlan       # the frame's pcp, without the property call
+        pcp = vlan.pcp if vlan is not None else 0
         q = self.queues[pcp]
-        if len(q) >= self.queue_capacity:
+        depth = len(q) + 1
+        if depth > self.queue_capacity:
             self.dropped_overflow += 1
             return False
         now = self.sim._now
@@ -109,38 +121,39 @@ class EgressPort:
             self._update_credits(now)
         q.append(frame)
         self._backlog |= 1 << pcp
-        depth = len(q)
-        if depth > self.max_depth[pcp]:
-            self.max_depth[pcp] = depth
-        if self.transmitting_pcp is None and now >= self.tx_busy_until:
+        max_depth = self.max_depth
+        if depth > max_depth[pcp]:
+            max_depth[pcp] = depth
+        if self.transmitting_pcp is None:     # idle
             self._select(now)
         return True
 
     # -- credit dynamics --------------------------------------------------
 
     def _update_credits(self, now: int) -> None:
-        for pcp, cs in self.shaped.items():
+        transmitting = self.transmitting_pcp
+        for pcp, cs, queue in self._classes:
             dt = now - cs.last_update
-            if dt < 0:
-                raise SimulationError(f"port {self.name}: credit update in the past")
-            if dt == 0:
+            if dt <= 0:
+                if dt:
+                    raise SimulationError(f"port {self.name}: credit update in the past")
                 continue
-            if self.transmitting_pcp == pcp:
+            if transmitting == pcp:
                 # the send slope: idle slope minus the port rate
                 cs.credit += (cs.idle_slope_bps - self.rate_bps) * dt
-            elif self.queues[pcp]:
+            elif queue:
                 cs.credit += cs.idle_slope_bps * dt
-            elif cs.credit < 0:
-                # replenish toward zero while the queue is empty
-                cs.credit = min(0, cs.credit + cs.idle_slope_bps * dt)
             else:
-                cs.credit = 0
+                credit = cs.credit
+                if credit < 0:
+                    # replenish toward zero while the queue is empty
+                    credit += cs.idle_slope_bps * dt
+                    cs.credit = credit if credit < 0 else 0
+                else:
+                    cs.credit = 0
             cs.last_update = now
 
     # -- transmission selection -------------------------------------------
-
-    def _idle(self, now: int) -> bool:
-        return self.transmitting_pcp is None and now >= self.tx_busy_until
 
     def _select(self, now: int) -> None:
         """Pick the highest-priority eligible frame and start serializing it."""
@@ -187,24 +200,25 @@ class EgressPort:
         # picks its next one: the order a delivery event scheduled at
         # transmit time would dispatch in.
         if not self.propagation_ns:
-            self._deliver()
+            self.peer.handle_frame(self.peer_port, self._wire.popleft())
         now = self.sim._now
         shaped = self.shaped
         if shaped:
             self._update_credits(now)
             pcp = self.transmitting_pcp
-            cs = shaped.get(pcp)
-            if cs is not None and not self.queues[pcp] and cs.credit > 0:
-                cs.credit = 0
+            if pcp in shaped and not self.queues[pcp]:
+                cs = shaped[pcp]
+                if cs.credit > 0:
+                    cs.credit = 0
         self.transmitting_pcp = None
-        if self._backlog or self._wakeup is not None:
+        if self._backlog:       # no wakeup is pending: the port was busy
             self._select(now)
 
     def _schedule_wakeup(self, now: int) -> None:
         """Idle port, every backlogged class blocked on credit: wake at first zero."""
         wake_at = None
-        for pcp, cs in self.shaped.items():
-            if self.queues[pcp] and cs.credit < 0 and cs.idle_slope_bps > 0:
+        for _, cs, queue in self._classes:
+            if queue and cs.credit < 0 and cs.idle_slope_bps > 0:
                 dt = (-cs.credit + cs.idle_slope_bps - 1) // cs.idle_slope_bps
                 t = now + dt
                 if wake_at is None or t < wake_at:
@@ -214,9 +228,9 @@ class EgressPort:
 
     def _on_wakeup(self) -> None:
         self._wakeup = None
-        now = self.sim.now()
-        if not self._idle(now):
+        if self.transmitting_pcp is not None:
             return
+        now = self.sim._now
         self._update_credits(now)
         self._select(now)
 

@@ -122,9 +122,27 @@ class FlowTable:
         return entry
 
     def lookup(self, frame: EthernetFrame, in_port: int) -> Optional[FlowEntry]:
+        """The first entry whose match covers the frame: `FlowMatch.covers`,
+        written out here to save a call per entry."""
+        src, dst, vlan = frame.src, frame.dst, frame.vlan
         for entry in self._entries:
-            if entry.match.covers(frame, in_port):
-                return entry
+            match = entry.match
+            want = match.in_port
+            if want is not None and want != in_port:
+                continue
+            want = match.eth_dst
+            if want is not None and want != dst:
+                continue
+            want = match.eth_src
+            if want is not None and want != src:
+                continue
+            want = match.vlan_vid
+            if want is not None and (vlan is None or vlan.vid != want):
+                continue
+            want = match.vlan_pcp
+            if want is not None and (vlan is None or vlan.pcp != want):
+                continue
+            return entry
         return None
 
 
@@ -223,25 +241,40 @@ class Switch(Node):
             self._handle_srp_frame(in_port, frame)
             return
         rec = None
-        if frame.vlan is not None:
+        vlan = frame.vlan
+        if vlan is not None:
             # ingress filter: a stream's frames come from its talker's port
-            rec = self.sr_table.lookup_group(frame.dst, frame.vlan.vid)
+            # (`SrTable.lookup_group`, read in place)
+            rec = self.sr_table._by_group.get((frame.dst, vlan.vid))
             if rec is not None and rec.talker_port != in_port:
                 self.dropped_filter += 1
                 return
-        if self.sdn:
-            self._sdn_forward(in_port, frame)
-        else:
+        if not self.sdn:
             self._tsn_forward(in_port, frame, rec)
-
-    def _sdn_forward(self, in_port: int, frame: EthernetFrame) -> None:
-        entry = self.flow_table.lookup(frame, in_port)
-        if entry is None:
+            return
+        table = self.flow_table
+        entry = table.lookup(frame, in_port)
+        if entry is not None:
+            actions, reason = entry.actions, "action"
+        else:
             if isinstance(frame.payload, StreamData):
                 self.stream_miss += 1
-            self._apply_actions([self.flow_table.miss_action], frame, in_port, reason="miss")
-        else:
-            self._apply_actions(entry.actions, frame, in_port, reason="action")
+            actions, reason = (table.miss_action,), "miss"
+        for action in actions:
+            kind = type(action)
+            if kind is Output:
+                ports = self.ports
+                for port in action.ports:
+                    ports[port].enqueue(frame)
+                    self.forwarded += 1
+            elif kind is ToController:
+                self.to_controller_count += 1
+                self.control.packet_in(frame, in_port, reason)
+            elif kind is Drop:
+                if entry is None:
+                    self.dropped_miss += 1
+                else:
+                    self.dropped_action += 1
 
     def _tsn_forward(self, in_port: int, frame: EthernetFrame,
                      rec: Optional[StreamRecord]) -> None:
@@ -265,22 +298,6 @@ class Switch(Node):
             self.forwarded += 1
         else:
             self._flood(in_port, frame)
-
-    def _apply_actions(self, actions, frame, in_port, reason) -> None:
-        for action in actions:
-            if isinstance(action, Output):
-                ports = self.ports
-                for port in action.ports:
-                    ports[port].enqueue(frame)
-                    self.forwarded += 1
-            elif isinstance(action, ToController):
-                self.to_controller_count += 1
-                self.control.packet_in(frame, in_port, reason)
-            elif isinstance(action, Drop):
-                if reason == "miss":
-                    self.dropped_miss += 1
-                else:
-                    self.dropped_action += 1
 
     def _flood(self, in_port: int, frame: EthernetFrame) -> None:
         for port, egress in enumerate(self.ports):

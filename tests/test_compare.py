@@ -11,7 +11,7 @@ from tssdnsim.config import parse_config
 from tssdnsim.metrics import FlowSeqs, MetricsSink, pair_by_seq, shared_seqs
 from tssdnsim.scenario import compare_report, run_scenario
 
-from conftest import records
+from conftest import records, workloads
 from test_fastforward import EQUIVALENCE_CASES, _shipped
 
 
@@ -171,3 +171,37 @@ def test_a_longer_compare_reads_no_more_records(monkeypatch):
         seqs.append([int(n) for n in re.findall(r"over (\d+) seqs", report)])
     assert 0 < walked[1] <= walked[0]
     assert all(b > 29 * a for a, b in zip(*seqs)) and len(seqs[1]) == 2
+
+
+def _line_twins(one_way_delay):
+    """The generated line of one switch under SDN control with `one_way_delay`,
+    and its no-SDN twin."""
+    sdn = workloads.line_scenario(1)
+    sdn["control"]["one_way_delay"] = one_way_delay
+    nosdn = {key: value for key, value in workloads.line_scenario(1).items()
+             if key not in ("controller", "control")}
+    nosdn["sdn_enabled"] = False
+    return run_scenario(parse_config(sdn)), run_scenario(parse_config(nosdn))
+
+
+def test_a_flow_recorded_in_only_one_run_is_named_and_not_paired():
+    # 1 ms each way: the SDN host gives up on ARP, so no UDP frame is sent and
+    # the stream meets no cross traffic there. Its delta compares runs that
+    # carried different traffic, not the cost of SDN control.
+    sdn, nosdn = _line_twins("1ms")
+    assert any("ARP for client1 unanswered" in w for w in sdn.sink.warnings)
+    report = compare_report(sdn, nosdn).splitlines()
+    assert report[3:] == [
+        "  stream-1: steady mean delta -95725.8 ns over 207 seqs "
+        "(SDN 27200.0 vs noSDN 122925.8); the runs carried different traffic",
+        "  udp: recorded only in the noSDN run",
+    ]
+    swapped = compare_report(nosdn, sdn).splitlines()
+    assert swapped[-1] == "  udp: recorded only in the SDN run"
+
+
+def test_twins_that_carry_the_same_flows_are_compared_as_before():
+    sdn, nosdn = _line_twins("25us")
+    report = compare_report(sdn, nosdn)
+    assert report == expanded_compare_report(sdn, nosdn)
+    assert "different traffic" not in report and "recorded only" not in report

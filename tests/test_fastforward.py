@@ -398,6 +398,40 @@ def test_report_and_stdout_give_the_cycles_skipped(tmp_path, capsys):
     assert line in (tmp_path / "report.txt").read_text().splitlines()
 
 
+def test_a_period_confirmed_with_less_than_one_left_is_named(capsys, tmp_path):
+    # the overload's 36 ms period is confirmed at 489 ms, 11 ms before the end
+    assert main(["run", "--scenario", "fault_injection", "--until", "500ms",
+                 "--out", str(tmp_path)]) == 0
+    line = ("fast-forward: 197 cycles of 500000 ns skipped, 98500000 ns of simulated time; "
+            "then a 36000000 ns period confirmed at 489000000 ns, with 11000000 ns left, "
+            "less than one period")
+    assert line in capsys.readouterr().out.splitlines()
+    assert line in (tmp_path / "report.txt").read_text().splitlines()
+
+
+def test_a_run_that_confirms_its_only_period_too_late_says_so():
+    # the ticker's state repeats every cycle: keys at 1 and 2 us, confirmed at 3 us
+    sim = Simulator()
+    ticker = Ticker(sim, 1_000, 600)
+    sim.boundary = SteadyState(sim, 1_000, [ticker])
+    sim.run_until(3_500)
+    assert sim.boundary.summary().line() == (
+        "fast-forward: 0 cycles of 1000 ns skipped (a 1000 ns period confirmed at 3000 ns, "
+        "with 500 ns left, less than one period)")
+
+
+def test_a_period_confirmed_too_late_in_one_call_is_not_named_after_a_later_call():
+    # the 36 ms period confirmed 11 ms before the end of the first call; the
+    # second call goes on past that end, so the note no longer holds
+    cfg = load_config(resolve_scenario("fault_injection"))
+    net = build_network(cfg)
+    net.sim.run_until(500 * MS)
+    assert net.sim.boundary.summary().unused == (36 * MS, 489 * MS, 11 * MS)
+    net.sim.run_until(505 * MS)
+    assert net.sim.boundary.summary().line() == \
+        "fast-forward: 197 cycles of 500000 ns skipped, 98500000 ns of simulated time"
+
+
 def test_a_scenario_without_a_source_reports_why_nothing_was_skipped():
     raw = _shipped("case_study_nosdn", talker=None, cross_traffic=None, listeners=None)
     assert run_scenario(parse_config(raw)).skipped.line() == \

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from tssdnsim.config import parse_config
 from tssdnsim.engine import NS_PER_S, Simulator
-from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, MacAddress,
+from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, MIN_FRAME_BYTES, MacAddress,
                              StreamData, StreamId, UdpDatagram, VlanTag,
-                             make_frame, wire_size)
+                             WIRE_OVERHEAD_BYTES, make_frame, wire_size)
 from tssdnsim.network import Node
+from tssdnsim.scenario import build_network
 
-from conftest import Recorder, wire
+from conftest import Recorder, wire, workloads
+from test_fastforward import _shipped
 
 US = 1_000
 SRC = MacAddress.parse("02:00:00:00:00:01")
@@ -239,3 +242,64 @@ def test_credit_nonpositive_after_queue_drains_on_random_patterns():
         port._update_credits(sim.now())
         assert all(not q for q in port.queues)
         assert cs.credit == 0
+
+
+# -- 802.1Qav credit bounds on whole scenarios ------------------------------
+
+def _largest_frames(cfg, pcp):
+    """(the largest frame of class `pcp`, the largest frame below it) that
+    the scenario sends anywhere, in bytes; SRP and ARP frames are untagged."""
+    ours, lower = 0, MIN_FRAME_BYTES
+    sources = [(cfg.talker.vlan.pcp, cfg.talker.frame_bytes)]
+    if cfg.cross_traffic is not None:
+        vlan = cfg.cross_traffic.vlan
+        sources.append((vlan.pcp if vlan is not None else 0, cfg.cross_traffic.frame_bytes))
+    for source_pcp, frame_bytes in sources:
+        if source_pcp == pcp:
+            ours = max(ours, frame_bytes)
+        elif source_pcp < pcp:
+            lower = max(lower, frame_bytes)
+    return ours, lower
+
+
+@pytest.mark.parametrize("raw, span", [
+    (_shipped("case_study_sdn"), (-1_212_032_000_000, 881_280_000_000)),
+    (_shipped("case_study_nosdn"), (-1_212_032_000_000, 739_840_000_000)),
+    (workloads.line_scenario(8), (-1_212_032_000_000, 881_280_000_000)),
+    # the class carries the 1,200-byte overload, and its credit reaches loCredit
+    (_shipped("fault_injection", shaper_enabled=True), (-8_698_112_000_000, 10_240_000)),
+], ids=["case_study_sdn", "case_study_nosdn", "line8", "fault_injection-shaped"])
+def test_the_credit_stays_within_the_802_1qav_bounds(raw, span):
+    # loCredit = -(largest class frame + 20 B) * 8 * (rate - idleSlope) * 1e9 / rate
+    # hiCredit = (largest lower-priority frame + 20 B) * 8 * idleSlope * 1e9 / rate,
+    # in nanobits; compared multiplied through by the rate, in integers
+    cfg = parse_config(dict(raw, run_until="300ms"))
+    net = build_network(cfg)
+    ports = [port for node in (*net.hosts.values(), *net.switches.values())
+             for port in node.ports]
+    largest = {pcp: _largest_frames(cfg, pcp) for pcp in range(8)}
+    seen = [None, None]     # lowest and highest credit, in nanobits
+    checks = 0
+
+    def check(*_):
+        nonlocal checks
+        for port in ports:
+            rate = port.rate_bps
+            for pcp, cs in port.shaped.items():
+                ours, lower = largest[pcp]
+                idle, credit = cs.idle_slope_bps, cs.credit
+                lo = -(ours + WIRE_OVERHEAD_BYTES) * 8 * (rate - idle) * NS_PER_S
+                hi = (lower + WIRE_OVERHEAD_BYTES) * 8 * idle * NS_PER_S
+                assert lo <= credit * rate <= hi, \
+                    f"{port.name} class {pcp}: credit {credit} at {net.sim.now()} ns"
+                checks += 1
+                if seen[0] is None or credit < seen[0]:
+                    seen[0] = credit
+                if seen[1] is None or credit > seen[1]:
+                    seen[1] = credit
+
+    net.sim.trace = check
+    net.sim.run_until(cfg.run_until_ns)
+    check()
+    assert checks
+    assert tuple(seen) == span
