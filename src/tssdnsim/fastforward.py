@@ -89,12 +89,14 @@ the fast-forward line names it (`Skipped.unused`).
 from __future__ import annotations
 
 from enum import Enum
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .engine import Event
 
 FRAME_BYTES = attrgetter("frame_bytes")
+OWNER_ID = itemgetter(1)        # of a pending event in a key
 
 STATIC = "static"
 NORMALISED = "normalised"
@@ -348,6 +350,7 @@ class SteadyState:
         self._shifting = [m for m in models if SHIFTED in type(m).FF_FIELDS.values()]
         self._counted = [(m, name) for m in models for name in _named(m, COUNTED)]
         self._queues = [q for m in models for q in getattr(m, "queues", ())]
+        self._indexed = list(enumerate(self._queues))   # (index, queue) per queue
         self._owners = frozenset(id(m) for m in models)
         self._seen: dict = {}        # hash of a boundary's key -> last boundary with it
         self._candidates: dict = {}  # period P -> (key hash, snapshot at its start)
@@ -396,13 +399,28 @@ class SteadyState:
         return b + self.period
 
     def _key(self, b: int) -> tuple:
-        """What equal states at b share: the pending events before b + H,
-        relative to b, and the frame sizes in each non-empty queue, by its index."""
+        """What equal states at b share: the pending events before b + H, as
+        their time relative to b and their owner's id and function, and the
+        frame sizes in each non-empty queue, by its index.
+
+        One pass builds the events, with no Python function called per
+        event. A callback that is not a method of a model fails it, and
+        `_method` then names that callback."""
+        horizon = b + self.period
+        near = sorted([entry for entry in self.sim._heap if entry[0] < horizon])
         owners = self._owners
-        events = tuple((ev.fire_at - b, *_method(ev.callback, owners))
-                       for ev in self.sim.pending_before(b + self.period))
-        return events, tuple((i, tuple(map(FRAME_BYTES, q)))
-                             for i, q in enumerate(self._queues) if q)
+        try:
+            events = tuple([(fire_at - b, id((callback := ev.callback).__self__),
+                             callback.__func__)
+                            for fire_at, _, ev in near if not ev.cancelled])
+            known = owners.issuperset(map(OWNER_ID, events))
+        except AttributeError:      # not a bound method
+            known = False
+        if not known:
+            events = tuple([(fire_at - b, *_method(ev.callback, owners))
+                            for fire_at, _, ev in near if not ev.cancelled])
+        return events, tuple([(i, tuple(map(FRAME_BYTES, q)))
+                              for i, q in compress(self._indexed, self._queues)])
 
     def _snapshot(self, cx: Cycle) -> None:
         self.snapshots += 1

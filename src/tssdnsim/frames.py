@@ -20,6 +20,11 @@ MAX_UNIQUE_ID = 0xFFFF
 # preamble 7 + SFD 1 + interframe gap 12
 WIRE_OVERHEAD_BYTES = 20
 
+# `_tuple_new(cls, fields)` builds a `NamedTuple` value without a call to
+# the class's `__new__`, which runs in a Python frame of its own: for a type
+# that checks nothing, or after the caller has made its type's checks
+_tuple_new = tuple.__new__
+
 
 class MacAddress(NamedTuple("MacAddress", [("octets", bytes)])):
     __slots__ = ()
@@ -140,9 +145,17 @@ class EthernetFrame(NamedTuple("EthernetFrame", [
 
 def make_frame(src: MacAddress, dst: MacAddress, payload: Payload,
                frame_bytes: int, vlan: Optional[VlanTag] = None) -> EthernetFrame:
-    """Build a frame, padding short payloads to the 64-byte Ethernet minimum."""
-    return EthernetFrame(src, dst, vlan, payload,
-                         frame_bytes if frame_bytes > MIN_FRAME_BYTES else MIN_FRAME_BYTES)
+    """Build a frame, padding short payloads to the 64-byte Ethernet minimum.
+
+    It makes `EthernetFrame.__new__`'s checks itself and builds the tuple
+    directly: a class call would run that `__new__` in a frame of its own."""
+    if frame_bytes < MIN_FRAME_BYTES:
+        frame_bytes = MIN_FRAME_BYTES
+    elif frame_bytes > MAX_FRAME_BYTES:
+        raise ValueError(f"frame_bytes {frame_bytes} outside [64, 1522]")
+    if vlan is None and isinstance(payload, StreamData):
+        raise ValueError("TSN stream frames must carry a VLAN tag")
+    return _tuple_new(EthernetFrame, (src, dst, vlan, payload, frame_bytes))
 
 
 def wire_size(frame: EthernetFrame) -> int:

@@ -26,6 +26,10 @@ ARP_RETRY_INTERVAL_NS = 1_000_000
 
 UDP_FLOW = "udp"
 
+# `_tuple_new(cls, fields)`: a value of a `NamedTuple` that checks nothing,
+# built without a call to its generated `__new__` (see frames.py)
+_tuple_new = tuple.__new__
+
 
 def stream_flow(unique_id: int) -> str:
     """The flow name a listener records a stream's frames under."""
@@ -88,15 +92,16 @@ class Host(Node):
         self.ports[0].enqueue(make_frame(self.mac, cfg.dst_group, advertise, SRP_FRAME_BYTES))
 
     def _lr_timed_out(self) -> None:
-        self.sink.warn(f"{self.name}: no listener ready within timeout; "
-                       f"stream {self.stream_id} never starts")
+        # a ready may still come, and start the stream then
+        self.sink.warn(f"{self.name}: no listener ready for stream {self.stream_id} "
+                       f"within {LR_TIMEOUT_NS} ns of its advertise")
 
     def _send_stream_frame(self) -> None:
         cfg = self.talker
         sim = self.sim
         now = sim._now
         frame = make_frame(self.mac, cfg.dst_group,
-                           StreamData(self.stream_id, self.stream_seq, now),
+                           _tuple_new(StreamData, (self.stream_id, self.stream_seq, now)),
                            cfg.frame_bytes, cfg.vlan)
         self.stream_seq += 1
         self.ports[0].enqueue(frame)
@@ -127,7 +132,8 @@ class Host(Node):
         sim = self.sim
         now = sim._now
         frame = make_frame(self.mac, self._arp_resolved,
-                           UdpDatagram(self.udp_seq, now, self.protocol_addr, cfg.dst_node),
+                           _tuple_new(UdpDatagram,
+                                      (self.udp_seq, now, self.protocol_addr, cfg.dst_node)),
                            cfg.frame_bytes, cfg.vlan)
         self.udp_seq += 1
         self.ports[0].enqueue(frame)
@@ -161,8 +167,14 @@ class Host(Node):
                                                  SRP_FRAME_BYTES))
         else:
             if self.stream_id == msg.stream_id and self.lr_arrival_ns is None:
-                self.lr_arrival_ns = self.sim.now()
+                now = self.lr_arrival_ns = self.sim.now()
                 self._lr_timeout.cancel()
+                # the timeout, scheduled before any frame moved, dispatches
+                # before a ready that arrives at its time
+                if now >= self._lr_timeout.fire_at:
+                    self.sink.warn(f"{self.name}: listener ready for stream {self.stream_id} "
+                                   f"arrived at {now} ns, after the timeout; the stream "
+                                   "starts")
                 # first data frame strictly after the listener ready arrives
                 self.sim.schedule_in(self.talker.interval_ns, self._send_stream_frame)
 

@@ -17,6 +17,10 @@ FRAME_CSV_HEADER = ["flow", "seq", "send_ns", "recv_ns", "latency_ns"]
 FRAME_ORDER = itemgetter(3, 0, 1)     # a record's (recv_ns, flow, seq)
 SUMMARY_CSV_HEADER = ["flow", "min_ns", "mean_ns", "max_ns", "window_start_ns", "window_end_ns"]
 
+# `_tuple_new(cls, fields)`: a value of a `NamedTuple` that checks nothing,
+# built without a call to its generated `__new__` (see frames.py)
+_tuple_new = tuple.__new__
+
 
 class LatencyRecord(NamedTuple):
     flow: str
@@ -76,7 +80,7 @@ class MetricsSink:
     def record(self, flow: str, seq: int, send_ns: int, recv_ns: int) -> None:
         if recv_ns <= send_ns:
             raise ValueError(f"non-positive latency for {flow} seq {seq}")
-        self.records.append(LatencyRecord(flow, seq, send_ns, recv_ns))
+        self.records.append(_tuple_new(LatencyRecord, (flow, seq, send_ns, recv_ns)))
 
     def warn(self, message: str) -> None:
         self.warnings.append(message)

@@ -14,6 +14,10 @@ from .fastforward import fields
 from .frames import WIRE_OVERHEAD_BYTES, EthernetFrame, frame_shifted, frame_state
 
 NUM_QUEUES = 8
+# a frame's serialization time is its wire bytes times this, over the port rate
+_BYTE_NS = 8 * NS_PER_S
+# the highest set bit of each backlog bitmask: its highest-priority class
+_HIGHEST = [backlog.bit_length() - 1 for backlog in range(1 << NUM_QUEUES)]
 
 
 class CreditState:
@@ -48,7 +52,7 @@ class EgressPort:
 
     FF_FIELDS = fields(
         static="sim name peer peer_port rate_bps propagation_ns queue_capacity shaper_enabled "
-               "_classes",
+               "_classes _tx_done",
         normalised="total_reserved_bps reserved_streams transmitting_pcp _wakeup max_depth "
                    "_backlog",
         shifted="queues shaped tx_busy_until _wire",
@@ -79,6 +83,8 @@ class EgressPort:
         # the frames sent and not yet delivered, oldest first: the delay is
         # fixed, so they arrive in the order they were sent
         self._wire: deque = deque()
+        # the bound method each transmission schedules, made once
+        self._tx_done = self._on_tx_done
         # counters
         self.frames_sent = 0
         self.dropped_overflow = 0
@@ -116,16 +122,15 @@ class EgressPort:
         if depth > self.queue_capacity:
             self.dropped_overflow += 1
             return False
-        now = self.sim._now
         if self.shaped:
-            self._update_credits(now)
+            self._update_credits(self.sim._now)
         q.append(frame)
         self._backlog |= 1 << pcp
         max_depth = self.max_depth
         if depth > max_depth[pcp]:
             max_depth[pcp] = depth
         if self.transmitting_pcp is None:     # idle
-            self._select(now)
+            self._select(self.sim._now)
         return True
 
     # -- credit dynamics --------------------------------------------------
@@ -160,33 +165,39 @@ class EgressPort:
         if now < self.tx_busy_until:
             # a model bug: this port alone drives its direction of the link
             raise SimulationError(f"port {self.name}: overlapping transmission")
-        if self._wakeup is not None:
-            self._wakeup.cancel()
-            self._wakeup = None
         backlog = self._backlog
-        if not backlog:
-            return
         shaped = self.shaped
-        pcp = backlog.bit_length() - 1     # the highest-priority backlogged class
-        while pcp in shaped and shaped[pcp].credit < 0:
-            backlog ^= 1 << pcp            # blocked on credit: the next one down
+        if shaped:
+            # only a shaped port waits for credit
+            if self._wakeup is not None:
+                self._wakeup.cancel()
+                self._wakeup = None
             if not backlog:
-                self._schedule_wakeup(now)
                 return
-            pcp = backlog.bit_length() - 1
+            pcp = _HIGHEST[backlog]            # the highest-priority backlogged class
+            while pcp in shaped and shaped[pcp].credit < 0:
+                backlog ^= 1 << pcp            # blocked on credit: the next one down
+                if not backlog:
+                    self._schedule_wakeup(now)
+                    return
+                pcp = _HIGHEST[backlog]
+        elif backlog:
+            pcp = _HIGHEST[backlog]
+        else:
+            return
         q = self.queues[pcp]
         frame = q.popleft()
         if not q:
             self._backlog ^= 1 << pcp
         sim = self.sim
         # engine.serialization_ns of the frame's wire size
-        tx_end = now + (frame.frame_bytes + WIRE_OVERHEAD_BYTES) * 8 * NS_PER_S // self.rate_bps
+        tx_end = now + (frame.frame_bytes + WIRE_OVERHEAD_BYTES) * _BYTE_NS // self.rate_bps
         self.transmitting_pcp = pcp
         self.tx_busy_until = tx_end
         self._wire.append(frame)
         if self.propagation_ns:
             sim.schedule(tx_end + self.propagation_ns, self._deliver)
-        sim.schedule(tx_end, self._on_tx_done)
+        sim.schedule(tx_end, self._tx_done)
         self.frames_sent += 1
         if sim.trace is not None:
             sim.trace("tx", now, self, frame)
@@ -201,10 +212,9 @@ class EgressPort:
         # transmit time would dispatch in.
         if not self.propagation_ns:
             self.peer.handle_frame(self.peer_port, self._wire.popleft())
-        now = self.sim._now
         shaped = self.shaped
         if shaped:
-            self._update_credits(now)
+            self._update_credits(self.sim._now)
             pcp = self.transmitting_pcp
             if pcp in shaped and not self.queues[pcp]:
                 cs = shaped[pcp]
@@ -212,7 +222,7 @@ class EgressPort:
                     cs.credit = 0
         self.transmitting_pcp = None
         if self._backlog:       # no wakeup is pending: the port was busy
-            self._select(now)
+            self._select(self.sim._now)
 
     def _schedule_wakeup(self, now: int) -> None:
         """Idle port, every backlogged class blocked on credit: wake at first zero."""

@@ -237,20 +237,44 @@ class Switch(Node):
     # -- ingress pipeline -------------------------------------------------
 
     def handle_frame(self, in_port: int, frame: EthernetFrame) -> None:
-        if isinstance(frame.payload, SrpMessage):
+        if type(frame.payload) is SrpMessage:
             self._handle_srp_frame(in_port, frame)
             return
         rec = None
+        dst = frame.dst
         vlan = frame.vlan
         if vlan is not None:
             # ingress filter: a stream's frames come from its talker's port
             # (`SrTable.lookup_group`, read in place)
-            rec = self.sr_table._by_group.get((frame.dst, vlan.vid))
+            rec = self.sr_table._by_group.get((dst, vlan.vid))
             if rec is not None and rec.talker_port != in_port:
                 self.dropped_filter += 1
                 return
         if not self.sdn:
-            self._tsn_forward(in_port, frame, rec)
+            # TSN-only: learn the source, then forward by the SR table's
+            # listener ports, by flooding, or by the learned port
+            mac_table = self.mac_table
+            mac_table[frame.src] = in_port
+            if rec is not None:
+                sent = 0
+                ports = self.ports
+                for port in rec.listener_ports:
+                    if port != in_port:
+                        ports[port].enqueue(frame)
+                        sent += 1
+                if sent:
+                    self.forwarded += sent
+                else:
+                    self.dropped_no_listener += 1
+            elif dst.octets[0] & 0x01:      # the I/G bit: `MacAddress.is_multicast`
+                self._flood(in_port, frame)
+            else:
+                port = mac_table.get(dst)
+                if port is not None:
+                    self.ports[port].enqueue(frame)
+                    self.forwarded += 1
+                else:
+                    self._flood(in_port, frame)
             return
         table = self.flow_table
         entry = table.lookup(frame, in_port)
@@ -275,29 +299,6 @@ class Switch(Node):
                     self.dropped_miss += 1
                 else:
                     self.dropped_action += 1
-
-    def _tsn_forward(self, in_port: int, frame: EthernetFrame,
-                     rec: Optional[StreamRecord]) -> None:
-        self.mac_table[frame.src] = in_port
-        if rec is not None:
-            forwarded = self.forwarded
-            ports = self.ports
-            for port in rec.listener_ports:
-                if port != in_port:
-                    ports[port].enqueue(frame)
-                    self.forwarded += 1
-            if self.forwarded == forwarded:
-                self.dropped_no_listener += 1
-            return
-        if frame.dst.is_multicast:
-            self._flood(in_port, frame)
-            return
-        port = self.mac_table.get(frame.dst)
-        if port is not None:
-            self.ports[port].enqueue(frame)
-            self.forwarded += 1
-        else:
-            self._flood(in_port, frame)
 
     def _flood(self, in_port: int, frame: EthernetFrame) -> None:
         for port, egress in enumerate(self.ports):

@@ -8,6 +8,7 @@ import csv
 import math
 import re
 from collections import deque
+from operator import attrgetter
 
 import pytest
 import yaml
@@ -340,6 +341,92 @@ def test_the_key_tells_apart_frame_sizes_and_the_queue_they_wait_in():
     assert key([small, large], []) != key([large, small], [])
     # the same frames in another queue
     assert key([small], []) != key([], [small])
+
+
+def _reference_key(boundary, b):
+    """The key as first written: `pending_before` and one `_method` call per
+    event, then every queue tested and its frames' sizes read by name."""
+    owners = boundary._owners
+    events = tuple((ev.fire_at - b, *fastforward._method(ev.callback, owners))
+                   for ev in boundary.sim.pending_before(b + boundary.period))
+    return events, tuple((i, tuple(map(attrgetter("frame_bytes"), q)))
+                         for i, q in enumerate(boundary._queues) if q)
+
+
+def _check_keys(monkeypatch, key):
+    """Make `key` build each key of the runs that follow, and check it against
+    the reference's at the same boundary; one bool per key, True when they
+    are equal or both refused for the same reason."""
+    matches = []
+
+    def checked(self, b):
+        try:
+            expected = _reference_key(self, b)
+        except NotPeriodic as exc:
+            expected = str(exc)
+        try:
+            got = key(self, b)
+        except NotPeriodic as exc:
+            matches.append(str(exc) == expected)
+            raise
+        matches.append(got == expected)
+        return got
+
+    monkeypatch.setattr(SteadyState, "_key", checked)
+    return matches
+
+
+@pytest.fixture
+def checked_keys(monkeypatch):
+    return _check_keys(monkeypatch, SteadyState._key)
+
+
+KEY_CASES = [
+    ("case_study_sdn", _shipped("case_study_sdn"), None),
+    ("case_study_nosdn", _shipped("case_study_nosdn"), None),
+    ("fault_injection", _shipped("fault_injection"), None),
+    ("line8-default", workloads.line_scenario(8), None),
+    ("fault_injection-600ms", _shipped("fault_injection"), "600ms"),
+]
+
+
+@pytest.mark.parametrize("raw, until", [case[1:] for case in KEY_CASES],
+                         ids=[case[0] for case in KEY_CASES])
+def test_every_key_equals_the_reference_key(raw, until, checked_keys):
+    raw = dict(raw, **({"run_until": until} if until else {}))
+    run_scenario(parse_config(raw))
+    assert checked_keys and all(checked_keys), checked_keys
+
+
+@pytest.mark.parametrize("delay, as_lambda", [(600, False), (3_000, False), (600, True)],
+                         ids=["near-method", "far-method", "lambda"])
+def test_every_key_of_a_toy_model_equals_the_reference_key(delay, as_lambda, checked_keys):
+    _run_ticker(delay, as_lambda)
+    assert checked_keys and all(checked_keys), checked_keys
+
+
+def test_a_method_of_an_object_outside_the_model_is_refused_as_the_reference_refuses_it(
+        checked_keys):
+    sim = Simulator()
+    Ticker(sim, 1_000, 600)     # its pending tick is not a method of a model
+    sim.boundary = SteadyState(sim, 1_000, [])
+    sim.run_until(10_000)
+    assert checked_keys and all(checked_keys), checked_keys
+    reason = sim.boundary.summary().reason
+    assert re.fullmatch(r"pending Ticker\.\w+ is not a model method", reason)
+
+
+def test_a_key_that_drops_a_queued_frame_fails_the_reference(monkeypatch):
+    # the negative control: the comparison above sees a frame left out
+    key = SteadyState._key
+
+    def short(self, b):
+        events, queued = key(self, b)
+        return events, tuple((i, sizes[1:]) for i, sizes in queued)
+
+    matches = _check_keys(monkeypatch, short)
+    run_scenario(parse_config(dict(_shipped("fault_injection"), run_until="300ms")))
+    assert matches and not all(matches)
 
 
 def test_a_longer_run_stores_no_more_records():

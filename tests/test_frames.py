@@ -24,10 +24,19 @@ def test_short_payload_padded_to_minimum():
     assert wire_size(frame) == 84
 
 
+def test_one_byte_short_of_the_minimum_is_padded():
+    frame = make_frame(MacAddress.parse("00:11:22:33:44:55"), BROADCAST,
+                       ArpMessage(ArpKind.REQUEST, "client1"), 63)
+    assert frame.frame_bytes == 64
+
+
 def test_oversize_frame_rejected():
     with pytest.raises(ValueError):
         make_frame(MacAddress.parse("00:11:22:33:44:55"), BROADCAST,
                    ArpMessage(ArpKind.REQUEST, "x"), 1523)
+    with pytest.raises(ValueError):
+        EthernetFrame(MacAddress.parse("00:11:22:33:44:55"), BROADCAST, None,
+                      ArpMessage(ArpKind.REQUEST, "x"), 1523)
 
 
 def test_multicast_bit():
@@ -57,6 +66,8 @@ def test_stream_frames_require_vlan_tag():
     payload = StreamData(StreamId(talker, 1), 0, 0)
     with pytest.raises(ValueError):
         EthernetFrame(talker, group, None, payload, 150)
+    with pytest.raises(ValueError):
+        make_frame(talker, group, payload, 150)
     frame = make_frame(talker, group, payload, 150, vlan=VlanTag(2, 6))
     assert frame.pcp == 6
 

@@ -1,10 +1,12 @@
+from tssdnsim.config import parse_config
 from tssdnsim.engine import Simulator
 from tssdnsim.frames import (ArpKind, ArpMessage, MacAddress, SrpKind,
                              SrpMessage, StreamId, VlanTag, make_frame)
 from tssdnsim.hosts import CrossTrafficConfig, Host, TalkerConfig
 from tssdnsim.metrics import MetricsSink
+from tssdnsim.scenario import run_scenario
 
-from conftest import Recorder, mac, records, stream_records, udp_records, wire
+from conftest import Recorder, mac, records, stream_records, udp_records, wire, workloads
 
 US = 1_000
 MS = 1_000_000
@@ -48,6 +50,22 @@ def test_listener_ready_cancels_the_timeout():
                for ev in sim.pending_before(3_000 * MS))
     sim.run_until(1_500 * MS)
     assert sink.warnings == []
+
+
+def test_a_listener_ready_after_the_timeout_starts_the_stream_and_says_when():
+    # 40 ms each way to the controller: the ready reaches the talker 1.28 s
+    # after its advertise, and the stream starts then
+    raw = dict(workloads.line_scenario(8), run_until="1500ms")
+    raw["control"]["one_way_delay"] = "40ms"
+    result = run_scenario(parse_config(raw))
+    assert result.lr_arrival_ns == 1_380_520_960
+    assert result.counters["client0"]["sent_stream"] == 955
+    stream = "stream 02:00:00:00:00:01#1"
+    assert [w for w in result.sink.warnings if "listener ready" in w] == [
+        f"client0: no listener ready for {stream} within 1000000000 ns of its advertise",
+        f"client0: listener ready for {stream} arrived at 1380520960 ns, after the "
+        "timeout; the stream starts",
+    ]
 
 
 def test_duplicate_advertise_yields_one_listener_ready():
