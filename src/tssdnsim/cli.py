@@ -19,12 +19,15 @@ SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
 
 def resolve_scenario(name: str) -> Path:
-    """A filesystem path, or the name of a shipped scenario."""
+    """A scenario file's path, or the name of a shipped scenario. A directory
+    is not a scenario: `run --out case_study_sdn` makes one by that name."""
     path = Path(name)
-    if path.exists():
+    if path.is_file():
         return path
     if name in BUILTIN_SCENARIOS:
         return SCENARIO_DIR / f"{name}.yaml"
+    if path.is_dir():
+        raise ConfigError(f"scenario is a directory, not a file: {name}")
     raise ConfigError(f"scenario file not found: {name} "
                       f"(builtins: {', '.join(BUILTIN_SCENARIOS)})")
 

@@ -186,6 +186,12 @@ def load_config(path) -> ScenarioConfig:
                                                          yaml.SafeLoader))
     except FileNotFoundError:
         raise ConfigError(f"scenario file not found: {path}")
+    except IsADirectoryError:
+        raise ConfigError(f"scenario is a directory, not a file: {path}")
+    except PermissionError:
+        raise ConfigError(f"scenario file not readable: {path}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: YAML parse error: {exc}")
     if not isinstance(raw, dict):

@@ -25,15 +25,34 @@ it covers. The sink's readers walk a block's copies as arithmetic
 progressions (`MetricsSink.progressions`); only `MetricsSink.rows` and
 `write_frame_csv` expand a block. The outputs are byte-identical to a full run.
 
+A candidate that starts idle takes no snapshot (`Idle`): when no live event
+is pending before b + P, no callback can run until b + P, so the state there
+is the state at b. At b + P the run checks that nothing was scheduled or
+popped since b (`Simulator._seq` and the heap's length are unchanged) and
+that no event is due before b + 2P. It then jumps to the last whole period
+before the next event or the end of the run, and moves no state: no callback
+runs in the jumped time, so the jump is exact by construction. Where the two
+snapshots would have been equal it skips as they would, by the same number
+of periods. It also skips where they would differ only by the times an idle
+model holds, normalised to a different boundary in each: the last update of
+a reserved port's credit, or a pending event that a model refers to. If a
+condition fails, it backs off as a changed state does; a cancelled event
+popped in the stretch changes the heap's length, so it backs off there too,
+though the snapshots ignore cancelled events.
+
 Each model class says how the fast-forward treats each of its fields, in a
 class attribute `FF_FIELDS` built by `fields()`:
 
-- static: fixed once the network is built, or a cache whose value does not
-  change what the model does next;
+- static: fixed once the network is built, a cache whose value does not
+  change what the model does next, or an index derived from compared fields
+  (`SrTable._by_group`, `EgressPort._backlog`);
 - normalised: compared as a value copy (`Cycle.freeze`); an event it refers
   to compares by its time relative to b;
 - shifted: holds times or sequence numbers; the class's `ff_state(cx)` returns
-  its normalised form and `ff_shift(cx)` moves it by the skipped periods;
+  its normalised form and `ff_shift(cx)` moves it by the skipped periods. An
+  append-only log, such as the controller's trace, is compared by its
+  length: a period that comes round appends nothing, so a skip moves none
+  of it;
 - counted: an integer that may grow; the skip adds k times its change over
   the last period.
 
@@ -84,6 +103,14 @@ until the next boundary it stops at. A run that never settles thus pays for
 about 2*log2(cycles) snapshots. The wait starts over after each skip. A
 period confirmed with less than one period of the run left skips nothing, and
 the fast-forward line names it (`Skipped.unused`).
+
+A skip covers whole periods, so the r = (t_end - b) mod P ns left after it
+are simulated again, though the confirmed period held them. Aligning the
+confirmation with the end of the run does not remove them: whatever boundary
+confirms P, the run simulates the transient, the two periods that find and
+confirm it, and r; a confirmation r ns later only moves those r ns before the
+skip. Only a checkpoint taken r ns into the confirmed period, restored at the
+end moved by whole periods, would skip r, and the model keeps none.
 """
 
 from __future__ import annotations
@@ -95,7 +122,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .engine import Event
 
-FRAME_BYTES = attrgetter("frame_bytes")
+FRAME_BYTES = itemgetter(4)     # of a frame: `EthernetFrame.frame_bytes`, by position
 OWNER_ID = itemgetter(1)        # of a pending event in a key
 
 STATIC = "static"
@@ -302,6 +329,16 @@ KINDS = _Kinds()
 PLANS = _Plans()
 
 
+class Idle(NamedTuple):
+    """A candidate period that starts with no live event pending before its
+    end. It takes no snapshot: what it keeps tells at the period's end that
+    nothing was scheduled or dispatched since its start."""
+
+    start: int
+    seq: int            # `Simulator._seq` at the start
+    pending: int        # the length of `Simulator._heap` at the start
+
+
 class Skipped(NamedTuple):
     """What the fast-forward did in one run; `cycles` counts hyperperiods."""
 
@@ -386,17 +423,35 @@ class SteadyState:
                 del self._candidates[period]
                 if key != cand_key:
                     return self._back_off(b, f"the state changed over a {period} ns cycle")
+                if type(cand) is Idle:
+                    return self._jump(cand, b, t_end)
                 return self._compare(cand, b, t_end)
         last = self._seen.get(key)
         self._seen[key] = b
         if last is not None and b - last not in self._candidates:
-            cx = Cycle(b, b - last, None, self._owners)
-            try:
-                self._snapshot(cx)
-            except NotPeriodic as exc:
-                return self._back_off(b, str(exc), exc.until)
-            self._candidates[cx.period] = key, cx
+            period = b - last
+            cand = self._idle(b, period)
+            if cand is None:
+                cand = Cycle(b, period, None, self._owners)
+                try:
+                    self._snapshot(cand)
+                except NotPeriodic as exc:
+                    return self._back_off(b, str(exc), exc.until)
+            self._candidates[period] = key, cand
         return b + self.period
+
+    def _idle(self, b: int, period: int) -> Optional[Idle]:
+        """A candidate period from b that needs no snapshot: no live event is
+        pending before b + period. None if one is."""
+        first = self._first_live()
+        if first is not None and first < b + period:
+            return None
+        return Idle(b, self.sim._seq, len(self.sim._heap))
+
+    def _first_live(self) -> Optional[int]:
+        """When the first pending event that is not cancelled fires, if any."""
+        return min([fire_at for fire_at, _, ev in self.sim._heap if not ev.cancelled],
+                   default=None)
 
     def _key(self, b: int) -> tuple:
         """What equal states at b share: the pending events before b + H, as
@@ -437,15 +492,40 @@ class SteadyState:
             return self._back_off(b, str(exc), exc.until)
         if cx.state != prev.state:
             return self._back_off(b, f"the state changed over a {period} ns cycle")
+        return self._repeat(b, period, cx.first_far, t_end, cx)
+
+    def _jump(self, idle: Idle, b: int, t_end: int) -> int:
+        """At b, one candidate period after an idle start: if nothing was
+        scheduled or dispatched since, and no event is due in the next period,
+        skip to the last whole period before the next event or the end of the
+        run. No callback runs in the skipped time, so no state moves."""
+        period = b - idle.start
+        sim = self.sim
+        first = self._first_live()
+        if sim._seq != idle.seq or len(sim._heap) != idle.pending \
+                or (first is not None and first < b + period):
+            return self._back_off(b, f"the state changed over a {period} ns cycle")
+        return self._repeat(b, period, first, t_end, None)
+
+    def _repeat(self, b: int, period: int, first_far: Optional[int], t_end: int,
+                cx: Optional[Cycle]) -> int:
+        """The period up to b came round: skip the later ones before the first
+        pending event from b + period on, `first_far`, or the end of the run,
+        and move the state by them unless the run jumped an idle stretch (`cx`
+        None). Returns the next stop."""
         self._wait = 1
         self._forget()
-        limit = t_end if cx.first_far is None else min(t_end, cx.first_far)
+        limit = t_end if first_far is None else min(t_end, first_far)
         cycles = (limit - b) // period
         if not cycles:
             # a far event is at least a period away, so only the end is nearer
             self.unused = period, b, t_end - b
             return b + self.period
-        self._skip(cx, cycles)
+        if cx is not None:
+            self._skip(cx, cycles)
+        self.cycles_skipped += cycles * (period // self.period)
+        self.repeat = period
+        self.unused = None
         return b + cycles * period
 
     def _forget(self) -> None:
@@ -468,9 +548,6 @@ class SteadyState:
             model.ff_shift(cx)
         for (model, name), now, before in zip(self._counted, cx.counts, cx.prev.counts):
             setattr(model, name, now + cycles * (now - before))
-        self.cycles_skipped += cycles * (cx.period // self.period)
-        self.repeat = cx.period
-        self.unused = None
 
     def summary(self) -> Skipped:
         reason = self.reason

@@ -174,6 +174,16 @@ def _source(payload: Payload):
     return None
 
 
+def _moved(frame: EthernetFrame, payload: Payload, seq: int, sent_at: int) -> EthernetFrame:
+    """`frame` with a data payload's seq and send time replaced, built as
+    tuples: two `_replace` calls would each build a dict and call `_make`."""
+    if type(payload) is StreamData:
+        payload = _tuple_new(StreamData, (payload[0], seq, sent_at))
+    else:
+        payload = _tuple_new(UdpDatagram, (seq, sent_at, payload[2], payload[3]))
+    return _tuple_new(EthernetFrame, (frame[0], frame[1], frame[2], payload, frame[4]))
+
+
 def frame_state(frame: EthernetFrame, cx) -> EthernetFrame:
     """A frame as a snapshot compares it: a data frame's seq relative to its
     source's next one and its send time relative to the boundary."""
@@ -181,8 +191,7 @@ def frame_state(frame: EthernetFrame, cx) -> EthernetFrame:
     key = _source(payload)
     if key is None:
         return frame
-    return frame._replace(payload=payload._replace(seq=cx.seq(key, payload.seq),
-                                                   sent_at=payload.sent_at - cx.start))
+    return _moved(frame, payload, cx.seq(key, payload.seq), payload.sent_at - cx.start)
 
 
 def frame_shifted(frame: EthernetFrame, cx) -> EthernetFrame:
@@ -191,5 +200,5 @@ def frame_shifted(frame: EthernetFrame, cx) -> EthernetFrame:
     key = _source(payload)
     if key is None:
         return frame
-    return frame._replace(payload=payload._replace(seq=payload.seq + cx.seq_shift(key),
-                                                   sent_at=payload.sent_at + cx.shift_ns))
+    return _moved(frame, payload, payload.seq + cx.seq_shift(key),
+                  payload.sent_at + cx.shift_ns)

@@ -209,14 +209,16 @@ class MetricsSink:
         its seq step per cycle."""
         end = cx.marks[self] = len(self.records)
         if cx.prev is not None:
-            for rec in self.records[cx.prev.marks[self]:end]:
-                cx.flow_step(rec.flow)
+            for flow in {rec[0] for rec in self.records[cx.prev.marks[self]:end]}:
+                cx.flow_step(flow)
 
     def ff_shift(self, cx) -> None:
         """Store the last cycle's records as one block of the skipped cycles' copies."""
         start, end = cx.prev.marks[self], cx.marks[self]
         if start < end:
-            steps = tuple(cx.flow_step(rec.flow) for rec in self.records[start:end])
+            template = self.records[start:end]
+            step = {flow: cx.flow_step(flow) for flow in {rec[0] for rec in template}}
+            steps = tuple([step[rec[0]] for rec in template])
             self.repeats.append(Repeat(start, end, steps, cx.cycles, cx.period))
 
 

@@ -50,11 +50,11 @@ class EgressPort:
     when `_select` starts nothing, and `_select` cancels it first.
     """
 
+    # `_backlog` is derived from the queues
     FF_FIELDS = fields(
         static="sim name peer peer_port rate_bps propagation_ns queue_capacity shaper_enabled "
-               "_classes _tx_done",
-        normalised="total_reserved_bps reserved_streams transmitting_pcp _wakeup max_depth "
-                   "_backlog",
+               "_classes _tx_done _backlog",
+        normalised="total_reserved_bps reserved_streams transmitting_pcp _wakeup max_depth",
         shifted="queues shaped tx_busy_until _wire",
         counted="frames_sent dropped_overflow reservations_rejected")
 

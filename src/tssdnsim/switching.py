@@ -167,7 +167,8 @@ class SrTable:
     """One bridge's streams. The switch forwards and filters by its table; in
     SDN mode the controller keeps one for each switch, from the same messages."""
 
-    FF_FIELDS = fields(normalised="streams _by_group")
+    # the group index is derived from the streams
+    FF_FIELDS = fields(static="_by_group", normalised="streams")
 
     def __init__(self) -> None:
         self.streams: dict[StreamId, StreamRecord] = {}

@@ -318,6 +318,47 @@ def test_malformed_yaml_is_a_config_error_under_either_loader(
     assert "YAML parse error" in capsys.readouterr().err
 
 
+def test_a_run_again_into_an_out_directory_named_after_the_scenario_succeeds(
+        tmp_path, monkeypatch):
+    # the first run makes ./case_study_sdn; a directory is not a scenario
+    # file, so the second still finds the shipped scenario
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "--scenario", "case_study_sdn", "--until", "110ms", "--out", "case_study_sdn"]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert (tmp_path / "case_study_sdn" / "frames.csv").is_file()
+
+
+def test_a_directory_as_the_scenario_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="a directory"):
+        load_config(tmp_path)
+    assert main(["run", "--scenario", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    assert "scenario is a directory, not a file" in capsys.readouterr().err
+
+
+def test_a_scenario_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("name: café\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="latin1.yaml"):
+        load_config(path)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_an_unreadable_scenario_file_is_a_config_error(tmp_path, monkeypatch):
+    # a mode of 000 does not stop root, so the read itself is made to fail
+    path = tmp_path / "locked.yaml"
+    path.write_text("name: x\n")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    with pytest.raises(ConfigError, match="locked.yaml"):
+        load_config(path)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
 def test_a_run_imports_no_module_it_does_not_use(tmp_path):
     # by count, not time: each of these takes milliseconds to import, and a
     # run needs none; those the interpreter loads before the package do not count
