@@ -134,7 +134,7 @@ class ControlChannel:
         msg = self._to_switch.pop(0)
         sw = self.switch
         if isinstance(msg, MissActionUpdate):
-            sw.flow_table.miss_action = msg.action
+            sw.flow_table.set_miss_action(msg.action)
         elif isinstance(msg, FlowMod):
             sw.flow_table.install(msg.match, msg.priority, list(msg.actions))
             self.controller.flow_installs.append(

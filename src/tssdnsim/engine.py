@@ -53,7 +53,7 @@ class SimulationError(Exception):
 class Event:
     """A pending callback, made by `Simulator.schedule`, which sets every slot."""
 
-    __slots__ = ("fire_at", "seq", "callback", "label", "cancelled")
+    __slots__ = ("fire_at", "seq", "callback", "cancelled")
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -75,6 +75,8 @@ class Simulator:
         return self._now
 
     def schedule(self, fire_at: int, callback: Callable[[], None], label: str = "") -> Event:
+        """Dispatch `callback` at `fire_at`; `label`, if given, names it in the
+        error for a time in the past."""
         if fire_at < self._now:
             raise SimulationError(
                 f"scheduling in the past: fire_at={fire_at} < now={self._now} "
@@ -87,7 +89,6 @@ class Simulator:
         ev.fire_at = fire_at
         ev.seq = seq
         ev.callback = callback
-        ev.label = label
         ev.cancelled = False
         heappush(self._heap, (fire_at, seq, ev))
         return ev

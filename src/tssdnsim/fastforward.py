@@ -54,7 +54,22 @@ class attribute `FF_FIELDS` built by `fields()`:
   length: a period that comes round appends nothing, so a skip moves none
   of it;
 - counted: an integer that may grow; the skip adds k times its change over
-  the last period.
+  the last period, where it changed;
+- tracked: changed only by a few methods of its class, the mutators, each
+  of which adds one to the class's `changes`, a normalised int, when it
+  changes the field (a port counts the idle slopes of its credit states).
+  The snapshot compares the count and skips the contents. Within one run a
+  count only grows, so an equal count at two boundaries means that no
+  mutator ran between them, and the contents are the ones the earlier
+  snapshot saw: the comparison is sound by construction, as long as nothing
+  else writes the field. A call that changes nothing, such as a talker
+  advertise the table already holds, leaves the count, so a run that makes
+  it each period still repeats. This extends the rule for append-only logs,
+  whose count is their length. The flow tables, the SR tables and the
+  ports' reservations are tracked: only SRP and control messages change
+  them, so a snapshot's cost does not grow with the rules and streams set
+  up. The tests' reference snapshot copies the contents and checks that
+  equal counts come with equal contents.
 
 `Cycle.freeze` copies a normalised value by the kind of its type, which a
 table (`KINDS`) finds on the type's first sight and keeps:
@@ -78,11 +93,13 @@ table (`KINDS`) finds on the type's first sight and keeps:
   a value would be one live object in both snapshots, which would always
   compare equal, and a run would skip periods in which it changed.
 
-`Cycle.state_of` reads a model through its class's plan (`PLANS`), built on
-the class's first snapshot: the class's `ff_state` or None, and a getter of
-its normalised fields. It runs `ff_state` first, since a host registers its
-traffic sources there before anything is normalised against them, and then
-copies the fields.
+`Cycle.snapshot` reads each model through its class's plan (`PLANS`), built
+on the class's first snapshot: the class's `ff_state` or None, and a getter of
+its normalised fields. It runs every model's `ff_state` first, in order, since
+a host registers its traffic sources there before anything is normalised
+against them. It then copies every model's normalised fields into one flat
+list. A boundary object reads the same models by the same plans at each
+boundary, so two such lists compare field by field.
 
 A class without shifted fields may still define `ff_state`, to register on the
 cycle or to refuse the snapshot by raising `NotPeriodic`. The pending events
@@ -117,7 +134,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import compress
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, ne
 from typing import Callable, NamedTuple, Optional
 
 from .engine import Event
@@ -129,14 +146,16 @@ STATIC = "static"
 NORMALISED = "normalised"
 SHIFTED = "shifted"
 COUNTED = "counted"
+TRACKED = "tracked"
 
 
 def fields(static: str = "", normalised: str = "", shifted: str = "",
-           counted: str = "") -> dict:
+           counted: str = "", tracked: str = "") -> dict:
     """`FF_FIELDS` of a model class: field name -> kind, from space-separated names."""
     return {name: kind
             for kind, names in ((STATIC, static), (NORMALISED, normalised),
-                                (SHIFTED, shifted), (COUNTED, counted))
+                                (SHIFTED, shifted), (COUNTED, counted),
+                                (TRACKED, tracked))
             for name in names.split()}
 
 
@@ -170,6 +189,7 @@ class Cycle:
         self.period = period
         self.prev = prev                  # the snapshot at start - period, if taken
         self.cycles = 0                   # k, set when skipping
+        self.shift_ns = 0                 # k * period, set with k
         self.first_far: Optional[int] = None  # first pending event from start + period
         self.marks: dict = {}             # model -> what it keeps for its own shift
         self._owners = owners             # ids of the objects whose methods may be pending
@@ -177,10 +197,6 @@ class Cycle:
         self._flow_source: dict = {}      # recorded flow name -> source key
         self.state = None
         self.counts: list = []
-
-    @property
-    def shift_ns(self) -> int:
-        return self.cycles * self.period
 
     # -- traffic sources ----------------------------------------------------
 
@@ -229,13 +245,15 @@ class Cycle:
         kind = KINDS[type(value)]
         return value if kind is None else kind(self, value)
 
-    def state_of(self, model) -> tuple:
-        """A model object's normalised fields, frozen, and its own `ff_state`,
-        which runs first: a host registers its sources there."""
-        own_state, normalised = PLANS[type(model)]
-        own = None if own_state is None else own_state(model, self)
-        return tuple([value if (kind := KINDS[type(value)]) is None else kind(self, value)
-                      for value in normalised(model)]), own
+    def snapshot(self, plans: list) -> tuple:
+        """The state of the models that `plans` reads (see `model_plans`):
+        the result of each one's `ff_state`, which all run first, since a
+        host registers its sources there; then all of their normalised
+        fields, frozen, in one list."""
+        own = [own_state(model, self) for model, own_state, _ in plans
+               if own_state is not None]
+        return own, [value if (kind := KINDS[type(value)]) is None else kind(self, value)
+                     for model, _, normalised in plans for value in normalised(model)]
 
 
 # -- the freeze table -------------------------------------------------------
@@ -310,7 +328,7 @@ class _Kinds(dict):
 
 
 def plan(own_state, names) -> tuple:
-    """How `Cycle.state_of` reads a model class: its `ff_state` or None, and a
+    """How `Cycle.snapshot` reads a model class: its `ff_state` or None, and a
     function that returns the values of its normalised fields `names`."""
     return own_state, _getter(names)
 
@@ -327,6 +345,12 @@ class _Plans(dict):
 
 KINDS = _Kinds()
 PLANS = _Plans()
+
+
+def model_plans(models) -> list:
+    """(model, its `ff_state` or None, the getter of its normalised fields)
+    for each model, as `Cycle.snapshot` reads them."""
+    return [(model, *PLANS[type(model)]) for model in models]
 
 
 class Idle(NamedTuple):
@@ -385,7 +409,10 @@ class SteadyState:
         self.period = period
         self._models = models
         self._shifting = [m for m in models if SHIFTED in type(m).FF_FIELDS.values()]
-        self._counted = [(m, name) for m in models for name in _named(m, COUNTED)]
+        counted = [(m, name) for m in models for name in _named(m, COUNTED)]
+        # the model and the name of each counted field, one list each
+        self._counted = [m for m, _ in counted], [name for _, name in counted]
+        self._plans: Optional[list] = None   # `model_plans` of the models
         self._queues = [q for m in models for q in getattr(m, "queues", ())]
         self._indexed = list(enumerate(self._queues))   # (index, queue) per queue
         self._owners = frozenset(id(m) for m in models)
@@ -415,9 +442,10 @@ class SteadyState:
 
     def _stop(self, b: int, t_end: int) -> int:
         try:
-            key = hash(self._key(b))
+            events, queued = self._key(b)
         except NotPeriodic as exc:
             return self._back_off(b, str(exc))
+        key = hash((events, queued))
         for period, (cand_key, cand) in self._candidates.items():
             if cand.start + period == b:
                 del self._candidates[period]
@@ -430,7 +458,8 @@ class SteadyState:
         self._seen[key] = b
         if last is not None and b - last not in self._candidates:
             period = b - last
-            cand = self._idle(b, period)
+            # a live event pending before b + H is one before b + period
+            cand = None if events else self._idle(b, period)
             if cand is None:
                 cand = Cycle(b, period, None, self._owners)
                 try:
@@ -478,9 +507,11 @@ class SteadyState:
                               for i, q in compress(self._indexed, self._queues)])
 
     def _snapshot(self, cx: Cycle) -> None:
+        if self._plans is None:     # found at the first snapshot
+            self._plans = model_plans(self._models)
         self.snapshots += 1
-        cx.state = (self.sim.ff_state(cx), [cx.state_of(m) for m in self._models])
-        cx.counts = [getattr(m, name) for m, name in self._counted]
+        cx.state = self.sim.ff_state(cx), cx.snapshot(self._plans)
+        cx.counts = list(map(getattr, *self._counted))
 
     def _compare(self, prev: Cycle, b: int, t_end: int) -> int:
         """At b, one candidate period after `prev`: skip if the state came round."""
@@ -543,11 +574,14 @@ class SteadyState:
 
     def _skip(self, cx: Cycle, cycles: int) -> None:
         cx.cycles = cycles
+        cx.shift_ns = cycles * cx.period
         self.sim.ff_shift(cx)
         for model in self._shifting:
             model.ff_shift(cx)
-        for (model, name), now, before in zip(self._counted, cx.counts, cx.prev.counts):
-            setattr(model, name, now + cycles * (now - before))
+        models, names = self._counted
+        now, before = cx.counts, cx.prev.counts
+        for i in compress(range(len(now)), map(ne, now, before)):   # the counts that moved
+            setattr(models[i], names[i], now[i] + cycles * (now[i] - before[i]))
 
     def summary(self) -> Skipped:
         reason = self.reason

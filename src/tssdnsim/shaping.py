@@ -21,7 +21,10 @@ _HIGHEST = [backlog.bit_length() - 1 for backlog in range(1 << NUM_QUEUES)]
 
 
 class CreditState:
-    """CBS state for one shaped class; credit is in nanobits (bits * ns/s)."""
+    """CBS state for one shaped class; credit is in nanobits (bits * ns/s).
+
+    Its port's snapshot reads the credit and the last update in place, and
+    the port's `changes` counts each change of the idle slope."""
 
     __slots__ = ("idle_slope_bps", "credit", "last_update")
 
@@ -30,11 +33,8 @@ class CreditState:
         self.credit = credit
         self.last_update = last_update
 
-    FF_FIELDS = fields(normalised="idle_slope_bps credit",
+    FF_FIELDS = fields(tracked="idle_slope_bps", normalised="credit",
                        shifted="last_update")
-
-    def ff_state(self, cx) -> int:
-        return self.last_update - cx.start
 
     def ff_shift(self, cx) -> None:
         self.last_update += cx.shift_ns
@@ -48,13 +48,17 @@ class EgressPort:
     `_on_tx_done` clears it, so a port is idle exactly when it is None. A
     credit wakeup is pending only while the port is idle: it is scheduled
     when `_select` starts nothing, and `_select` cancels it first.
+
+    The reservations change only in `add_reservation`, which `srp.admit` and
+    `srp.release` both go through, and each call adds one to `changes`.
     """
 
     # `_backlog` is derived from the queues
     FF_FIELDS = fields(
         static="sim name peer peer_port rate_bps propagation_ns queue_capacity shaper_enabled "
                "_classes _tx_done _backlog",
-        normalised="total_reserved_bps reserved_streams transmitting_pcp _wakeup max_depth",
+        normalised="transmitting_pcp _wakeup max_depth changes",
+        tracked="total_reserved_bps reserved_streams",
         shifted="queues shaped tx_busy_until _wire",
         counted="frames_sent dropped_overflow reservations_rejected")
 
@@ -89,7 +93,9 @@ class EgressPort:
         self.frames_sent = 0
         self.dropped_overflow = 0
         self.reservations_rejected = 0      # counted by srp.admit
-        self.max_depth = [0] * NUM_QUEUES
+        # a tuple, which a snapshot keeps as it is; rewritten at a new maximum
+        self.max_depth = (0,) * NUM_QUEUES
+        self.changes = 0                    # of the reservations
 
     # -- reservations -----------------------------------------------------
 
@@ -98,6 +104,7 @@ class EgressPort:
         negative one when a reservation is released; called on SR-table changes."""
         now = self.sim._now
         self._update_credits(now)
+        self.changes += 1
         if not self.shaper_enabled:
             self.total_reserved_bps += bps
             return
@@ -128,7 +135,7 @@ class EgressPort:
         self._backlog |= 1 << pcp
         max_depth = self.max_depth
         if depth > max_depth[pcp]:
-            max_depth[pcp] = depth
+            self.max_depth = (*max_depth[:pcp], depth, *max_depth[pcp + 1:])
         if self.transmitting_pcp is None:     # idle
             self._select(self.sim._now)
         return True
@@ -247,18 +254,28 @@ class EgressPort:
     # -- steady-state fast-forward (see fastforward.py) --------------------
 
     def ff_state(self, cx) -> tuple:
-        return (tuple([tuple([frame_state(frame, cx) for frame in q]) if q else ()
+        """Each shaped class's credit and last update, read in place; then,
+        unless the port is idle, the frames queued and on the wire and the
+        time left of the transmission."""
+        start = cx.start
+        credits = tuple([(cs.credit, cs.last_update - start)
+                         for _, cs, _ in self._classes]) if self._classes else ()
+        if not (self._backlog or self._wire):
+            # nothing queued and nothing on the wire, so nothing is sending
+            return (credits,)
+        return (credits,
+                tuple([tuple([frame_state(frame, cx) for frame in q]) if q else ()
                        for q in (*self.queues, self._wire)]),
-                {pcp: cx.state_of(cs) for pcp, cs in self.shaped.items()},
                 # a transmission that ended by the boundary no longer matters
-                max(self.tx_busy_until - cx.start, 0))
+                max(self.tx_busy_until - start, 0))
 
     def ff_shift(self, cx) -> None:
-        for q in (*self.queues, self._wire):
-            if q:
-                moved = [frame_shifted(frame, cx) for frame in q]
-                q.clear()
-                q.extend(moved)
-        for cs in self.shaped.values():
+        if self._backlog or self._wire:
+            for q in (*self.queues, self._wire):
+                if q:
+                    moved = [frame_shifted(frame, cx) for frame in q]
+                    q.clear()
+                    q.extend(moved)
+        for _, cs, _ in self._classes:
             cs.ff_shift(cx)
         self.tx_busy_until += cx.shift_ns

@@ -52,6 +52,9 @@ def admit(port, advertise: SrpMessage) -> Optional[str]:
     in integers. Returns None when admitted, the reason otherwise; a rejection
     is also counted on the port, and fails the run's guarantee check. A stream
     admitted on a port is listed in its `reserved_streams` until `release`.
+    `admit` lists a stream right after `EgressPort.add_reservation`, and
+    `release` unlists it right before, so the port's change count covers
+    both (see fastforward.py).
     """
     new_bps = reserved_bps(advertise.max_frame_bytes, advertise.interval_ns)
     if 1000 * (port.total_reserved_bps + new_bps) > ADMISSION_PERMILLE * port.rate_bps:

@@ -96,30 +96,42 @@ class FlowEntry:
 
 
 class FlowTable:
-    """Highest priority wins; ties break toward the earliest-installed entry."""
+    """Highest priority wins; ties break toward the earliest-installed entry.
 
-    FF_FIELDS = fields(normalised="_entries _next_seq miss_action")
+    Only `install` and `set_miss_action` change the table, and each change
+    adds one to `changes`."""
+
+    FF_FIELDS = fields(normalised="changes", tracked="_entries _next_seq miss_action")
 
     def __init__(self) -> None:
         self._entries: list[FlowEntry] = []
         self._next_seq = 0
         self.miss_action: Action = Drop()
+        self.changes = 0
 
     @property
     def entries(self) -> list:
         return list(self._entries)
 
     def install(self, match: FlowMatch, priority: int, actions: list) -> FlowEntry:
+        actions = list(actions)
         for entry in self._entries:
             if entry.match == match and entry.priority == priority:
                 # same match: replace actions atomically, keep install order
-                entry.actions = list(actions)
+                if entry.actions != actions:
+                    entry.actions = actions
+                    self.changes += 1
                 return entry
-        entry = FlowEntry(match, priority, list(actions), self._next_seq)
+        entry = FlowEntry(match, priority, actions, self._next_seq)
         self._next_seq += 1
         self._entries.append(entry)
         self._entries.sort(key=lambda e: (-e.priority, e.install_seq))
+        self.changes += 1
         return entry
+
+    def set_miss_action(self, action: Action) -> None:
+        self.miss_action = action
+        self.changes += 1
 
     def lookup(self, frame: EthernetFrame, in_port: int) -> Optional[FlowEntry]:
         """The first entry whose match covers the frame: `FlowMatch.covers`,
@@ -165,14 +177,18 @@ class StreamRecord:
 
 class SrTable:
     """One bridge's streams. The switch forwards and filters by its table; in
-    SDN mode the controller keeps one for each switch, from the same messages."""
+    SDN mode the controller keeps one for each switch, from the same messages.
+
+    Only `register_talker` and `add_listener` change the streams, and each
+    change adds one to `changes`."""
 
     # the group index is derived from the streams
-    FF_FIELDS = fields(static="_by_group", normalised="streams")
+    FF_FIELDS = fields(static="_by_group", normalised="changes", tracked="streams")
 
     def __init__(self) -> None:
         self.streams: dict[StreamId, StreamRecord] = {}
         self._by_group: dict[tuple, StreamRecord] = {}
+        self.changes = 0
 
     def register_talker(self, msg: SrpMessage, port: int) -> str:
         """Record a talker; returns 'new', 'unchanged', 'changed' (a new
@@ -191,6 +207,7 @@ class SrTable:
             rec.descriptor = msg
             rec.talker_port = port
         self._by_group[(msg.dst_group, msg.vlan.vid)] = rec
+        self.changes += 1
         return status
 
     def add_listener(self, stream_id: StreamId, port: int) -> bool:
@@ -198,6 +215,7 @@ class SrTable:
         if port in rec.listener_ports:
             return False
         insort(rec.listener_ports, port)
+        self.changes += 1
         return True
 
     def lookup_group(self, dst: MacAddress, vid: Optional[int]) -> Optional[StreamRecord]:

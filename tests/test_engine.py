@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -73,10 +74,12 @@ def test_identical_runs_produce_identical_dispatch_logs():
     def build():
         sim = Simulator()
         log = []
-        sim.trace = lambda kind, time_ns, ev, _: log.append((kind, time_ns, ev.seq, ev.label))
+        # each callback names the event it was scheduled as
+        sim.trace = lambda kind, time_ns, ev, _: log.append((kind, time_ns, ev.seq,
+                                                             ev.callback.args))
         rng = random.Random(42)
         for i in range(300):
-            sim.schedule(rng.randrange(0, 5000), lambda: None, label=f"e{i}")
+            sim.schedule(rng.randrange(0, 5000), partial(str, f"e{i}"))
         sim.run_until(5000)
         return log
 

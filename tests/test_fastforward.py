@@ -18,7 +18,7 @@ from tssdnsim.cli import main, resolve_scenario
 from tssdnsim.config import load_config, parse_config
 from tssdnsim.control import ControlChannel, Controller
 from tssdnsim.engine import Event, Simulator
-from tssdnsim.fastforward import (COUNTED, NORMALISED, SHIFTED, STATIC, Cycle,
+from tssdnsim.fastforward import (COUNTED, NORMALISED, SHIFTED, STATIC, TRACKED, Cycle,
                                   NotPeriodic, SteadyState, fields)
 from tssdnsim.hosts import Host
 from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, MacAddress, SrpKind,
@@ -26,10 +26,10 @@ from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, MacAddress, SrpKind
 from tssdnsim.metrics import (FRAME_CSV_HEADER, FlowStats, LatencyRecord, MetricsSink,
                               Repeat, write_frame_csv)
 from tssdnsim.scenario import build_network, emit_outputs, run_scenario
-from tssdnsim.srp import CLASS_A
+from tssdnsim.srp import CLASS_A, admit, release
 from tssdnsim.shaping import CreditState, EgressPort
-from tssdnsim.switching import (Drop, FlowMatch, FlowTable, Output, SrTable, Switch,
-                                ToController)
+from tssdnsim.switching import (Drop, FlowEntry, FlowMatch, FlowTable, Output, SrTable,
+                                Switch, ToController)
 
 from conftest import records, workloads
 
@@ -99,6 +99,9 @@ EQUIVALENCE_CASES = [
     ("control-delay-1ms", _shipped("case_study_sdn", **{"control.one_way_delay": "1ms"}),
      "500ms", 30),
     *[(f"line{n}", workloads.line_scenario(n), "400ms", 30) for n in (1, 2, 3, 5, 8)],
+    # 16 flow tables, 32 SR tables and 17 reserving ports, each compared by
+    # its change count
+    ("line16", workloads.line_scenario(16), "600ms", 30),
     # 40 ms each way to the controller: the set-up is idle stretches between
     # control messages in flight, which are jumped, though their snapshots
     # differ by the times they hold; the listener ready comes at 1.38 s
@@ -501,6 +504,14 @@ def test_idle_stretches_with_messages_in_flight_are_jumped():
         "fast-forward: 2662 cycles of 500000 ns skipped, 1331000000 ns of simulated time")
 
 
+def test_a_line_of_16_switches_is_skipped_from_its_set_up_on():
+    result = run_scenario(parse_config(dict(workloads.line_scenario(16), run_until="600ms")))
+    assert result.skipped.line() == (
+        "fast-forward: 1160 cycles of 500000 ns skipped, 580000000 ns of simulated time")
+    assert result.skipped.snapshots == 2
+    assert (result.frame_csv_hash()[:16], result.sink.count) == ("9de5c1dd1a0f9cf6", 8_927)
+
+
 def test_a_period_confirmed_with_less_than_one_left_is_named(capsys, tmp_path):
     # the overload's 36 ms period is confirmed at 489 ms, 11 ms before the end
     assert main(["run", "--scenario", "fault_injection", "--until", "500ms",
@@ -548,10 +559,24 @@ def _cycle():
     return Cycle(0, P, None, frozenset())
 
 
+def _state_of(cx, model):
+    """A snapshot of one model."""
+    return cx.snapshot(fastforward.model_plans([model]))
+
+
+SID = StreamId(MacAddress.parse("02:00:00:00:00:01"), 1)
+
+
+def _advertise(frame_bytes=150, interval_ns=125_000):
+    return SrpMessage(SrpKind.TALKER_ADVERTISE, SID,
+                      MacAddress.parse("91:E0:F0:00:00:01"), VlanTag(2, 6), frame_bytes,
+                      interval_ns, "A")
+
+
 def _flow_table(miss_action):
     table = FlowTable()
     table.install(FlowMatch(in_port=1), 10, [Output([2])])
-    table.miss_action = miss_action
+    table.set_miss_action(miss_action)
     return table
 
 
@@ -562,10 +587,15 @@ def test_the_fieldless_actions_differ_and_freeze_by_their_type():
     assert cx.freeze(Drop()) == cx.freeze(Drop()) != cx.freeze(ToController())
 
 
-def test_flow_tables_that_differ_only_in_their_miss_action_freeze_apart():
+def test_a_flow_table_whose_miss_action_changed_snapshots_apart():
+    # a skip over a change of the miss action alone would forward the frames
+    # of the skipped periods by the old one
     cx = _cycle()
-    assert cx.state_of(_flow_table(Drop())) == cx.state_of(_flow_table(Drop()))
-    assert cx.state_of(_flow_table(Drop())) != cx.state_of(_flow_table(ToController()))
+    table = _flow_table(Drop())
+    before = _state_of(cx, table)
+    assert _state_of(cx, table) == before
+    table.set_miss_action(ToController())
+    assert _state_of(cx, table) != before
 
 
 def test_a_record_changed_after_a_snapshot_leaves_the_frozen_copy():
@@ -573,19 +603,78 @@ def test_a_record_changed_after_a_snapshot_leaves_the_frozen_copy():
     # changed table would pass as the state come round
     cx = _cycle()
     table = _flow_table(Drop())
-    frozen = cx.state_of(table)
+    frozen = _state_of(cx, table)
     table.install(FlowMatch(in_port=1), 10, [Output([3])])     # same entry, new actions
-    assert cx.state_of(table) != frozen
+    assert _state_of(cx, table) != frozen
 
-    sid = StreamId(MacAddress.parse("02:00:00:00:00:01"), 1)
     streams = SrTable()
-    streams.register_talker(SrpMessage(SrpKind.TALKER_ADVERTISE, sid,
-                                       MacAddress.parse("91:E0:F0:00:00:01"),
-                                       VlanTag(2, 6), 150, 125_000, "A"), 0)
-    streams.add_listener(sid, 1)
-    frozen = cx.state_of(streams)
-    streams.add_listener(sid, 2)                                # the same list, grown
-    assert cx.state_of(streams) != frozen
+    streams.register_talker(_advertise(), 0)
+    streams.add_listener(SID, 1)
+    frozen = _state_of(cx, streams)
+    streams.add_listener(SID, 2)                                # the same list, grown
+    assert _state_of(cx, streams) != frozen
+
+
+# -- the change counts of tracked fields --------------------------------------
+
+def _moves(model, change):
+    """Whether calling `change` moved the model's change count."""
+    before = model.changes
+    change()
+    return model.changes != before
+
+
+def test_a_flow_table_counts_each_install_that_changes_it():
+    table = FlowTable()
+    assert _moves(table, lambda: table.install(FlowMatch(in_port=1), 10, [Output([2])]))
+    # the same match and priority with other actions
+    assert _moves(table, lambda: table.install(FlowMatch(in_port=1), 10, [Output([3])]))
+    # the same rule again
+    assert not _moves(table, lambda: table.install(FlowMatch(in_port=1), 10, (Output([3]),)))
+    # another priority makes another entry
+    assert _moves(table, lambda: table.install(FlowMatch(in_port=1), 20, [Output([3])]))
+    assert len(table.entries) == 2
+
+
+def test_a_flow_table_counts_each_miss_action_set():
+    table = FlowTable()
+    assert _moves(table, lambda: table.set_miss_action(ToController()))
+    assert isinstance(table.miss_action, ToController)
+
+
+def test_an_sr_table_counts_each_talker_change_but_not_an_unchanged_advertise():
+    table = SrTable()
+    for advertise, port, status, moves in [
+            (_advertise(), 0, "new", True),
+            (_advertise(), 0, "unchanged", False),
+            (_advertise(300), 0, "changed", True),
+            (_advertise(300), 1, "moved", True)]:
+        statuses = []
+        assert _moves(table, lambda: statuses.append(table.register_talker(advertise, port))) \
+            is moves
+        assert statuses == [status]
+
+
+def test_an_sr_table_counts_each_new_listener_port_but_not_one_already_listed():
+    table = SrTable()
+    table.register_talker(_advertise(), 0)
+    assert _moves(table, lambda: table.add_listener(SID, 2))
+    assert not _moves(table, lambda: table.add_listener(SID, 2))
+    assert _moves(table, lambda: table.add_listener(SID, 1))
+    assert table.streams[SID].listener_ports == [1, 2]
+
+
+@pytest.mark.parametrize("shaper_enabled", [True, False], ids=["shaped", "unshaped"])
+def test_a_port_counts_each_reservation_change(shaper_enabled):
+    port = EgressPort(Simulator(), "p", None, 0, 100_000_000, 0, 8, shaper_enabled)
+    assert _moves(port, lambda: admit(port, _advertise()))
+    # a stream that was not admitted on the port
+    assert not _moves(port, lambda: release(port, StreamId(SID.talker, 2)))
+    assert _moves(port, lambda: release(port, SID))
+    assert (port.total_reserved_bps, port.reserved_streams) == (0, {})
+    # a refusal changes no reservation, and is counted as a rejection
+    assert not _moves(port, lambda: admit(port, _advertise(1500, 10_000)))
+    assert port.reservations_rejected == 1
 
 
 class Logger(Ticker):
@@ -674,33 +763,67 @@ class ReferenceCycle(Cycle):
                                           for name in slots)
         return value
 
-    def state_of(self, model):
-        own = model.ff_state(self) if hasattr(model, "ff_state") else None
-        return tuple(self.freeze(getattr(model, name))
-                     for name, kind in type(model).FF_FIELDS.items()
-                     if kind == NORMALISED), own
+    def snapshot(self, plans):
+        # each model's fields by name, not through its plan
+        models = [model for model, *_ in plans]
+        own = [model.ff_state(self) for model in models if hasattr(model, "ff_state")]
+        return own, [self.freeze(getattr(model, name)) for model in models
+                     for name, kind in type(model).FF_FIELDS.items() if kind == NORMALISED]
+
+    def tracked_of(self, model):
+        """The contents of a model's tracked fields, which a snapshot compares
+        by their change count; a port's include its credit states'."""
+        contents = tuple(self.freeze(getattr(model, name))
+                         for name, kind in type(model).FF_FIELDS.items() if kind == TRACKED)
+        if isinstance(model, EgressPort):
+            contents += ({pcp: self.tracked_of(cs) for pcp, cs in model.shaped.items()},)
+        return contents
 
 
 def _reference(boundary, ref):
-    """The reference's snapshot on cycle `ref`, with the counters and the
-    number of records, or the reason it is refused."""
+    """The reference's snapshot on cycle `ref`, with the counters, the number
+    of records and each tracked model's change count and contents, or the
+    reason it is refused."""
     try:
-        state = (boundary.sim.ff_state(ref), [ref.state_of(m) for m in boundary._models])
+        state = (boundary.sim.ff_state(ref),
+                 ref.snapshot([(m,) for m in boundary._models]))
     except NotPeriodic as exc:
         return str(exc)
-    return state, [getattr(m, name) for m, name in boundary._counted], \
-        [len(m.records) for m in boundary._models if isinstance(m, MetricsSink)]
+    return state, [getattr(m, name) for m, name in zip(*boundary._counted)], \
+        [len(m.records) for m in boundary._models if isinstance(m, MetricsSink)], \
+        [(m.changes, ref.tracked_of(m)) for m in boundary._models
+         if TRACKED in type(m).FF_FIELDS.values()]
 
 
 class Checked:
-    """What `checked_snapshots` found: one bool per snapshot and per idle jump."""
+    """What `checked_snapshots` found: one bool per snapshot and per idle
+    jump, and the change counts and contents of the tracked models at each
+    of the reference's snapshots."""
 
     def __init__(self):
         self.snapshots = []
         self.jumps = []
+        self.tracked = []
+
+    def counts_sound(self):
+        """Whether every two snapshots at which a model's change count is
+        equal find the same contents."""
+        first = {}      # (model's index, count) -> the contents first seen with it
+        for tracked in self.tracked:
+            for i, (count, contents) in enumerate(tracked):
+                if first.setdefault((i, count), contents) != contents:
+                    return False
+        return True
 
     def all_pass(self):
-        return bool(self.snapshots or self.jumps) and all(self.snapshots + self.jumps)
+        return bool(self.snapshots or self.jumps) and all(self.snapshots + self.jumps) \
+            and self.counts_sound()
+
+    def track(self, reference):
+        """Keep the tracked models' counts and contents of a `_reference`,
+        unless it was refused."""
+        if not isinstance(reference, str):
+            self.tracked.append(reference[3])
 
 
 @pytest.fixture
@@ -720,6 +843,7 @@ def checked_snapshots(monkeypatch):
 
     def checked_snapshot(self, cx):
         expected = _reference(self, ReferenceCycle(cx.start, cx.period, cx.prev, cx._owners))
+        checked.track(expected)
         if not isinstance(expected, str):
             expected = expected[0]
         try:
@@ -734,6 +858,7 @@ def checked_snapshots(monkeypatch):
         if found is not None:
             ref = ReferenceCycle(b, period, None, self._owners)
             at_start[found] = ref, _reference(self, ref)
+            checked.track(at_start[found][1])
         return found
 
     def checked_jump(self, cand, b, t_end):
@@ -741,6 +866,7 @@ def checked_snapshots(monkeypatch):
         ref_a, before = at_start.pop(cand)
         ref_b = ReferenceCycle(b, period, ref_a, self._owners)
         after = _reference(self, ref_b)
+        checked.track(after)
         again = _reference(self, ReferenceCycle(cand.start, period, None, self._owners))
         skipped = self.cycles_skipped
         stop = jump(self, cand, b, t_end)
@@ -769,6 +895,8 @@ SNAPSHOT_CASES = [case[:3] for case in EQUIVALENCE_CASES] + [
 @pytest.mark.parametrize("raw, until", [case[1:] for case in SNAPSHOT_CASES],
                          ids=[case[0] for case in SNAPSHOT_CASES])
 def test_every_snapshot_equals_the_generic_freeze(raw, until, checked_snapshots):
+    # and every two snapshots with a model's change count equal find its
+    # tracked fields equal
     raw = dict(raw, **({"run_until": until} if until else {}))
     run_scenario(parse_config(raw))
     assert checked_snapshots.all_pass(), vars(checked_snapshots)
@@ -783,6 +911,19 @@ def test_a_plan_that_drops_a_normalised_field_fails_the_reference(
     assert checked_snapshots.snapshots and not any(checked_snapshots.snapshots)
 
 
+def test_a_flow_table_written_around_its_count_fails_the_reference(
+        checked_snapshots, monkeypatch):
+    # the negative control: an install that writes the entries directly,
+    # and counts nothing, makes snapshots with equal counts and other rules
+    def install(self, match, priority, actions):
+        self._entries.append(FlowEntry(match, priority, list(actions), self._next_seq))
+        self._next_seq += 1
+
+    monkeypatch.setattr(FlowTable, "install", install)
+    run_scenario(load_config(resolve_scenario("case_study_sdn")))
+    assert checked_snapshots.tracked and not checked_snapshots.counts_sound()
+
+
 def test_a_jump_that_takes_every_candidate_for_idle_fails_the_reference(
         checked_snapshots, monkeypatch):
     # the negative control: with traffic pending, the steady state comes
@@ -794,6 +935,9 @@ def test_a_jump_that_takes_every_candidate_for_idle_fails_the_reference(
 
 GUARDED_CLASSES = (EgressPort, CreditState, Host, Switch, FlowTable, SrTable,
                    Controller, ControlChannel, MetricsSink)
+# a record that the model holding it snapshots and counts: the port reads
+# its credit states in place, and counts each change of their idle slopes
+HELD_BY = {CreditState: EgressPort}
 
 
 def test_every_model_field_is_classified_for_the_fast_forward():
@@ -814,12 +958,17 @@ def test_every_model_field_is_classified_for_the_fast_forward():
         # a record with `__slots__` has no `__dict__`: its slots are its fields
         names = cls.__slots__ if hasattr(cls, "__slots__") else vars(model)
         assert set(names) == set(kinds), cls.__name__
-        assert set(kinds.values()) <= {STATIC, NORMALISED, SHIFTED, COUNTED}
+        assert set(kinds.values()) <= {STATIC, NORMALISED, SHIFTED, COUNTED, TRACKED}
         if SHIFTED in kinds.values():
-            assert hasattr(cls, "ff_state") and hasattr(cls, "ff_shift"), cls.__name__
+            assert hasattr(cls, "ff_shift"), cls.__name__
+            assert hasattr(cls, "ff_state") or cls in HELD_BY, cls.__name__
+        if TRACKED in kinds.values():
+            # the count a snapshot compares instead of the contents
+            counter = HELD_BY.get(cls, cls)
+            assert counter.FF_FIELDS.get("changes") == NORMALISED, cls.__name__
         for name, kind in kinds.items():
             value = getattr(model, name)
-            if kind == COUNTED:
+            if kind == COUNTED or name == "changes":
                 assert isinstance(value, int), f"{cls.__name__}.{name}"
             if kind == NORMALISED:
                 # `Cycle.freeze` refuses a model, whose fields live in its
