@@ -150,6 +150,28 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+_EXPECTED = {dict: "a mapping", list: "a list", str: "a node name", bool: "true or false"}
+
+
+def _typed(value, kind: type, name: str):
+    """`value` if it is a `kind`; anything else is refused naming the field.
+    A bool must be a YAML boolean: bool() reads a quoted "false" as true."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name}: expected {_EXPECTED[kind]}, got {value!r}")
+    return value
+
+
+def _items(value, kind: type, name: str) -> list:
+    """The list section `name`, each of its items a `kind`."""
+    return [_typed(item, kind, f"{name}[{i}]")
+            for i, item in enumerate(_typed(value, list, name))]
+
+
+def _section(raw: dict, key: str, source: str) -> dict:
+    """The mapping section `key`, empty when absent."""
+    return _typed(raw.get(key, {}), dict, f"{source}: {key}")
+
+
 def _int(value, name: str, lo: int, hi: Optional[int] = None) -> int:
     """An integer in [lo, hi] (no upper limit when hi is None); anything else,
     a fraction included, is refused naming the field."""
@@ -201,26 +223,27 @@ def load_config(path) -> ScenarioConfig:
 
 def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
     name = raw.get("name", source)
-    sdn_enabled = bool(_require(raw, "sdn_enabled", source))
+    sdn_enabled = _typed(_require(raw, "sdn_enabled", source), bool,
+                         f"{source}: sdn_enabled")
     controller = raw.get("controller")
     if not sdn_enabled and controller is not None:
         raise ConfigError(f"{source}: sdn_enabled=false forbids a controller node")
     if sdn_enabled and controller is None:
         raise ConfigError(f"{source}: sdn_enabled=true requires a controller node")
 
-    clients = list(_require(raw, "clients", source))
-    switches = list(_require(raw, "switches", source))
+    clients = _items(_require(raw, "clients", source), str, f"{source}: clients")
+    switches = _items(_require(raw, "switches", source), str, f"{source}: switches")
     names = clients + switches
     if len(set(names)) != len(names):
         raise ConfigError(f"{source}: duplicate node names")
 
-    defaults = raw.get("defaults", {})
+    defaults = _section(raw, "defaults", source)
     default_rate = _int(defaults.get("link_rate_bps", 100_000_000),
                         f"{source}: defaults.link_rate_bps", 1)
     default_prop = parse_time_ns(defaults.get("propagation", 0), "defaults.propagation")
 
     links = []
-    for i, item in enumerate(_require(raw, "links", source)):
+    for i, item in enumerate(_items(_require(raw, "links", source), dict, f"{source}: links")):
         where = f"{source}: links[{i}]"
         a, b = _require(item, "a", where), _require(item, "b", where)
         for end in (a, b):
@@ -231,7 +254,7 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
                                 parse_time_ns(item.get("propagation", default_prop),
                                               f"{where}.propagation")))
 
-    control_raw = raw.get("control", {})
+    control_raw = _section(raw, "control", source)
     cfg = ScenarioConfig(
         name=name,
         sdn_enabled=sdn_enabled,
@@ -249,13 +272,14 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         ),
         # a queue that holds no frame drops every one
         queue_capacity=_int(raw.get("queue_capacity", 100), f"{source}: queue_capacity", 1),
-        shaper_enabled=bool(raw.get("shaper_enabled", True)),
+        shaper_enabled=_typed(raw.get("shaper_enabled", True), bool,
+                              f"{source}: shaper_enabled"),
         convergence_bound_ns=parse_time_ns(raw.get("convergence_bound", "10ms"),
                                            "convergence_bound"),
     )
 
     if "talker" in raw:
-        t = raw["talker"]
+        t = _section(raw, "talker", source)
         where = f"{source}: talker"
         node = _require(t, "node", where)
         if node not in clients:
@@ -289,7 +313,7 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
                                           f"{where}.advertise_at"),
         )
 
-    for i, item in enumerate(raw.get("listeners", [])):
+    for i, item in enumerate(_items(raw.get("listeners", []), dict, f"{source}: listeners")):
         where = f"{source}: listeners[{i}]"
         node = _require(item, "node", where)
         if node not in clients:
@@ -301,7 +325,7 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         cfg.listeners.append(node)
 
     if "cross_traffic" in raw:
-        c = raw["cross_traffic"]
+        c = _section(raw, "cross_traffic", source)
         where = f"{source}: cross_traffic"
         node = _require(c, "node", where)
         dst = _require(c, "dst_node", where)

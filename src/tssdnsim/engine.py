@@ -24,14 +24,13 @@ It sees every dispatch, so a traced run simulates every cycle.
 an object with `first_stop(now)` and `stop(b, t_end)`. Without a trace hook,
 `run_until` stops at each of its stops b before t_end, with every event before
 b dispatched and none at or after it; the boundary returns the next stop and
-may skip whole cycles of the model there (see `fastforward.py`). For that the
-engine normalises and moves its own state, the pending events: `ff_state` and
-`ff_shift`.
+may skip whole cycles of the model there (see `fastforward.py`), reading and
+moving the pending events itself.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 Trace = Callable[[str, int, object, object], None]
@@ -124,34 +123,3 @@ class Simulator:
             if trace is not None:
                 trace("dispatch", fire_at, ev, None)
             ev.callback()
-
-    # -- steady-state fast-forward (see fastforward.py) --------------------
-
-    def pending_before(self, horizon: int) -> list[Event]:
-        """The pending events that fire before `horizon`, in dispatch order."""
-        return [ev for _, _, ev in sorted(entry for entry in self._heap if entry[0] < horizon)
-                if not ev.cancelled]
-
-    def ff_state(self, cx) -> tuple:
-        """The pending events, normalised to the boundary `cx.start`.
-
-        Those before the next boundary compare by time relative to this one
-        and by owner and method, in dispatch order. Later ones compare as
-        they are: none of them may fire, appear or go in a skipped cycle.
-        """
-        horizon = cx.start + cx.period
-        near = cx.marks[self] = self.pending_before(horizon)
-        far = sorted((fire_at, seq) for fire_at, seq, ev in self._heap
-                     if fire_at >= horizon and not ev.cancelled)
-        cx.first_far = far[0][0] if far else None
-        return tuple((ev.fire_at - cx.start, cx.method(ev.callback)) for ev in near), tuple(far)
-
-    def ff_shift(self, cx) -> None:
-        """Move the events before the next boundary by the skipped cycles.
-
-        Their seqs stay: each was scheduled in the last cycle, after every
-        event beyond the boundary, as a full run's would have been."""
-        for ev in cx.marks[self]:
-            ev.fire_at += cx.shift_ns
-        self._heap[:] = [(ev.fire_at, ev.seq, ev) for _, _, ev in self._heap if not ev.cancelled]
-        heapify(self._heap)

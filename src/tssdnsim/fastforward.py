@@ -103,7 +103,10 @@ boundary, so two such lists compare field by field.
 
 A class without shifted fields may still define `ff_state`, to register on the
 cycle or to refuse the snapshot by raising `NotPeriodic`. The pending events
-are the engine's: `Simulator.ff_state` and `Simulator.ff_shift`.
+are read and moved here alone, in one walk per boundary: the key sorts and
+normalises the live ones before b + H, a snapshot at the same b reuses them
+and walks the heap only from b + H on, and a skip moves the ones before
+b + P and rebuilds the heap (`SteadyState._pending` and `_skip`).
 
 What is in flight is model state: a port's frames on the wire and a control
 channel's messages are FIFOs, and their delivery events are model methods. No
@@ -132,7 +135,9 @@ end moved by whole periods, would skip r, and the model keeps none.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
+from heapq import heapify
 from itertools import compress
 from operator import attrgetter, itemgetter, ne
 from typing import Callable, NamedTuple, Optional
@@ -183,16 +188,15 @@ def _method(callback, owners: frozenset) -> tuple:
 class Cycle:
     """One boundary b: what a snapshot is normalised against and a skip moves by."""
 
-    def __init__(self, start: int, period: int, prev: Optional["Cycle"],
-                 owners: frozenset) -> None:
+    def __init__(self, start: int, period: int, prev: Optional["Cycle"]) -> None:
         self.start = start
         self.period = period
         self.prev = prev                  # the snapshot at start - period, if taken
         self.cycles = 0                   # k, set when skipping
         self.shift_ns = 0                 # k * period, set with k
+        self.near: list = []              # live heap entries before start + period, sorted
         self.first_far: Optional[int] = None  # first pending event from start + period
         self.marks: dict = {}             # model -> what it keeps for its own shift
-        self._owners = owners             # ids of the objects whose methods may be pending
         self._seq_base: dict = {}         # source key -> its next sequence number
         self._flow_source: dict = {}      # recorded flow name -> source key
         self.state = None
@@ -234,11 +238,6 @@ class Cycle:
         if event is None or event.cancelled or event.fire_at < self.start:
             return None
         return event.fire_at - self.start
-
-    def method(self, callback) -> tuple:
-        """A pending callback as its owner and function; it must be a method
-        of a model object, whose state the snapshot covers."""
-        return _method(callback, self._owners)
 
     def freeze(self, value):
         """A value copy of a normalised field, untouched by later changes to it."""
@@ -416,6 +415,7 @@ class SteadyState:
         self._queues = [q for m in models for q in getattr(m, "queues", ())]
         self._indexed = list(enumerate(self._queues))   # (index, queue) per queue
         self._owners = frozenset(id(m) for m in models)
+        self._near: tuple = ([], ())  # the last key's live entries and their events
         self._seen: dict = {}        # hash of a boundary's key -> last boundary with it
         self._candidates: dict = {}  # period P -> (key hash, snapshot at its start)
         self._wait = 1
@@ -461,7 +461,7 @@ class SteadyState:
             # a live event pending before b + H is one before b + period
             cand = None if events else self._idle(b, period)
             if cand is None:
-                cand = Cycle(b, period, None, self._owners)
+                cand = Cycle(b, period, None)
                 try:
                     self._snapshot(cand)
                 except NotPeriodic as exc:
@@ -484,39 +484,61 @@ class SteadyState:
 
     def _key(self, b: int) -> tuple:
         """What equal states at b share: the pending events before b + H, as
-        their time relative to b and their owner's id and function, and the
-        frame sizes in each non-empty queue, by its index.
-
-        One pass builds the events, with no Python function called per
-        event. A callback that is not a method of a model fails it, and
-        `_method` then names that callback."""
+        `_events` normalises them, and the frame sizes in each non-empty
+        queue, by its index. A snapshot at b reuses the events (`_near`)."""
         horizon = b + self.period
-        near = sorted([entry for entry in self.sim._heap if entry[0] < horizon])
+        near = sorted([entry for entry in self.sim._heap
+                       if entry[0] < horizon and not entry[2].cancelled])
+        events = self._events(near, b)
+        self._near = near, events
+        return events, tuple([(i, tuple(map(FRAME_BYTES, q)))
+                              for i, q in compress(self._indexed, self._queues)])
+
+    def _events(self, entries: list, b: int) -> tuple:
+        """Live heap entries as pending events normalised to b: each one's
+        time relative to b, and its owner's id and function.
+
+        One pass builds them, with no Python function called per event. A
+        callback that is not a method of a model, whose state the snapshot
+        covers, fails it, and `_method` then names that callback."""
         owners = self._owners
         try:
             events = tuple([(fire_at - b, id((callback := ev.callback).__self__),
-                             callback.__func__)
-                            for fire_at, _, ev in near if not ev.cancelled])
-            known = owners.issuperset(map(OWNER_ID, events))
+                             callback.__func__) for fire_at, _, ev in entries])
+            if owners.issuperset(map(OWNER_ID, events)):
+                return events
         except AttributeError:      # not a bound method
-            known = False
-        if not known:
-            events = tuple([(fire_at - b, *_method(ev.callback, owners))
-                            for fire_at, _, ev in near if not ev.cancelled])
-        return events, tuple([(i, tuple(map(FRAME_BYTES, q)))
-                              for i, q in compress(self._indexed, self._queues)])
+            pass
+        return tuple([(fire_at - b, *_method(ev.callback, owners))
+                      for fire_at, _, ev in entries])
+
+    def _pending(self, cx: Cycle) -> tuple:
+        """The pending events at cx's boundary b: those before b + P as the
+        key there normalised the ones before b + H, in dispatch order, and
+        the later ones as (fire_at, seq), since none of them may fire, appear
+        or go in a skipped period. Keeps on cx the first ones, which a skip
+        moves, and when the first later one fires."""
+        b = cx.start
+        near, events = self._near
+        later = sorted([entry for entry in self.sim._heap
+                        if entry[0] >= b + self.period and not entry[2].cancelled])
+        split = bisect_left(later, (b + cx.period,))    # the first at or after b + P
+        cx.near = near + later[:split]
+        far = tuple([(fire_at, seq) for fire_at, seq, _ in later[split:]])
+        cx.first_far = far[0][0] if far else None
+        return events + self._events(later[:split], b), far
 
     def _snapshot(self, cx: Cycle) -> None:
         if self._plans is None:     # found at the first snapshot
             self._plans = model_plans(self._models)
         self.snapshots += 1
-        cx.state = self.sim.ff_state(cx), cx.snapshot(self._plans)
+        cx.state = self._pending(cx), cx.snapshot(self._plans)
         cx.counts = list(map(getattr, *self._counted))
 
     def _compare(self, prev: Cycle, b: int, t_end: int) -> int:
         """At b, one candidate period after `prev`: skip if the state came round."""
         period = prev.period
-        cx = Cycle(b, period, prev, self._owners)
+        cx = Cycle(b, period, prev)
         try:
             self._snapshot(cx)
         except NotPeriodic as exc:
@@ -575,7 +597,13 @@ class SteadyState:
     def _skip(self, cx: Cycle, cycles: int) -> None:
         cx.cycles = cycles
         cx.shift_ns = cycles * cx.period
-        self.sim.ff_shift(cx)
+        for _, _, ev in cx.near:
+            ev.fire_at += cx.shift_ns
+        # their seqs stay: each was scheduled in the last period, after every
+        # event beyond the boundary, as a full run's would have been
+        heap = self.sim._heap
+        heap[:] = [(ev.fire_at, ev.seq, ev) for _, _, ev in heap if not ev.cancelled]
+        heapify(heap)
         for model in self._shifting:
             model.ff_shift(cx)
         models, names = self._counted

@@ -206,19 +206,18 @@ class MetricsSink:
     def ff_state(self, cx) -> None:
         """Records are not compared: the last cycle's are what a skip repeats.
         Each must be of a flow with a registered source, whose counter gives
-        its seq step per cycle."""
-        end = cx.marks[self] = len(self.records)
+        its seq step per cycle; the steps are kept for the skip."""
+        end, step = len(self.records), {}
         if cx.prev is not None:
-            for flow in {rec[0] for rec in self.records[cx.prev.marks[self]:end]}:
-                cx.flow_step(flow)
+            step = {flow: cx.flow_step(flow)
+                    for flow in {rec[0] for rec in self.records[cx.prev.marks[self][0]:end]}}
+        cx.marks[self] = end, step
 
     def ff_shift(self, cx) -> None:
         """Store the last cycle's records as one block of the skipped cycles' copies."""
-        start, end = cx.prev.marks[self], cx.marks[self]
+        start, (end, step) = cx.prev.marks[self][0], cx.marks[self]
         if start < end:
-            template = self.records[start:end]
-            step = {flow: cx.flow_step(flow) for flow in {rec[0] for rec in template}}
-            steps = tuple([step[rec[0]] for rec in template])
+            steps = tuple([step[rec[0]] for rec in self.records[start:end]])
             self.repeats.append(Repeat(start, end, steps, cx.cycles, cx.period))
 
 

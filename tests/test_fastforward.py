@@ -231,7 +231,7 @@ def _sink_with_block(copies):
     template tie, and the frames before and after the block are faster."""
     sink = MetricsSink()
     sink.record("stream-1", 0, 100, 300)
-    prev = Cycle(P, P, None, frozenset())
+    prev = Cycle(P, P, None)
     prev.add_source("s", "stream-1", 1)
     prev.add_source("u", "udp", 0)
     sink.ff_state(prev)
@@ -240,7 +240,7 @@ def _sink_with_block(copies):
                 LatencyRecord("stream-1", 2, 1_400, 1_700)]
     for rec in template:
         sink.record(*rec)
-    cx = Cycle(2 * P, P, prev, frozenset())
+    cx = Cycle(2 * P, P, prev)
     cx.add_source("s", "stream-1", 1 + STEPS["stream-1"])
     cx.add_source("u", "udp", STEPS["udp"])
     sink.ff_state(cx)
@@ -351,12 +351,24 @@ def test_the_key_tells_apart_frame_sizes_and_the_queue_they_wait_in():
     assert key([small], []) != key([], [small])
 
 
+def _pending_before(sim, horizon):
+    """The live pending events that fire before `horizon`, in dispatch order,
+    by a walk of the heap of their own."""
+    return [ev for _, _, ev in sorted(entry for entry in sim._heap if entry[0] < horizon)
+            if not ev.cancelled]
+
+
+def _normalised(boundary, b, pending):
+    """Pending events as a key or snapshot at b holds them: one `_method`
+    call per event."""
+    return tuple((ev.fire_at - b, *fastforward._method(ev.callback, boundary._owners))
+                 for ev in pending)
+
+
 def _reference_key(boundary, b):
-    """The key as first written: `pending_before` and one `_method` call per
+    """The key as first written: `_pending_before` and one `_method` call per
     event, then every queue tested and its frames' sizes read by name."""
-    owners = boundary._owners
-    events = tuple((ev.fire_at - b, *fastforward._method(ev.callback, owners))
-                   for ev in boundary.sim.pending_before(b + boundary.period))
+    events = _normalised(boundary, b, _pending_before(boundary.sim, b + boundary.period))
     return events, tuple((i, tuple(map(attrgetter("frame_bytes"), q)))
                          for i, q in enumerate(boundary._queues) if q)
 
@@ -556,7 +568,7 @@ def test_a_scenario_without_a_source_reports_why_nothing_was_skipped():
 
 
 def _cycle():
-    return Cycle(0, P, None, frozenset())
+    return Cycle(0, P, None)
 
 
 def _state_of(cx, model):
@@ -780,12 +792,23 @@ class ReferenceCycle(Cycle):
         return contents
 
 
+def _reference_pending(boundary, ref):
+    """The pending events as the engine once normalised them, in one walk of
+    their own: those before the next boundary by `_pending_before` and one
+    `_method` call each, and the later ones as they are. Sets `first_far`."""
+    horizon = ref.start + ref.period
+    far = tuple(sorted((fire_at, seq) for fire_at, seq, ev in boundary.sim._heap
+                       if fire_at >= horizon and not ev.cancelled))
+    ref.first_far = far[0][0] if far else None
+    return _normalised(boundary, ref.start, _pending_before(boundary.sim, horizon)), far
+
+
 def _reference(boundary, ref):
     """The reference's snapshot on cycle `ref`, with the counters, the number
     of records and each tracked model's change count and contents, or the
     reason it is refused."""
     try:
-        state = (boundary.sim.ff_state(ref),
+        state = (_reference_pending(boundary, ref),
                  ref.snapshot([(m,) for m in boundary._models]))
     except NotPeriodic as exc:
         return str(exc)
@@ -842,7 +865,7 @@ def checked_snapshots(monkeypatch):
     at_start = {}       # Idle -> (its reference cycle, the reference's snapshot at a)
 
     def checked_snapshot(self, cx):
-        expected = _reference(self, ReferenceCycle(cx.start, cx.period, cx.prev, cx._owners))
+        expected = _reference(self, ReferenceCycle(cx.start, cx.period, cx.prev))
         checked.track(expected)
         if not isinstance(expected, str):
             expected = expected[0]
@@ -856,7 +879,7 @@ def checked_snapshots(monkeypatch):
     def checked_idle(self, b, period):
         found = idle(self, b, period)
         if found is not None:
-            ref = ReferenceCycle(b, period, None, self._owners)
+            ref = ReferenceCycle(b, period, None)
             at_start[found] = ref, _reference(self, ref)
             checked.track(at_start[found][1])
         return found
@@ -864,10 +887,10 @@ def checked_snapshots(monkeypatch):
     def checked_jump(self, cand, b, t_end):
         period = b - cand.start
         ref_a, before = at_start.pop(cand)
-        ref_b = ReferenceCycle(b, period, ref_a, self._owners)
+        ref_b = ReferenceCycle(b, period, ref_a)
         after = _reference(self, ref_b)
         checked.track(after)
-        again = _reference(self, ReferenceCycle(cand.start, period, None, self._owners))
+        again = _reference(self, ReferenceCycle(cand.start, period, None))
         skipped = self.cycles_skipped
         stop = jump(self, cand, b, t_end)
         cycles = (self.cycles_skipped - skipped) // (period // self.period)
@@ -922,6 +945,23 @@ def test_a_flow_table_written_around_its_count_fails_the_reference(
     monkeypatch.setattr(FlowTable, "install", install)
     run_scenario(load_config(resolve_scenario("case_study_sdn")))
     assert checked_snapshots.tracked and not checked_snapshots.counts_sound()
+
+
+@pytest.mark.parametrize("case", ["control-delay-1ms", "line8-control-40ms"])
+def test_a_snapshot_without_the_events_the_key_leaves_out_fails_the_reference(
+        case, checked_snapshots, monkeypatch):
+    # the negative control: a snapshot reuses the key's events before b + H
+    # and must add those from b + H to b + P, control messages in flight here
+    pending = SteadyState._pending
+
+    def short(self, cx):
+        events, far = pending(self, cx)
+        return events[:len(self._near[1])], far
+
+    monkeypatch.setattr(SteadyState, "_pending", short)
+    _, raw, until, _ = next(c for c in EQUIVALENCE_CASES if c[0] == case)
+    run_scenario(parse_config(dict(raw, run_until=until)))
+    assert checked_snapshots.snapshots and not all(checked_snapshots.snapshots)
 
 
 def test_a_jump_that_takes_every_candidate_for_idle_fails_the_reference(

@@ -228,7 +228,8 @@ def test_cli_refuses_traffic_values_the_model_cannot_run(tmp_path, capsys,
 # truncated a fraction, and values that load into a run that records nothing
 # useful: zero queue capacity drops every frame, a count below one sends
 # nothing, and a listener whose unique_id matches no talker never receives
-# the stream.
+# the stream. A switch that is not a YAML boolean was read by bool(), so a
+# quoted "false" ran the opposite of what the file says.
 BAD_SCENARIO_VALUES = [
     (("cross_traffic", "count"), "abc", "cross_traffic.count"),
     (("queue_capacity",), "x", "queue_capacity"),
@@ -241,6 +242,9 @@ BAD_SCENARIO_VALUES = [
     (("cross_traffic", "count"), -1, "cross_traffic.count"),
     (("listeners", 0, "unique_id"), 70000, "listeners[0].unique_id"),
     (("listeners", 0, "unique_id"), 2, "listeners[0].unique_id"),
+    (("shaper_enabled",), "false", "shaper_enabled"),
+    (("sdn_enabled",), "false", "sdn_enabled"),
+    (("shaper_enabled",), 0, "shaper_enabled"),
 ]
 BAD_SCENARIO_IDS = [f"{field}={value}" for _, value, field in BAD_SCENARIO_VALUES]
 
@@ -258,6 +262,34 @@ def test_cli_refuses_values_that_crash_or_make_a_run_useless(tmp_path, capsys,
     scenario.write_text(yaml.safe_dump(_case_study_set(path, value)))
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
+
+
+# A section of the wrong type, which crashed the loader with an AttributeError
+# or a TypeError: a list section that is not a list, an item of one that is
+# not what it lists, and a mapping section that is not a mapping.
+WRONG_TYPE_SECTIONS = [
+    ("control", "25us", "control"),
+    ("defaults", 5, "defaults"),
+    ("talker", 5, "talker"),
+    ("cross_traffic", ["node"], "cross_traffic"),
+    ("clients", 5, "clients"),
+    ("switches", "switch0", "switches"),
+    ("clients", [["client0"], "client1"], "clients[0]"),
+    ("listeners", None, "listeners"),
+    ("links", ["abc"], "links[0]"),
+    ("listeners", ["mynode"], "listeners[0]"),
+]
+
+
+@pytest.mark.parametrize("section, value, field", WRONG_TYPE_SECTIONS,
+                         ids=[f"{section}={value!r}" for section, value, _ in WRONG_TYPE_SECTIONS])
+def test_a_section_of_the_wrong_type_is_a_config_error(tmp_path, capsys, section, value,
+                                                       field):
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(yaml.safe_dump(_case_study_set((section,), value)))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{field}: expected" in err and err.startswith("config error:")
 
 
 def test_duplicate_node_names_rejected():
