@@ -236,6 +236,13 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
     names = clients + switches
     if len(set(names)) != len(names):
         raise ConfigError(f"{source}: duplicate node names")
+    if controller is not None:
+        # a node of its own, beside the clients and the switches
+        _typed(controller, str, f"{source}: controller")
+        for kind, nodes in (("client", clients), ("switch", switches)):
+            if controller in nodes:
+                raise ConfigError(f"{source}: controller: {controller!r} is already "
+                                  f"the name of a {kind}")
 
     defaults = _section(raw, "defaults", source)
     default_rate = _int(defaults.get("link_rate_bps", 100_000_000),

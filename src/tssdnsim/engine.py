@@ -3,12 +3,22 @@
 All simulation time is integer nanoseconds; there is no floating-point time
 anywhere, so two runs of the same configuration replay bit-identically.
 
+A pending event is a heap entry, the list `[fire_at, seq, callback]`, and
+nothing more: the heap orders entries by time, then by the order they were
+scheduled in. `schedule` pushes the entry and returns it. Cancelling sets its
+callback to None, and the loop drops such an entry before the trace hook
+and the callback could see it. Only `timer` hands out a handle that can
+cancel (`Event`), for the three callbacks a model may call off: a port's
+credit wakeup, a talker's listener-ready timeout and a host's ARP retry.
+This module and `fastforward.py` are the only ones that read entries.
+
 `Simulator.trace` is the one observation point of a run. It is None by
 default, which costs one `is not None` check per event and per transmission.
 A callable attached before `run_until` is called as `trace(kind, time_ns,
 subject, detail)`:
 
-- `("dispatch", fire_at, event, None)` just before each event's callback runs;
+- `("dispatch", fire_at, entry, None)` just before each live event's callback
+  runs; the entry still carries its seq and its callback;
 - `("tx", start_ns, port, frame)` when an `EgressPort` starts serializing a
   frame; `port.tx_busy_until` then holds the transmission's end.
 
@@ -17,7 +27,8 @@ A transmission over a link without propagation delay costs one dispatch:
 frees the port. A link with propagation delay adds a separate delivery event,
 `EgressPort._deliver`, scheduled when the transmission starts.
 
-The hook only observes: it must not schedule events or change model state.
+The hook only observes: it must not schedule events, change the entry it is
+handed or change model state.
 It sees every dispatch, so a traced run simulates every cycle.
 
 `Simulator.boundary` is the other attachment, and the engine knows it only as
@@ -40,22 +51,26 @@ NS_PER_S = 1_000_000_000
 _new = object.__new__
 
 
-def serialization_ns(wire_bytes: int, rate_bps: int) -> int:
-    """How long `wire_bytes` take to serialize at `rate_bps`, rounded down."""
-    return wire_bytes * 8 * NS_PER_S // rate_bps
-
-
 class SimulationError(Exception):
     """A model bug or fatal configuration error (e.g. scheduling in the past)."""
 
 
 class Event:
-    """A pending callback, made by `Simulator.schedule`, which sets every slot."""
+    """A handle that can cancel one pending event, made by `Simulator.timer`."""
 
-    __slots__ = ("fire_at", "seq", "callback", "cancelled")
+    __slots__ = ("entry",)      # the event's heap entry
+
+    @property
+    def fire_at(self) -> int:
+        return self.entry[0]
+
+    @property
+    def cancelled(self) -> bool:
+        return self.entry[2] is None
 
     def cancel(self) -> None:
-        self.cancelled = True
+        """Never dispatch the event; one that already fired is not affected."""
+        self.entry[2] = None
 
 
 class Simulator:
@@ -64,7 +79,7 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[list] = []     # entries [fire_at, seq, callback or None]
         self.trace: Optional[Trace] = None
         # what run_until stops at: a `fastforward.SteadyState`, attached by
         # `scenario.build_network`
@@ -73,9 +88,9 @@ class Simulator:
     def now(self) -> int:
         return self._now
 
-    def schedule(self, fire_at: int, callback: Callable[[], None], label: str = "") -> Event:
-        """Dispatch `callback` at `fire_at`; `label`, if given, names it in the
-        error for a time in the past."""
+    def schedule(self, fire_at: int, callback: Callable[[], None], label: str = "") -> list:
+        """Dispatch `callback` at `fire_at`, and return its heap entry; `label`,
+        if given, names it in the error for a time in the past."""
         if fire_at < self._now:
             raise SimulationError(
                 f"scheduling in the past: fire_at={fire_at} < now={self._now} "
@@ -83,17 +98,19 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        # no `__init__`: a class call runs one from C, in a frame of its own
-        ev = _new(Event)
-        ev.fire_at = fire_at
-        ev.seq = seq
-        ev.callback = callback
-        ev.cancelled = False
-        heappush(self._heap, (fire_at, seq, ev))
-        return ev
+        entry = [fire_at, seq, callback]
+        heappush(self._heap, entry)
+        return entry
 
-    def schedule_in(self, delay: int, callback: Callable[[], None]) -> Event:
+    def schedule_in(self, delay: int, callback: Callable[[], None]) -> list:
         return self.schedule(self._now + delay, callback)
+
+    def timer(self, fire_at: int, callback: Callable[[], None]) -> Event:
+        """`schedule`, with a handle that can cancel the event."""
+        # no `__init__`: a class call runs one from C, in a frame of its own
+        handle = _new(Event)
+        handle.entry = self.schedule(fire_at, callback)
+        return handle
 
     def run_until(self, t_end: int) -> None:
         """Dispatch every event with fire_at <= t_end, then set the clock to t_end.
@@ -116,10 +133,10 @@ class Simulator:
         heap = self._heap
         trace = self.trace
         while heap and heap[0][0] <= last:
-            fire_at, _, ev = heappop(heap)
-            if ev.cancelled:
+            fire_at, _, callback = entry = heappop(heap)
+            if callback is None:        # cancelled
                 continue
             self._now = fire_at
             if trace is not None:
-                trace("dispatch", fire_at, ev, None)
-            ev.callback()
+                trace("dispatch", fire_at, entry, None)
+            callback()

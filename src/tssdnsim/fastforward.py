@@ -79,8 +79,9 @@ table (`KINDS`) finds on the type's first sight and keeps:
   `NamedTuple`s among them. A copied container keeps such an item without
   a call;
 - copied: a dict as a dict of its values' copies, a list as a tuple of its
-  items' copies, a set as a frozenset, an `Event` as its time relative to b
-  (`Cycle.event`), and a record with `__slots__` and no `__dict__` as its type
+  items' copies, a set as a frozenset, an `Event` (a model's handle on a
+  pending event) as the time of its entry relative to b (`Cycle.event`),
+  and a record with `__slots__` and no `__dict__` as its type
   followed by the copy of each slot's value, the class's own slots first,
   then its bases'.
   Such a record may be assigned to, and most compare by identity, so a
@@ -103,10 +104,13 @@ boundary, so two such lists compare field by field.
 
 A class without shifted fields may still define `ff_state`, to register on the
 cycle or to refuse the snapshot by raising `NotPeriodic`. The pending events
-are read and moved here alone, in one walk per boundary: the key sorts and
-normalises the live ones before b + H, a snapshot at the same b reuses them
-and walks the heap only from b + H on, and a skip moves the ones before
-b + P and rebuilds the heap (`SteadyState._pending` and `_skip`).
+are read and moved here alone, as the engine's heap entries `[fire_at, seq,
+callback]` (None for a cancelled one), in one walk per boundary: the key
+sorts and normalises the live ones before b + H, a snapshot at the same b
+reuses them and walks the heap only from b + H on, and a skip moves the
+ones before b + P in place, so a model's `Event` handle on one sees its new
+time, and rebuilds the heap without the cancelled ones
+(`SteadyState._pending` and `_skip`).
 
 What is in flight is model state: a port's frames on the wire and a control
 channel's messages are FIFOs, and their delivery events are model methods. No
@@ -235,9 +239,12 @@ class Cycle:
     def event(self, event: Optional[Event]) -> Optional[int]:
         """An event a model refers to: its time relative to b, or None when it
         can no longer fire."""
-        if event is None or event.cancelled or event.fire_at < self.start:
+        if event is None:
             return None
-        return event.fire_at - self.start
+        fire_at, _, callback = event.entry
+        if callback is None or fire_at < self.start:
+            return None
+        return fire_at - self.start
 
     def freeze(self, value):
         """A value copy of a normalised field, untouched by later changes to it."""
@@ -479,8 +486,8 @@ class SteadyState:
 
     def _first_live(self) -> Optional[int]:
         """When the first pending event that is not cancelled fires, if any."""
-        return min([fire_at for fire_at, _, ev in self.sim._heap if not ev.cancelled],
-                   default=None)
+        return min([fire_at for fire_at, _, callback in self.sim._heap
+                    if callback is not None], default=None)
 
     def _key(self, b: int) -> tuple:
         """What equal states at b share: the pending events before b + H, as
@@ -488,7 +495,7 @@ class SteadyState:
         queue, by its index. A snapshot at b reuses the events (`_near`)."""
         horizon = b + self.period
         near = sorted([entry for entry in self.sim._heap
-                       if entry[0] < horizon and not entry[2].cancelled])
+                       if entry[0] < horizon and entry[2] is not None])
         events = self._events(near, b)
         self._near = near, events
         return events, tuple([(i, tuple(map(FRAME_BYTES, q)))
@@ -503,14 +510,14 @@ class SteadyState:
         covers, fails it, and `_method` then names that callback."""
         owners = self._owners
         try:
-            events = tuple([(fire_at - b, id((callback := ev.callback).__self__),
-                             callback.__func__) for fire_at, _, ev in entries])
+            events = tuple([(fire_at - b, id(callback.__self__), callback.__func__)
+                            for fire_at, _, callback in entries])
             if owners.issuperset(map(OWNER_ID, events)):
                 return events
         except AttributeError:      # not a bound method
             pass
-        return tuple([(fire_at - b, *_method(ev.callback, owners))
-                      for fire_at, _, ev in entries])
+        return tuple([(fire_at - b, *_method(callback, owners))
+                      for fire_at, _, callback in entries])
 
     def _pending(self, cx: Cycle) -> tuple:
         """The pending events at cx's boundary b: those before b + P as the
@@ -521,8 +528,8 @@ class SteadyState:
         b = cx.start
         near, events = self._near
         later = sorted([entry for entry in self.sim._heap
-                        if entry[0] >= b + self.period and not entry[2].cancelled])
-        split = bisect_left(later, (b + cx.period,))    # the first at or after b + P
+                        if entry[0] >= b + self.period and entry[2] is not None])
+        split = bisect_left(later, [b + cx.period])     # the first at or after b + P
         cx.near = near + later[:split]
         far = tuple([(fire_at, seq) for fire_at, seq, _ in later[split:]])
         cx.first_far = far[0][0] if far else None
@@ -597,12 +604,13 @@ class SteadyState:
     def _skip(self, cx: Cycle, cycles: int) -> None:
         cx.cycles = cycles
         cx.shift_ns = cycles * cx.period
-        for _, _, ev in cx.near:
-            ev.fire_at += cx.shift_ns
-        # their seqs stay: each was scheduled in the last period, after every
-        # event beyond the boundary, as a full run's would have been
+        # in place, so that a model's handle on one sees its new time; their
+        # seqs stay: each was scheduled in the last period, after every event
+        # beyond the boundary, as a full run's would have been
+        for entry in cx.near:
+            entry[0] += cx.shift_ns
         heap = self.sim._heap
-        heap[:] = [(ev.fire_at, ev.seq, ev) for _, _, ev in heap if not ev.cancelled]
+        heap[:] = [entry for entry in heap if entry[2] is not None]
         heapify(heap)
         for model in self._shifting:
             model.ff_shift(cx)

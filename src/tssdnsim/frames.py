@@ -158,10 +158,6 @@ def make_frame(src: MacAddress, dst: MacAddress, payload: Payload,
     return _tuple_new(EthernetFrame, (src, dst, vlan, payload, frame_bytes))
 
 
-def wire_size(frame: EthernetFrame) -> int:
-    return frame.frame_bytes + WIRE_OVERHEAD_BYTES
-
-
 # -- steady-state fast-forward (see fastforward.py) ------------------------
 
 

@@ -69,8 +69,8 @@ class Host(Node):
         self.talker = cfg
         self.stream_id = StreamId(self.mac, cfg.unique_id)
         self.sim.schedule(cfg.advertise_at_ns, self._advertise)
-        self._lr_timeout = self.sim.schedule(cfg.advertise_at_ns + LR_TIMEOUT_NS,
-                                             self._lr_timed_out)
+        self._lr_timeout = self.sim.timer(cfg.advertise_at_ns + LR_TIMEOUT_NS,
+                                          self._lr_timed_out)
 
     def run_listener(self, unique_id: int) -> None:
         self.streams_listened[unique_id] = stream_flow(unique_id)
@@ -122,8 +122,14 @@ class Host(Node):
         frame = make_frame(self.mac, BROADCAST,
                            ArpMessage(ArpKind.REQUEST, cfg.dst_node), ARP_FRAME_BYTES)
         self.ports[0].enqueue(frame)
-        self._arp_retry_event = self.sim.schedule_in(ARP_RETRY_INTERVAL_NS,
-                                                     self._send_arp_request)
+        sim = self.sim
+        self._arp_retry_event = sim.timer(sim._now + ARP_RETRY_INTERVAL_NS,
+                                          self._send_arp_request)
+
+    @property
+    def arp_given_up(self) -> bool:
+        """Whether the UDP source gave up on ARP, so that it never sends."""
+        return self._arp_tries > ARP_RETRIES and self._arp_retry_event is None
 
     def _send_udp_frame(self) -> None:
         cfg = self.cross

@@ -34,6 +34,7 @@ class RunResult(NamedTuple):
     scheduled_ports: Optional[int]
     skipped: Skipped
     rejected_ports: tuple     # names of the ports that rejected a reservation
+    arp_given_up: tuple       # names of the hosts whose UDP source gave up on ARP
 
     @property
     def traffic_start_ns(self) -> Optional[int]:
@@ -49,8 +50,10 @@ class RunResult(NamedTuple):
 
     def check_guarantee(self) -> GuaranteeResult:
         """The sink's latency check; a rejected reservation fails it whatever
-        the latencies, since the stream then ran unreserved. Without a talker
-        and a listener there is no stream, and so no bound to check."""
+        the latencies, since the stream then ran unreserved, and so does a
+        host that gave up on ARP, since the cross traffic it was to send never
+        met the stream. Without a talker and a listener there is no stream,
+        and so no bound to check."""
         cfg = self.config
         if cfg.talker is None:
             return GuaranteeResult(False, None, None, "no talker configured")
@@ -61,9 +64,12 @@ class RunResult(NamedTuple):
                                    f"listener {cfg.talker.node} is the talker's node")
         result = self.sink.check_guarantee(SR_CLASSES[cfg.talker.sr_class],
                                            self.scheduled_ports)
-        if self.rejected_ports:
-            return result._replace(passed=False, reason="reservation rejected on "
-                                                   + ", ".join(self.rejected_ports))
+        failures = ["reservation rejected on " + ", ".join(self.rejected_ports)] \
+            if self.rejected_ports else []
+        failures += [f"{host} gave up on ARP: its cross traffic never started"
+                     for host in self.arp_given_up]
+        if failures:
+            return result._replace(passed=False, reason="; ".join(failures))
         return result
 
     def frame_csv_hash(self) -> str:
@@ -187,6 +193,7 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
         scheduled_ports=scheduled_ports,
         rejected_ports=tuple(port.name for node in (*hosts.values(), *switches.values())
                              for port in node.ports if port.reservations_rejected),
+        arp_given_up=tuple(name for name, host in hosts.items() if host.arp_given_up),
         skipped=(sim.boundary.summary() if sim.boundary is not None
                  else Skipped(0, None, reason="no periodic traffic source")),
     )

@@ -197,7 +197,7 @@ class EgressPort:
         if not q:
             self._backlog ^= 1 << pcp
         sim = self.sim
-        # engine.serialization_ns of the frame's wire size
+        # the frame's wire size, serialized at the port's rate, rounded down
         tx_end = now + (frame.frame_bytes + WIRE_OVERHEAD_BYTES) * _BYTE_NS // self.rate_bps
         self.transmitting_pcp = pcp
         self.tx_busy_until = tx_end
@@ -241,7 +241,7 @@ class EgressPort:
                 if wake_at is None or t < wake_at:
                     wake_at = t
         if wake_at is not None:
-            self._wakeup = self.sim.schedule(wake_at, self._on_wakeup)
+            self._wakeup = self.sim.timer(wake_at, self._on_wakeup)
 
     def _on_wakeup(self) -> None:
         self._wakeup = None

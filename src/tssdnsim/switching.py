@@ -24,7 +24,8 @@ class FlowMatch:
     """The five Table-1 match fields; a None field is a wildcard.
 
     A value, equal to any match of the same fields, and never assigned to:
-    not a tuple, since `covers` reads slots faster than tuple fields."""
+    not a tuple, since `FlowTable.lookup` reads slots faster than tuple
+    fields."""
 
     __slots__ = ("in_port", "eth_dst", "eth_src", "vlan_vid", "vlan_pcp")
 
@@ -45,19 +46,6 @@ class FlowMatch:
 
     def __hash__(self) -> int:
         return hash(self._key())
-
-    def covers(self, frame: EthernetFrame, in_port: int) -> bool:
-        if self.in_port is not None and self.in_port != in_port:
-            return False
-        if self.eth_dst is not None and self.eth_dst != frame.dst:
-            return False
-        if self.eth_src is not None and self.eth_src != frame.src:
-            return False
-        if self.vlan_vid is not None and (frame.vlan is None or frame.vlan.vid != self.vlan_vid):
-            return False
-        if self.vlan_pcp is not None and (frame.vlan is None or frame.vlan.pcp != self.vlan_pcp):
-            return False
-        return True
 
 
 class Output(NamedTuple("Output", [("ports", tuple)])):
@@ -134,8 +122,9 @@ class FlowTable:
         self.changes += 1
 
     def lookup(self, frame: EthernetFrame, in_port: int) -> Optional[FlowEntry]:
-        """The first entry whose match covers the frame: `FlowMatch.covers`,
-        written out here to save a call per entry."""
+        """The first entry whose match covers the frame, arriving on
+        `in_port`: each match field it sets equals the frame's. The fields
+        are tested in one loop, with no call per entry."""
         src, dst, vlan = frame.src, frame.dst, frame.vlan
         for entry in self._entries:
             match = entry.match

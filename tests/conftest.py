@@ -9,7 +9,7 @@ import pytest
 from tssdnsim.config import load_config
 from tssdnsim.cli import resolve_scenario
 from tssdnsim.engine import Simulator
-from tssdnsim.frames import MacAddress
+from tssdnsim.frames import WIRE_OVERHEAD_BYTES, MacAddress
 from tssdnsim.metrics import LatencyRecord
 from tssdnsim.network import Node, connect
 from tssdnsim.scenario import run_scenario
@@ -41,6 +41,12 @@ _spec.loader.exec_module(workloads)
 
 def mac(text):
     return MacAddress.parse(text)
+
+
+def wire_size(frame):
+    """The bytes a frame takes on the wire: its own, plus preamble, start
+    delimiter and inter-frame gap."""
+    return frame.frame_bytes + WIRE_OVERHEAD_BYTES
 
 
 def records(sink):

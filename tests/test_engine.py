@@ -3,13 +3,19 @@ from functools import partial
 
 import pytest
 
-from tssdnsim.engine import SimulationError, Simulator, serialization_ns
+from tssdnsim.engine import NS_PER_S, SimulationError, Simulator
 from tssdnsim.frames import UdpDatagram, make_frame
 
-from conftest import Recorder, mac, wire
+from conftest import Recorder, mac, wire, wire_size
 
 US = 1_000
 MS = 1_000_000
+
+
+def serialization_ns(wire_bytes, rate_bps):
+    """How long `wire_bytes` take to serialize at `rate_bps`, rounded down:
+    the reference for a port's transmission times."""
+    return wire_bytes * 8 * NS_PER_S // rate_bps
 
 
 def test_equal_time_events_dispatch_in_insertion_order():
@@ -75,8 +81,8 @@ def test_identical_runs_produce_identical_dispatch_logs():
         sim = Simulator()
         log = []
         # each callback names the event it was scheduled as
-        sim.trace = lambda kind, time_ns, ev, _: log.append((kind, time_ns, ev.seq,
-                                                             ev.callback.args))
+        sim.trace = lambda kind, time_ns, entry, _: log.append((kind, time_ns, entry[1],
+                                                                entry[2].args))
         rng = random.Random(42)
         for i in range(300):
             sim.schedule(rng.randrange(0, 5000), partial(str, f"e{i}"))
@@ -95,6 +101,54 @@ def test_serialization_arithmetic_64_bytes():
 
 def test_serialization_arithmetic_max_frame():
     assert serialization_ns(1542, 100_000_000) == 123_360
+
+
+@pytest.mark.parametrize("frame_bytes, rate_bps", [(64, 100_000_000), (1522, 100_000_000),
+                                                   (333, 13_000_000), (150, 1_000_000_000)])
+def test_a_port_serializes_a_frame_for_its_wire_size_at_the_link_rate(frame_bytes, rate_bps):
+    sim = Simulator()
+    a, b = Recorder(sim, "a"), Recorder(sim, "b")
+    wire(sim, a, b, rate_bps=rate_bps)
+    frame = make_frame(mac("02:00:00:00:00:01"), mac("02:00:00:00:00:02"),
+                       UdpDatagram(0, 0, "a", "b"), frame_bytes)
+    a.ports[0].enqueue(frame)
+    assert a.ports[0].tx_busy_until == serialization_ns(wire_size(frame), rate_bps)
+    sim.run_until(1 * MS)
+    assert b.received == [(serialization_ns(wire_size(frame), rate_bps), 0, frame)]
+
+
+def test_a_cancelled_timer_is_neither_dispatched_nor_traced():
+    sim = Simulator()
+    fired, traced = [], []
+    sim.trace = lambda kind, time_ns, entry, _: traced.append((time_ns, entry[2]))
+    keep = partial(fired.append, "kept")
+    sim.schedule(10, keep)
+    timer = sim.timer(10, partial(fired.append, "cancelled"))
+    sim.schedule(20, keep)
+    assert (timer.fire_at, timer.cancelled) == (10, False)
+    timer.cancel()
+    assert (timer.fire_at, timer.cancelled) == (10, True)
+    sim.run_until(100)
+    assert fired == ["kept", "kept"]
+    assert traced == [(10, keep), (20, keep)]
+    assert sim._heap == []
+
+
+def test_cancelling_a_timer_that_already_fired_changes_nothing():
+    sim = Simulator()
+    fired, traced = [], []
+    sim.trace = lambda kind, time_ns, entry, _: traced.append((time_ns, entry[1]))
+    timer = sim.timer(10, partial(fired.append, "timer"))
+    sim.schedule(30, partial(fired.append, "later"))
+    sim.run_until(20)
+    assert fired == ["timer"]
+    pending = [list(entry) for entry in sim._heap]
+    timer.cancel()
+    assert timer.fire_at == 10
+    assert [list(entry) for entry in sim._heap] == pending
+    sim.run_until(100)
+    assert fired == ["timer", "later"]
+    assert traced == [(10, 0), (30, 1)]
 
 
 def test_a_busy_port_refuses_a_second_start_and_the_reverse_direction_is_free():

@@ -131,7 +131,7 @@ def test_no_model_schedules_a_lambda(propagation):
     raw = _shipped("case_study_sdn", **{"defaults.propagation": propagation})
     cfg = parse_config(raw)
     callbacks = set()
-    net = build_network(cfg, trace=lambda kind, _, ev, __: callbacks.add(ev.callback)
+    net = build_network(cfg, trace=lambda kind, _, entry, __: callbacks.add(entry[2])
                         if kind == "dispatch" else None)
     net.sim.run_until(cfg.run_until_ns)
     owners = {id(model) for model in net.models()}
@@ -218,6 +218,26 @@ def test_run_until_in_pieces_matches_one_call():
         net.sim.run_until(t_end)
     assert net.sim.boundary.cycles_skipped > 0
     assert list(net.sink.rows()) == records(whole.sink)
+
+
+def _pending_wakeups(net):
+    """(port, fire_at) of each port's credit wakeup that has yet to fire."""
+    return [(model.name, model._wakeup.fire_at) for model in net.models()
+            if isinstance(model, EgressPort) and model._wakeup is not None
+            and not model._wakeup.cancelled]
+
+
+def test_a_port_holds_its_credit_wakeup_at_its_full_run_time_after_a_skip():
+    # on line 8, switch7:1 waits for Class A credit across every boundary
+    # (until 15,480 ns after it), so its wakeup is among the events a skip
+    # moves; moved in place, the port's handle reads the full run's time
+    cfg = parse_config(workloads.line_scenario(8))
+    t_end = 300_005_000
+    fast, full = build_network(cfg), build_network(cfg, trace=lambda *_: None)
+    fast.sim.run_until(t_end)
+    full.sim.run_until(t_end)
+    assert fast.sim.boundary.cycles_skipped > 500
+    assert _pending_wakeups(fast) == _pending_wakeups(full) == [("switch7:1", 300_015_480)]
 
 
 P = 1_000
@@ -352,17 +372,17 @@ def test_the_key_tells_apart_frame_sizes_and_the_queue_they_wait_in():
 
 
 def _pending_before(sim, horizon):
-    """The live pending events that fire before `horizon`, in dispatch order,
-    by a walk of the heap of their own."""
-    return [ev for _, _, ev in sorted(entry for entry in sim._heap if entry[0] < horizon)
-            if not ev.cancelled]
+    """The heap entries of the live pending events that fire before `horizon`,
+    in dispatch order, by a walk of the heap of their own."""
+    return [entry for entry in sorted(entry for entry in sim._heap if entry[0] < horizon)
+            if entry[2] is not None]
 
 
 def _normalised(boundary, b, pending):
     """Pending events as a key or snapshot at b holds them: one `_method`
     call per event."""
-    return tuple((ev.fire_at - b, *fastforward._method(ev.callback, boundary._owners))
-                 for ev in pending)
+    return tuple((fire_at - b, *fastforward._method(callback, boundary._owners))
+                 for fire_at, _, callback in pending)
 
 
 def _reference_key(boundary, b):
@@ -768,7 +788,9 @@ class ReferenceCycle(Cycle):
         if isinstance(value, list):
             return tuple(self.freeze(item) for item in value)
         if isinstance(value, Event):
-            return self.event(value)
+            # through the handle's own reading of its entry
+            return None if value.cancelled or value.fire_at < self.start \
+                else value.fire_at - self.start
         slots = getattr(type(value), "__slots__", None)
         if slots is not None and not isinstance(value, tuple):
             return (type(value),) + tuple(self.freeze(getattr(value, name))
@@ -797,8 +819,8 @@ def _reference_pending(boundary, ref):
     their own: those before the next boundary by `_pending_before` and one
     `_method` call each, and the later ones as they are. Sets `first_far`."""
     horizon = ref.start + ref.period
-    far = tuple(sorted((fire_at, seq) for fire_at, seq, ev in boundary.sim._heap
-                       if fire_at >= horizon and not ev.cancelled))
+    far = tuple(sorted((fire_at, seq) for fire_at, seq, callback in boundary.sim._heap
+                       if fire_at >= horizon and callback is not None))
     ref.first_far = far[0][0] if far else None
     return _normalised(boundary, ref.start, _pending_before(boundary.sim, horizon)), far
 

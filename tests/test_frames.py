@@ -2,7 +2,9 @@ import pytest
 
 from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, EthernetFrame,
                              MacAddress, StreamData, StreamId, VlanTag,
-                             make_frame, wire_size)
+                             make_frame)
+
+from conftest import wire_size
 
 
 def test_wire_size_adds_fixed_overhead():

@@ -46,7 +46,9 @@ def test_listener_ready_cancels_the_timeout():
     talker.run_talker(talker_config())
     sim.run_until(2 * MS)
     assert talker.lr_arrival_ns is not None
-    assert all(ev.cancelled or ev.callback != talker._lr_timed_out for _, _, ev in sim._heap)
+    assert talker._lr_timeout.cancelled
+    # a cancelled entry's callback is None
+    assert all(callback != talker._lr_timed_out for _, _, callback in sim._heap)
     sim.run_until(1_500 * MS)
     assert sink.warnings == []
 

@@ -292,6 +292,29 @@ def test_a_section_of_the_wrong_type_is_a_config_error(tmp_path, capsys, section
     assert f"{field}: expected" in err and err.startswith("config error:")
 
 
+# A controller that is not a name, or is the name of a client or a switch,
+# loaded and ran: the controller is a node of its own.
+BAD_CONTROLLERS = [
+    ("client0", "the name of a client"),
+    ("switch1", "the name of a switch"),
+    (5, "expected a node name"),
+    (["c"], "expected a node name"),
+    ({"a": 1}, "expected a node name"),
+]
+
+
+@pytest.mark.parametrize("value, why", BAD_CONTROLLERS,
+                         ids=[repr(value) for value, _ in BAD_CONTROLLERS])
+def test_a_controller_that_is_not_a_name_of_its_own_is_a_config_error(tmp_path, capsys,
+                                                                      value, why):
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(yaml.safe_dump(_case_study_set(("controller",), value)))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "controller: " in err and why in err
+
+
 def test_duplicate_node_names_rejected():
     with pytest.raises(ConfigError):
         parse_config(minimal_raw(switches=["c0"]))
@@ -604,6 +627,37 @@ def test_a_rejected_reservation_fails_the_guarantee(tmp_path, capsys):
     assert gr.reason == "reservation rejected on switch0:1"
     assert main(["check", "--scenario", str(scenario), "--guarantee"]) == 1
     assert "guarantee FAIL: reservation rejected on switch0:1" in capsys.readouterr().out
+
+
+def _line1_sdn(path, one_way_delay):
+    """The shipped SDN case study cut to one switch, with `one_way_delay` each
+    way to the controller."""
+    raw = yaml.safe_load(resolve_scenario("case_study_sdn").read_text())
+    raw["switches"] = ["switch0"]
+    raw["links"] = [{"a": "client0", "b": "switch0"}, {"a": "switch0", "b": "client1"}]
+    raw["control"]["one_way_delay"] = one_way_delay
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+def test_a_host_that_gives_up_on_arp_fails_the_guarantee(tmp_path, capsys):
+    # 1 ms each way: client0 gives up on ARP and sends no UDP, so the stream
+    # met none of the cross traffic the scenario asks for
+    scenario = _line1_sdn(tmp_path / "line1-sdn.yaml", "1ms")
+    result = run_scenario(load_config(scenario))
+    assert result.counters["client0"]["sent_udp"] == 0
+    gr = result.check_guarantee()
+    assert not gr.passed
+    assert gr.reason == "client0 gave up on ARP: its cross traffic never started"
+    assert main(["check", "--scenario", str(scenario), "--guarantee"]) == 1
+    assert f"guarantee FAIL: {gr.reason}" in capsys.readouterr().out
+
+
+def test_a_host_whose_arp_is_answered_keeps_the_guarantee(tmp_path):
+    scenario = _line1_sdn(tmp_path / "line1-sdn.yaml", "25us")
+    result = run_scenario(load_config(scenario))
+    assert result.counters["client0"]["sent_udp"] > 0
+    assert result.check_guarantee().passed
 
 
 @pytest.mark.parametrize("change, reason", [

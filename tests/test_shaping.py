@@ -6,11 +6,11 @@ from tssdnsim.config import parse_config
 from tssdnsim.engine import NS_PER_S, Simulator
 from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, MIN_FRAME_BYTES, MacAddress,
                              StreamData, StreamId, UdpDatagram, VlanTag,
-                             WIRE_OVERHEAD_BYTES, make_frame, wire_size)
+                             WIRE_OVERHEAD_BYTES, make_frame)
 from tssdnsim.network import Node
 from tssdnsim.scenario import build_network
 
-from conftest import Recorder, wire, workloads
+from conftest import Recorder, wire, wire_size, workloads
 from test_fastforward import _shipped
 
 US = 1_000

@@ -128,9 +128,25 @@ def _random_frame(rng, macs):
                       UdpDatagram(0, 0, "a", "b"), 64, vlan=vlan)
 
 
+def covers(match, frame, in_port):
+    """Whether a match covers a frame arriving on `in_port`: each field it
+    sets equals the frame's, and a VLAN field never covers an untagged frame."""
+    if match.in_port is not None and match.in_port != in_port:
+        return False
+    if match.eth_dst is not None and match.eth_dst != frame.dst:
+        return False
+    if match.eth_src is not None and match.eth_src != frame.src:
+        return False
+    if match.vlan_vid is not None and (frame.vlan is None or frame.vlan.vid != match.vlan_vid):
+        return False
+    if match.vlan_pcp is not None and (frame.vlan is None or frame.vlan.pcp != match.vlan_pcp):
+        return False
+    return True
+
+
 def lookup_oracle(entries, frame, in_port):
     """Brute force: scan everything, keep max (priority, -install_seq)."""
-    hits = [e for e in entries if e.match.covers(frame, in_port)]
+    hits = [e for e in entries if covers(e.match, frame, in_port)]
     if not hits:
         return None
     return max(hits, key=lambda e: (e.priority, -e.install_seq))
