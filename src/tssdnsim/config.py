@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 import re
+from functools import partial
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import yaml
 
@@ -92,9 +93,9 @@ class ScenarioConfig:
                  "shaper_enabled", "convergence_bound_ns", "talker", "listeners",
                  "cross_traffic")
 
-    def __init__(self, name: str, sdn_enabled: bool, idle_setup_ns: int,
-                 run_until_ns: int, clients: list, switches: list, links: list,
-                 controller: Optional[str], control: ControlConfig, queue_capacity: int,
+    def __init__(self, name: str, sdn_enabled: bool, idle_setup_ns: int, run_until_ns: int,
+                 clients: list, switches: list, links: list, controller: Optional[str],
+                 control: Optional[ControlConfig], queue_capacity: int,
                  shaper_enabled: bool, convergence_bound_ns: int) -> None:
         self.name = name
         self.sdn_enabled = sdn_enabled
@@ -144,60 +145,156 @@ def hops(adjacency: dict, start: str) -> dict:
     return dist
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required field '{key}'")
-    return mapping[key]
+REQUIRED = object()         # the default of a key that its section must give
 
 
-_EXPECTED = {dict: "a mapping", list: "a list", str: "a node name", bool: "true or false"}
+class Field(NamedTuple):
+    parse: Callable
+    default: object = REQUIRED
+    sdn: bool = False
 
 
-def _typed(value, kind: type, name: str):
-    """`value` if it is a `kind`; anything else is refused naming the field.
-    A bool must be a YAML boolean: bool() reads a quoted "false" as true."""
-    if not isinstance(value, kind):
-        raise ConfigError(f"{name}: expected {_EXPECTED[kind]}, got {value!r}")
-    return value
+def _fields(given, table: dict, prefix: str, top: dict, out: dict) -> dict:
+    """`out` with each key of `table` read from `given` in table order, by
+    `parse(value, name, top)`; `top` holds the top-level values read so far."""
+    for key in given:
+        if key not in table:
+            raise ConfigError(f"{prefix}{key}: unknown key; expected one of {', '.join(table)}")
+    for key, (parse, default, sdn) in table.items():
+        name = prefix + key
+        if sdn and not top["sdn_enabled"]:
+            if key in given:
+                raise ConfigError(f"{name}: needs sdn_enabled: true")
+            out[key] = None
+        elif key in given:
+            out[key] = parse(given[key], name, top)
+        elif default is REQUIRED:
+            raise ConfigError(f"{name}: missing required field")
+        else:
+            value = default(top, out) if callable(default) else default
+            out[key] = None if value is None else parse(value, name, top)
+    return out
 
 
-def _items(value, kind: type, name: str) -> list:
-    """The list section `name`, each of its items a `kind`."""
-    return [_typed(item, kind, f"{name}[{i}]")
-            for i, item in enumerate(_typed(value, list, name))]
+def _typed(kind: type, what: str, within=None):
+    """A value of `kind` and, given `within(top)`, one of what that returns;
+    anything else is refused naming the field. A bool must be a YAML boolean:
+    bool() reads a quoted "false" as true."""
+    def parse(value, name, top=None):
+        if not isinstance(value, kind) or within is not None and value not in within(top):
+            raise ConfigError(f"{name}: expected {what}, got {value!r}")
+        return value
+    return parse
 
 
-def _section(raw: dict, key: str, source: str) -> dict:
-    """The mapping section `key`, empty when absent."""
-    return _typed(raw.get(key, {}), dict, f"{source}: {key}")
+def _items(parse):
+    return lambda value, name, top: [parse(item, f"{name}[{i}]", top) for i, item
+                                     in enumerate(_typed(list, "a list")(value, name))]
 
 
-def _int(value, name: str, lo: int, hi: Optional[int] = None) -> int:
-    """An integer in [lo, hi] (no upper limit when hi is None); anything else,
-    a fraction included, is refused naming the field."""
+def _section(key: str):
+    return lambda value, name, top: _fields(_typed(dict, "a mapping")(value, name),
+                                            SCHEMA[key], f"{name}.", top, {})
+
+
+def _integer(value, name: str) -> int:
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, float) and number != value:
         raise ConfigError(f"{name}: expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{name}: expected an integer, got {value!r}")
-    if hi is None and number < lo:
-        raise ConfigError(f"{name}: {number} is less than {lo}")
-    if hi is not None and not lo <= number <= hi:
-        raise ConfigError(f"{name}: {number} outside [{lo}, {hi}]")
     return number
 
 
-def _interval_ns(value, name: str) -> int:
-    interval = parse_time_ns(value, name)
-    if interval <= 0:
-        raise ConfigError(f"{name}: must be positive")
-    return interval
+def _ranged(read, lo: int = 0, hi=math.inf):
+    """A number in [lo, hi], read by `read(value, name)`."""
+    def parse(value, name, top):
+        number = read(value, name)
+        if not lo <= number <= hi:
+            raise ConfigError(f"{name}: {number} is outside [{lo}, {hi}]")
+        return number
+    return parse
 
 
-def _vlan(vid, pcp, where: str) -> VlanTag:
-    return VlanTag(_int(vid, f"{where}.vid", 0, MAX_VID),
-                   _int(pcp, f"{where}.pcp", 0, MAX_PCP))
+_int = partial(_ranged, _integer)
+_time = partial(_ranged, parse_time_ns)
+_node = _typed(str, "a node name")
+_client = _typed(str, "the name of a client", lambda top: top["clients"])
+_link_end = _typed(str, "the name of a client or a switch",
+                   lambda top: top["clients"] + top["switches"])
+
+
+def _multicast(value, name, top) -> MacAddress:
+    try:
+        group = MacAddress.parse(str(value))
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}")
+    if not group.is_multicast:
+        raise ConfigError(f"{name}: must be a multicast address")
+    return group
+
+
+# Every scenario key, by section ("" is the top level), read in this order;
+# `links` and `control` list their keys in their config's field order. A
+# default is a YAML value, read like a given one; a function of the top-level
+# values and the section read so far; None, for absent; or REQUIRED. An `sdn`
+# key is refused without `sdn_enabled: true`, and is None there.
+SCHEMA = {
+    "": {
+        "name": Field(_typed(str, "a string"), None),
+        "sdn_enabled": Field(_typed(bool, "true or false")),
+        "idle_setup": Field(_time(), "100ms"),
+        "run_until": Field(_time()),
+        # a queue that holds no frame drops every one
+        "queue_capacity": Field(_int(1), 100),
+        "shaper_enabled": Field(_typed(bool, "true or false"), True),
+        "convergence_bound": Field(_time(), "10ms"),
+        "clients": Field(_items(_node)),
+        "switches": Field(_items(_node)),
+        "controller": Field(_node, sdn=True),
+        "control": Field(_section("control"), {}, sdn=True),
+        "defaults": Field(_section("defaults"), {}),
+        "links": Field(_items(_section("links"))),
+        "talker": Field(_section("talker"), None),
+        "listeners": Field(_items(_section("listeners")), []),
+        "cross_traffic": Field(_section("cross_traffic"), None),
+    },
+    "control": {"one_way_delay": Field(_time(), "25us"),
+                "processing_delay": Field(_time(), "25us")},
+    "defaults": {"link_rate_bps": Field(_int(1), 100_000_000),
+                 "propagation": Field(_time(), 0)},
+    "links": {
+        "a": Field(_link_end),
+        "b": Field(_link_end),
+        "rate_bps": Field(_int(1), lambda top, link: top["defaults"]["link_rate_bps"]),
+        "propagation": Field(_time(), lambda top, link: top["defaults"]["propagation"]),
+    },
+    "talker": {
+        "node": Field(_client),
+        "unique_id": Field(_int(0, MAX_UNIQUE_ID), 1),
+        "dst_group": Field(_multicast),
+        "vid": Field(_int(0, MAX_VID)),
+        "sr_class": Field(_typed(str, "an SR class", lambda top: SR_CLASSES), "A"),
+        "pcp": Field(_int(0, MAX_PCP), lambda top, talker: SR_CLASSES[talker["sr_class"]].pcp),
+        # shorter frames are padded to the Ethernet minimum when built
+        "frame_bytes": Field(_int(1, MAX_FRAME_BYTES), 150),
+        "interval": Field(_time(1), "125us"),
+        "advertise_at": Field(_time(), lambda top, talker: top["idle_setup"]),
+    },
+    "listeners": {"node": Field(_client),
+                  "unique_id": Field(_int(0, MAX_UNIQUE_ID), 1)},
+    "cross_traffic": {
+        "node": Field(_client),
+        "dst_node": Field(_client),
+        "frame_bytes": Field(_int(1, MAX_FRAME_BYTES), 1000),
+        "send_interval": Field(_time(1), "100us"),
+        "start_at": Field(_time(), lambda top, cross: top["idle_setup"]),
+        "count": Field(_int(1), None),
+        "vid": Field(_int(0, MAX_VID), None),
+        "pcp": Field(_int(0, MAX_PCP), lambda top, cross: None if cross["vid"] is None else 0),
+    },
+}
 
 
 def load_config(path) -> ScenarioConfig:
@@ -222,150 +319,59 @@ def load_config(path) -> ScenarioConfig:
 
 
 def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
-    name = raw.get("name", source)
-    sdn_enabled = _typed(_require(raw, "sdn_enabled", source), bool,
-                         f"{source}: sdn_enabled")
-    controller = raw.get("controller")
-    if not sdn_enabled and controller is not None:
-        raise ConfigError(f"{source}: sdn_enabled=false forbids a controller node")
-    if sdn_enabled and controller is None:
-        raise ConfigError(f"{source}: sdn_enabled=true requires a controller node")
-
-    clients = _items(_require(raw, "clients", source), str, f"{source}: clients")
-    switches = _items(_require(raw, "switches", source), str, f"{source}: switches")
-    names = clients + switches
+    top: dict = {}
+    _fields(raw, SCHEMA[""], f"{source}: ", top, top)
+    names = top["clients"] + top["switches"]
     if len(set(names)) != len(names):
         raise ConfigError(f"{source}: duplicate node names")
-    if controller is not None:
-        # a node of its own, beside the clients and the switches
-        _typed(controller, str, f"{source}: controller")
-        for kind, nodes in (("client", clients), ("switch", switches)):
-            if controller in nodes:
-                raise ConfigError(f"{source}: controller: {controller!r} is already "
-                                  f"the name of a {kind}")
-
-    defaults = _section(raw, "defaults", source)
-    default_rate = _int(defaults.get("link_rate_bps", 100_000_000),
-                        f"{source}: defaults.link_rate_bps", 1)
-    default_prop = parse_time_ns(defaults.get("propagation", 0), "defaults.propagation")
-
-    links = []
-    for i, item in enumerate(_items(_require(raw, "links", source), dict, f"{source}: links")):
-        where = f"{source}: links[{i}]"
-        a, b = _require(item, "a", where), _require(item, "b", where)
-        for end in (a, b):
-            if end not in names:
-                raise ConfigError(f"{where}: unknown node '{end}'")
-        rate = _int(item.get("rate_bps", default_rate), f"{where}.rate_bps", 1)
-        links.append(LinkConfig(a, b, rate,
-                                parse_time_ns(item.get("propagation", default_prop),
-                                              f"{where}.propagation")))
-
-    control_raw = _section(raw, "control", source)
+    for kind, nodes in (("client", top["clients"]), ("switch", top["switches"])):
+        if top["controller"] in nodes:      # the controller is a node of its own
+            raise ConfigError(f"{source}: controller: {top['controller']!r} is already "
+                              f"the name of a {kind}")
+    links = [LinkConfig(*link.values()) for link in top["links"]]
     cfg = ScenarioConfig(
-        name=name,
-        sdn_enabled=sdn_enabled,
-        idle_setup_ns=parse_time_ns(raw.get("idle_setup", "100ms"), "idle_setup"),
-        run_until_ns=parse_time_ns(_require(raw, "run_until", source), "run_until"),
-        clients=clients,
-        switches=switches,
-        links=links,
-        controller=controller,
-        control=ControlConfig(
-            one_way_delay_ns=parse_time_ns(control_raw.get("one_way_delay", "25us"),
-                                           "control.one_way_delay"),
-            processing_delay_ns=parse_time_ns(control_raw.get("processing_delay", "25us"),
-                                              "control.processing_delay"),
-        ),
-        # a queue that holds no frame drops every one
-        queue_capacity=_int(raw.get("queue_capacity", 100), f"{source}: queue_capacity", 1),
-        shaper_enabled=_typed(raw.get("shaper_enabled", True), bool,
-                              f"{source}: shaper_enabled"),
-        convergence_bound_ns=parse_time_ns(raw.get("convergence_bound", "10ms"),
-                                           "convergence_bound"),
-    )
-
-    if "talker" in raw:
-        t = _section(raw, "talker", source)
-        where = f"{source}: talker"
-        node = _require(t, "node", where)
-        if node not in clients:
-            raise ConfigError(f"{where}: unknown client '{node}'")
-        sr_class = str(t.get("sr_class", "A"))
-        if sr_class not in SR_CLASSES:
-            raise ConfigError(f"{where}: unknown SR class '{sr_class}'")
-        try:
-            dst_group = MacAddress.parse(str(_require(t, "dst_group", where)))
-        except ValueError as exc:
-            raise ConfigError(f"{where}.dst_group: {exc}")
-        if not dst_group.is_multicast:
-            raise ConfigError(f"{where}.dst_group: must be a multicast address")
-        class_pcp = SR_CLASSES[sr_class].pcp
-        vlan = _vlan(_require(t, "vid", where), t.get("pcp", class_pcp), where)
-        if vlan.pcp != class_pcp:
+        source if top["name"] is None else top["name"], top["sdn_enabled"],
+        top["idle_setup"], top["run_until"], top["clients"], top["switches"], links,
+        top["controller"], top["control"] and ControlConfig(*top["control"].values()),
+        top["queue_capacity"], top["shaper_enabled"], top["convergence_bound"])
+    t = top["talker"]
+    if t is not None:
+        class_pcp = SR_CLASSES[t["sr_class"]].pcp
+        if t["pcp"] != class_pcp:
             # admission shapes the class's queue; frames in another would bypass it
-            raise ConfigError(f"{where}.pcp: {vlan.pcp} is not the PCP of SR class "
-                              f"{sr_class} ({class_pcp})")
-        cfg.talker = TalkerConfig(
-            node=node,
-            unique_id=_int(t.get("unique_id", 1), f"{where}.unique_id", 0, MAX_UNIQUE_ID),
-            dst_group=dst_group,
-            vlan=vlan,
-            sr_class=sr_class,
-            # shorter frames are padded to the Ethernet minimum when built
-            frame_bytes=_int(t.get("frame_bytes", 150), f"{where}.frame_bytes",
-                             1, MAX_FRAME_BYTES),
-            interval_ns=_interval_ns(t.get("interval", "125us"), f"{where}.interval"),
-            advertise_at_ns=parse_time_ns(t.get("advertise_at", cfg.idle_setup_ns),
-                                          f"{where}.advertise_at"),
-        )
-
-    for i, item in enumerate(_items(raw.get("listeners", []), dict, f"{source}: listeners")):
-        where = f"{source}: listeners[{i}]"
-        node = _require(item, "node", where)
-        if node not in clients:
-            raise ConfigError(f"{where}: unknown client '{node}'")
-        unique_id = _int(item.get("unique_id", 1), f"{where}.unique_id", 0, MAX_UNIQUE_ID)
-        if cfg.talker is not None and unique_id != cfg.talker.unique_id:
-            raise ConfigError(f"{where}.unique_id: {unique_id} names no talker "
-                              f"(talker.unique_id is {cfg.talker.unique_id})")
-        cfg.listeners.append(node)
-
-    if "cross_traffic" in raw:
-        c = _section(raw, "cross_traffic", source)
+            raise ConfigError(f"{source}: talker.pcp: {t['pcp']} is not the PCP of SR "
+                              f"class {t['sr_class']} ({class_pcp})")
+        cfg.talker = TalkerConfig(t["node"], t["unique_id"], t["dst_group"],
+                                  VlanTag(t["vid"], t["pcp"]), t["sr_class"],
+                                  t["frame_bytes"], t["interval"], t["advertise_at"])
+    for i, listener in enumerate(top["listeners"]):
+        # a listener subscribes to the talker's stream, so it is kept as its node
+        if t is not None and listener["unique_id"] != t["unique_id"]:
+            raise ConfigError(f"{source}: listeners[{i}].unique_id: {listener['unique_id']} "
+                              f"names no talker (talker.unique_id is {t['unique_id']})")
+        cfg.listeners.append(listener["node"])
+    c = top["cross_traffic"]
+    if c is not None:
         where = f"{source}: cross_traffic"
-        node = _require(c, "node", where)
-        dst = _require(c, "dst_node", where)
-        for n in (node, dst):
-            if n not in clients:
-                raise ConfigError(f"{where}: unknown client '{n}'")
-        vlan = None
-        if c.get("vid") is not None:
-            vlan = _vlan(c["vid"], c.get("pcp", 0), where)
-        elif c.get("pcp") is not None:
+        if c["vid"] is None and c["pcp"] is not None:
             raise ConfigError(f"{where}.pcp: needs a vid, the VLAN tag that carries it")
+        if c["dst_node"] == c["node"]:
+            raise ConfigError(f"{where}.dst_node: {c['node']!r} is the sending node itself")
         cfg.cross_traffic = CrossTrafficConfig(
-            node=node,
-            dst_node=dst,
-            frame_bytes=_int(c.get("frame_bytes", 1000), f"{where}.frame_bytes",
-                             1, MAX_FRAME_BYTES),
-            send_interval_ns=_interval_ns(c.get("send_interval", "100us"),
-                                          f"{where}.send_interval"),
-            start_at_ns=parse_time_ns(c.get("start_at", cfg.idle_setup_ns),
-                                      f"{where}.start_at"),
-            count=(_int(c["count"], f"{where}.count", 1)
-                   if c.get("count") is not None else None),
-            vlan=vlan,
-        )
+            c["node"], c["dst_node"], c["frame_bytes"], c["send_interval"], c["start_at"],
+            c["count"], None if c["vid"] is None else VlanTag(c["vid"], c["pcp"]))
 
     if names:
-        if len(hops(cfg.adjacency(), names[0])) != len(names):
+        adjacency = cfg.adjacency()
+        if len(hops(adjacency, names[0])) != len(names):
             raise ConfigError(f"{source}: topology graph is not connected")
         # a connected graph is a tree iff it has one link fewer than nodes; this
         # also refuses parallel links and self-loops, which no bridge forwards over
         if len(links) != len(names) - 1:
-            raise ConfigError(f"{source}: topology is not a tree: {len(links)} links "
-                              f"for {len(names)} nodes (a loop-free network has "
-                              f"{len(names) - 1})")
-
+            raise ConfigError(f"{source}: topology is not a tree: {len(links)} links for "
+                              f"{len(names)} nodes (a loop-free network has {len(names) - 1})")
+        for client in cfg.clients:      # a host sends on its first port only
+            if len(adjacency[client]) != 1:
+                raise ConfigError(f"{source}: client {client!r} has "
+                                  f"{len(adjacency[client])} links; a client needs exactly 1")
     return cfg

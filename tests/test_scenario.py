@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from tssdnsim.cli import BUILTIN_SCENARIOS, main, resolve_scenario
-from tssdnsim.config import ConfigError, load_config, parse_config, parse_time_ns
+from tssdnsim.config import SCHEMA, ConfigError, load_config, parse_config, parse_time_ns
 from tssdnsim.metrics import FRAME_CSV_HEADER, MetricsSink
 from tssdnsim.scenario import compare_report, emit_outputs, run_scenario
 from tssdnsim.srp import CLASS_A
@@ -189,6 +189,8 @@ BAD_TRAFFIC_VALUES = [
     ("cross_traffic", "frame_bytes", 3000),
     ("cross_traffic", "frame_bytes", 0),
     ("cross_traffic", "pcp", 6),        # a PCP without a VLAN id to carry it
+    # the host would ARP for itself and give up, and no UDP frame would be sent
+    ("cross_traffic", "dst_node", "client0"),
 ]
 BAD_TRAFFIC_IDS = [f"{section}.{key}={value}" for section, key, value in BAD_TRAFFIC_VALUES]
 
@@ -245,6 +247,14 @@ BAD_SCENARIO_VALUES = [
     (("shaper_enabled",), "false", "shaper_enabled"),
     (("sdn_enabled",), "false", "sdn_enabled"),
     (("shaper_enabled",), 0, "shaper_enabled"),
+    # a misspelled key, one per section, which loaded and ran the key's default
+    (("shaper_enabeld",), False, "shaper_enabeld"),
+    (("talker", "intervl"), "1ms", "talker.intervl"),
+    (("links", 0, "rate"), 5, "links[0].rate"),
+    (("control", "one_way_dealy"), "1ms", "control.one_way_dealy"),
+    (("defaults", "link_rate"), 5, "defaults.link_rate"),
+    (("listeners", 0, "nod"), "client1", "listeners[0].nod"),
+    (("cross_traffic", "cont"), 5, "cross_traffic.cont"),
 ]
 BAD_SCENARIO_IDS = [f"{field}={value}" for _, value, field in BAD_SCENARIO_VALUES]
 
@@ -313,6 +323,80 @@ def test_a_controller_that_is_not_a_name_of_its_own_is_a_config_error(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "controller: " in err and why in err
+
+
+def _refused(tmp_path, capsys, raw) -> str:
+    """The error the CLI prints for `raw`, which it must refuse with exit 2."""
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(yaml.safe_dump(raw))
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("key, value", [("control", {"one_way_delay": "25us"}),
+                                        ("controller", "controller0")])
+def test_an_sdn_only_key_without_sdn_is_a_config_error(tmp_path, capsys, key, value):
+    raw = yaml.safe_load(resolve_scenario("case_study_nosdn").read_text())
+    raw[key] = value
+    assert f"{key}: needs sdn_enabled: true" in _refused(tmp_path, capsys, raw)
+
+
+# A host sends only on its first port: a client with no link crashed the run,
+# and one with two sent no stream frame.
+@pytest.mark.parametrize("overrides, links", [
+    ({"clients": ["c0"], "switches": [], "links": []}, 0),
+    ({"switches": ["s0", "s1"], "links": [{"a": "c0", "b": "s0"}, {"a": "c0", "b": "s1"},
+                                          {"a": "s1", "b": "c1"}]}, 2),
+], ids=["lone-client", "client-on-two-switches"])
+def test_a_client_without_exactly_one_link_is_a_config_error(tmp_path, capsys, overrides,
+                                                             links):
+    raw = minimal_raw(**overrides)
+    why = f"client 'c0' has {links} links"
+    with pytest.raises(ConfigError, match=why):
+        parse_config(raw)
+    assert why in _refused(tmp_path, capsys, raw)
+
+
+def _schema_keys():
+    """(path, field) for each key of the loader's table, as placed in the
+    shipped SDN case study: a list section's keys go in its first item."""
+    raw = yaml.safe_load(resolve_scenario("case_study_sdn").read_text())
+    for section, table in SCHEMA.items():
+        for key in table:
+            if not section:
+                yield (key,), key
+            elif isinstance(raw[section], list):
+                yield (section, 0, key), f"{section}[0].{key}"
+            else:
+                yield (section, key), f"{section}.{key}"
+
+
+SCHEMA_KEYS = list(_schema_keys())
+
+
+@pytest.mark.parametrize("path, field", SCHEMA_KEYS, ids=[field for _, field in SCHEMA_KEYS])
+def test_every_key_of_the_wrong_type_is_refused_by_name(tmp_path, capsys, path, field):
+    # a fraction is no string, boolean, time, integer, list or mapping
+    assert f"{field}: " in _refused(tmp_path, capsys, _case_study_set(path, 2.5))
+
+
+@pytest.mark.parametrize("path, field", SCHEMA_KEYS, ids=[field for _, field in SCHEMA_KEYS])
+def test_every_misspelled_key_is_refused_by_name(tmp_path, capsys, path, field):
+    key = path[-1]
+    typo = key[:-1] if len(key) > 1 else key * 2
+    assert all(typo not in table for table in SCHEMA.values())
+    err = _refused(tmp_path, capsys, _case_study_set(path[:-1] + (typo,), 1))
+    assert f"{field[:-len(key)]}{typo}: unknown key" in err
+
+
+def test_the_readme_lists_every_scenario_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Scenario files\n")[1].split("\n## ")[0]
+    listed = re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {field.replace("[0]", "[i]") for _, field in SCHEMA_KEYS}
 
 
 def test_duplicate_node_names_rejected():
