@@ -1,7 +1,7 @@
 """Command-line interface: run, compare and check scenarios.
 
 Exit codes: 0 = run completed and all enabled checks pass, 1 = a check failed,
-2 = configuration error.
+2 = configuration error or usage error (as `check` with no check named).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def resolve_scenario(name: str) -> Path:
 def _load(name: str, until: str = None):
     cfg = load_config(resolve_scenario(name))
     if until is not None:
-        cfg.run_until_ns = parse_time_ns(until, "--until")
+        cfg.run_until = parse_time_ns(until, "--until")
     return cfg
 
 
@@ -66,20 +66,16 @@ def cmd_compare(args) -> int:
 def cmd_check(args) -> int:
     cfg = _load(args.scenario, args.until)
     result = run_scenario(cfg)
-    rc = 0
-    if args.guarantee:
-        gr = result.check_guarantee()
-        limit = gr.limit_ns
-        if gr.passed:
-            print(f"guarantee PASS: all stream latencies within {limit} ns")
-        else:
-            rc = 1
-            if gr.worst is not None:
-                print(f"guarantee FAIL: {gr.reason}; worst frame seq {gr.worst.seq} "
-                      f"latency {gr.worst.latency_ns} ns")
-            else:
-                print(f"guarantee FAIL: {gr.reason}")
-    return rc
+    gr = result.check_guarantee()       # the one check, which the parser requires
+    if gr.passed:
+        print(f"guarantee PASS: all stream latencies within {gr.limit_ns} ns")
+        return 0
+    if gr.worst is not None:
+        print(f"guarantee FAIL: {gr.reason}; worst frame seq {gr.worst.seq} "
+              f"latency {gr.worst.latency_ns} ns")
+    else:
+        print(f"guarantee FAIL: {gr.reason}")
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check", help="run a scenario and evaluate checks")
     p_chk.add_argument("--scenario", required=True)
     p_chk.add_argument("--until", default=None)
-    p_chk.add_argument("--guarantee", action="store_true",
+    # required while it is the only check: a run with none named checks nothing
+    p_chk.add_argument("--guarantee", action="store_true", required=True,
                        help="check stream latencies against the analytic bound")
     p_chk.set_defaults(func=cmd_check)
     return parser

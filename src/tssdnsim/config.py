@@ -1,4 +1,11 @@
-"""Scenario configuration: YAML loading, unit-suffixed times, validation."""
+"""Scenario configuration: YAML loading, unit-suffixed times, validation.
+
+`SCHEMA` is the one place a scenario key is defined: its parser and its
+default. A section loads as a `Section`, one attribute per key under the
+key's own name, with times in integer ns; the top level loads as a
+`ScenarioConfig`, a `Section` too. `parse_config` then checks the rules that
+span keys and sets the few derived values.
+"""
 
 from __future__ import annotations
 
@@ -24,8 +31,9 @@ _UNIT_NS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": 1_000_000_000, None: 1}
 
 
 def parse_time_ns(value, field_name: str = "time") -> int:
-    """Parse '100ms', '25us', '3.5ms' or a bare integer (ns) to integer ns."""
-    if isinstance(value, int):
+    """Parse '100ms', '25us', '3.5ms' or a bare integer (ns) to integer ns;
+    a boolean is no time, though Python's bool is an int."""
+    if isinstance(value, int) and not isinstance(value, bool):
         if value < 0:
             raise ConfigError(f"{field_name}: negative time {value}")
         return value
@@ -47,80 +55,30 @@ def parse_time_ns(value, field_name: str = "time") -> int:
     return ns
 
 
-class LinkConfig(NamedTuple):
-    a: str
-    b: str
-    rate_bps: int
-    propagation_ns: int
+class Section:
+    """A parsed section of a scenario: one attribute per key of its `SCHEMA`
+    table, named as the key, holding the parsed value (a time in integer ns).
+    Its attributes live in a `__dict__`, so the fast-forward only ever keeps
+    a section as a static field."""
+
+    def __init__(self, **values) -> None:
+        vars(self).update(values)
 
 
-class ControlConfig:
-    __slots__ = ("one_way_delay_ns", "processing_delay_ns")
-
-    def __init__(self, one_way_delay_ns: int, processing_delay_ns: int) -> None:
-        self.one_way_delay_ns = one_way_delay_ns
-        self.processing_delay_ns = processing_delay_ns
-
-
-class TalkerConfig(NamedTuple):
-    node: str
-    unique_id: int
-    dst_group: MacAddress
-    vlan: VlanTag
-    sr_class: str
-    frame_bytes: int
-    interval_ns: int
-    advertise_at_ns: int
-
-
-class CrossTrafficConfig(NamedTuple):
-    node: str
-    dst_node: str
-    frame_bytes: int
-    send_interval_ns: int
-    start_at_ns: int
-    count: Optional[int] = None
-    vlan: Optional[VlanTag] = None
-
-
-class ScenarioConfig:
-    """A parsed scenario; `parse_config` sets `talker`, `listeners` (the
-    talker's listener nodes) and `cross_traffic` after the rest, and a caller
-    may change `run_until_ns`."""
-
-    __slots__ = ("name", "sdn_enabled", "idle_setup_ns", "run_until_ns", "clients",
-                 "switches", "links", "controller", "control", "queue_capacity",
-                 "shaper_enabled", "convergence_bound_ns", "talker", "listeners",
-                 "cross_traffic")
-
-    def __init__(self, name: str, sdn_enabled: bool, idle_setup_ns: int, run_until_ns: int,
-                 clients: list, switches: list, links: list, controller: Optional[str],
-                 control: Optional[ControlConfig], queue_capacity: int,
-                 shaper_enabled: bool, convergence_bound_ns: int) -> None:
-        self.name = name
-        self.sdn_enabled = sdn_enabled
-        self.idle_setup_ns = idle_setup_ns
-        self.run_until_ns = run_until_ns
-        self.clients = clients
-        self.switches = switches
-        self.links = links
-        self.controller = controller
-        self.control = control
-        self.queue_capacity = queue_capacity
-        self.shaper_enabled = shaper_enabled
-        self.convergence_bound_ns = convergence_bound_ns
-        self.talker: Optional[TalkerConfig] = None
-        self.listeners: list = []
-        self.cross_traffic: Optional[CrossTrafficConfig] = None
+class ScenarioConfig(Section):
+    """A parsed scenario: the top-level section, its sections as attributes,
+    `talker.vlan` and `cross_traffic.vlan` set from their vid and pcp, and
+    no `defaults`, which the links have read. A caller may change
+    `run_until`."""
 
     def hyperperiod_ns(self) -> Optional[int]:
         """The least common multiple of the traffic sources' intervals, the
         period a settled network repeats with; None without a source."""
         intervals = []
         if self.talker is not None:
-            intervals.append(self.talker.interval_ns)
+            intervals.append(self.talker.interval)
         if self.cross_traffic is not None:
-            intervals.append(self.cross_traffic.send_interval_ns)
+            intervals.append(self.cross_traffic.send_interval)
         return math.lcm(*intervals) if intervals else None
 
     def adjacency(self) -> dict:
@@ -193,13 +151,13 @@ def _items(parse):
 
 
 def _section(key: str):
-    return lambda value, name, top: _fields(_typed(dict, "a mapping")(value, name),
-                                            SCHEMA[key], f"{name}.", top, {})
+    return lambda value, name, top: Section(**_fields(_typed(dict, "a mapping")(value, name),
+                                                      SCHEMA[key], f"{name}.", top, {}))
 
 
 def _integer(value, name: str) -> int:
     try:
-        number = int(value)
+        number = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or isinstance(value, float) and number != value:
@@ -235,9 +193,8 @@ def _multicast(value, name, top) -> MacAddress:
     return group
 
 
-# Every scenario key, by section ("" is the top level), read in this order;
-# `links` and `control` list their keys in their config's field order. A
-# default is a YAML value, read like a given one; a function of the top-level
+# Every scenario key, by section ("" is the top level), read in this order,
+# and each the name of its section's attribute. A default is a YAML value, read like a given one; a function of the top-level
 # values and the section read so far; None, for absent; or REQUIRED. An `sdn`
 # key is refused without `sdn_enabled: true`, and is None there.
 SCHEMA = {
@@ -267,8 +224,8 @@ SCHEMA = {
     "links": {
         "a": Field(_link_end),
         "b": Field(_link_end),
-        "rate_bps": Field(_int(1), lambda top, link: top["defaults"]["link_rate_bps"]),
-        "propagation": Field(_time(), lambda top, link: top["defaults"]["propagation"]),
+        "rate_bps": Field(_int(1), lambda top, link: top["defaults"].link_rate_bps),
+        "propagation": Field(_time(), lambda top, link: top["defaults"].propagation),
     },
     "talker": {
         "node": Field(_client),
@@ -320,46 +277,38 @@ def load_config(path) -> ScenarioConfig:
 
 def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
     top: dict = {}
-    _fields(raw, SCHEMA[""], f"{source}: ", top, top)
-    names = top["clients"] + top["switches"]
+    cfg = ScenarioConfig(**_fields(raw, SCHEMA[""], f"{source}: ", top, top))
+    del cfg.defaults
+    if cfg.name is None:
+        cfg.name = source
+    names = cfg.clients + cfg.switches
     if len(set(names)) != len(names):
         raise ConfigError(f"{source}: duplicate node names")
-    for kind, nodes in (("client", top["clients"]), ("switch", top["switches"])):
-        if top["controller"] in nodes:      # the controller is a node of its own
-            raise ConfigError(f"{source}: controller: {top['controller']!r} is already "
+    for kind, nodes in (("client", cfg.clients), ("switch", cfg.switches)):
+        if cfg.controller in nodes:      # the controller is a node of its own
+            raise ConfigError(f"{source}: controller: {cfg.controller!r} is already "
                               f"the name of a {kind}")
-    links = [LinkConfig(*link.values()) for link in top["links"]]
-    cfg = ScenarioConfig(
-        source if top["name"] is None else top["name"], top["sdn_enabled"],
-        top["idle_setup"], top["run_until"], top["clients"], top["switches"], links,
-        top["controller"], top["control"] and ControlConfig(*top["control"].values()),
-        top["queue_capacity"], top["shaper_enabled"], top["convergence_bound"])
-    t = top["talker"]
+    t = cfg.talker
     if t is not None:
-        class_pcp = SR_CLASSES[t["sr_class"]].pcp
-        if t["pcp"] != class_pcp:
+        class_pcp = SR_CLASSES[t.sr_class].pcp
+        if t.pcp != class_pcp:
             # admission shapes the class's queue; frames in another would bypass it
-            raise ConfigError(f"{source}: talker.pcp: {t['pcp']} is not the PCP of SR "
-                              f"class {t['sr_class']} ({class_pcp})")
-        cfg.talker = TalkerConfig(t["node"], t["unique_id"], t["dst_group"],
-                                  VlanTag(t["vid"], t["pcp"]), t["sr_class"],
-                                  t["frame_bytes"], t["interval"], t["advertise_at"])
-    for i, listener in enumerate(top["listeners"]):
-        # a listener subscribes to the talker's stream, so it is kept as its node
-        if t is not None and listener["unique_id"] != t["unique_id"]:
-            raise ConfigError(f"{source}: listeners[{i}].unique_id: {listener['unique_id']} "
-                              f"names no talker (talker.unique_id is {t['unique_id']})")
-        cfg.listeners.append(listener["node"])
-    c = top["cross_traffic"]
+            raise ConfigError(f"{source}: talker.pcp: {t.pcp} is not the PCP of SR "
+                              f"class {t.sr_class} ({class_pcp})")
+        t.vlan = VlanTag(t.vid, t.pcp)
+    for i, listener in enumerate(cfg.listeners):
+        # a listener subscribes to the talker's stream
+        if t is not None and listener.unique_id != t.unique_id:
+            raise ConfigError(f"{source}: listeners[{i}].unique_id: {listener.unique_id} "
+                              f"names no talker (talker.unique_id is {t.unique_id})")
+    c = cfg.cross_traffic
     if c is not None:
         where = f"{source}: cross_traffic"
-        if c["vid"] is None and c["pcp"] is not None:
+        if c.vid is None and c.pcp is not None:
             raise ConfigError(f"{where}.pcp: needs a vid, the VLAN tag that carries it")
-        if c["dst_node"] == c["node"]:
-            raise ConfigError(f"{where}.dst_node: {c['node']!r} is the sending node itself")
-        cfg.cross_traffic = CrossTrafficConfig(
-            c["node"], c["dst_node"], c["frame_bytes"], c["send_interval"], c["start_at"],
-            c["count"], None if c["vid"] is None else VlanTag(c["vid"], c["pcp"]))
+        if c.dst_node == c.node:
+            raise ConfigError(f"{where}.dst_node: {c.node!r} is the sending node itself")
+        c.vlan = None if c.vid is None else VlanTag(c.vid, c.pcp)
 
     if names:
         adjacency = cfg.adjacency()
@@ -367,8 +316,9 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
             raise ConfigError(f"{source}: topology graph is not connected")
         # a connected graph is a tree iff it has one link fewer than nodes; this
         # also refuses parallel links and self-loops, which no bridge forwards over
-        if len(links) != len(names) - 1:
-            raise ConfigError(f"{source}: topology is not a tree: {len(links)} links for "
+        links = len(cfg.links)
+        if links != len(names) - 1:
+            raise ConfigError(f"{source}: topology is not a tree: {links} links for "
                               f"{len(names)} nodes (a loop-free network has {len(names) - 1})")
         for client in cfg.clients:      # a host sends on its first port only
             if len(adjacency[client]) != 1:

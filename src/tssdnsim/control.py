@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .config import ControlConfig
+from .config import Section
 from .fastforward import fields
 from .frames import EthernetFrame, SrpKind, SrpMessage
 from .switching import (FlowMatch, Output, REACTIVE_RULE_PRIORITY, STREAM_RULE_PRIORITY,
@@ -83,7 +83,7 @@ class ControlChannel:
                        counted="_xid")
 
     def __init__(self, sim, switch: Switch, controller: "Controller",
-                 control: ControlConfig) -> None:
+                 control: Section) -> None:
         self.sim = sim
         self.switch = switch
         self.controller = controller
@@ -107,8 +107,8 @@ class ControlChannel:
         self._trace("s2c", msg, xid)
         self._to_controller.append(msg)
         control = self.control
-        self.sim.schedule(self.sim.now() + control.one_way_delay_ns
-                          + control.processing_delay_ns, self._at_controller)
+        self.sim.schedule(self.sim.now() + control.one_way_delay
+                          + control.processing_delay, self._at_controller)
 
     def _at_controller(self) -> None:
         self.controller.on_message(self.switch, self._to_controller.pop(0))
@@ -128,7 +128,7 @@ class ControlChannel:
         xid = self._next_xid()
         self._trace("c2s", msg, xid)
         self._to_switch.append(msg)
-        self.sim.schedule(self.sim.now() + self.control.one_way_delay_ns, self._at_switch)
+        self.sim.schedule(self.sim.now() + self.control.one_way_delay, self._at_switch)
 
     def _at_switch(self) -> None:
         msg = self._to_switch.pop(0)
@@ -167,7 +167,7 @@ class Controller:
         self.sr_tables: dict[str, SrTable] = {}
         self.mac_locations: dict = {}               # switch -> {mac: port}
 
-    def attach_switch(self, switch: Switch, control: ControlConfig) -> ControlChannel:
+    def attach_switch(self, switch: Switch, control: Section) -> ControlChannel:
         channel = ControlChannel(self.sim, switch, self, control)
         self.channels[switch.name] = channel
         switch.control = channel

@@ -102,9 +102,6 @@ class Simulator:
         heappush(self._heap, entry)
         return entry
 
-    def schedule_in(self, delay: int, callback: Callable[[], None]) -> list:
-        return self.schedule(self._now + delay, callback)
-
     def timer(self, fire_at: int, callback: Callable[[], None]) -> Event:
         """`schedule`, with a handle that can cancel the event."""
         # no `__init__`: a class call runs one from C, in a frame of its own

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .config import CrossTrafficConfig, TalkerConfig
+from .config import Section
 from .fastforward import NotPeriodic, fields
 from .frames import (ArpKind, ArpMessage, BROADCAST, EthernetFrame, MacAddress,
                      SrpKind, SrpMessage, StreamData, StreamId, UdpDatagram,
@@ -50,14 +50,14 @@ class Host(Node):
         self.mac = mac
         self.protocol_addr = protocol_addr
         self.sink = sink
-        self.talker: Optional[TalkerConfig] = None
+        self.talker: Optional[Section] = None
         self.stream_id: Optional[StreamId] = None
         self.lr_arrival_ns: Optional[int] = None
         self._lr_timeout = None                 # cancelled once the listener ready arrives
         self.stream_seq = 0
         self.streams_listened: dict = {}        # subscribed unique_id -> its flow name
         self._lr_sent: set = set()
-        self.cross: Optional[CrossTrafficConfig] = None
+        self.cross: Optional[Section] = None
         self._arp_resolved: Optional[MacAddress] = None
         self._arp_tries = 0
         self._arp_retry_event = None
@@ -65,26 +65,26 @@ class Host(Node):
 
     # -- app wiring -------------------------------------------------------
 
-    def run_talker(self, cfg: TalkerConfig) -> None:
+    def run_talker(self, cfg: Section) -> None:
         self.talker = cfg
         self.stream_id = StreamId(self.mac, cfg.unique_id)
-        self.sim.schedule(cfg.advertise_at_ns, self._advertise)
-        self._lr_timeout = self.sim.timer(cfg.advertise_at_ns + LR_TIMEOUT_NS,
+        self.sim.schedule(cfg.advertise_at, self._advertise)
+        self._lr_timeout = self.sim.timer(cfg.advertise_at + LR_TIMEOUT_NS,
                                           self._lr_timed_out)
 
     def run_listener(self, unique_id: int) -> None:
         self.streams_listened[unique_id] = stream_flow(unique_id)
 
-    def run_udp_source(self, cfg: CrossTrafficConfig) -> None:
+    def run_udp_source(self, cfg: Section) -> None:
         self.cross = cfg
-        self.sim.schedule(cfg.start_at_ns, self._send_arp_request)
+        self.sim.schedule(cfg.start_at, self._send_arp_request)
 
     # -- talker -----------------------------------------------------------
 
     def _advertise(self) -> None:
         cfg = self.talker
         advertise = SrpMessage(SrpKind.TALKER_ADVERTISE, self.stream_id, cfg.dst_group,
-                               cfg.vlan, cfg.frame_bytes, cfg.interval_ns, cfg.sr_class)
+                               cfg.vlan, cfg.frame_bytes, cfg.interval, cfg.sr_class)
         reason = admit(self.ports[0], advertise)
         if reason is not None:
             self.sink.warn(f"{self.name}: NIC reservation rejected: {reason}")
@@ -105,7 +105,7 @@ class Host(Node):
                            cfg.frame_bytes, cfg.vlan)
         self.stream_seq += 1
         self.ports[0].enqueue(frame)
-        sim.schedule(now + cfg.interval_ns, self._send_stream_frame)
+        sim.schedule(now + cfg.interval, self._send_stream_frame)
 
     # -- cross traffic ----------------------------------------------------
 
@@ -143,7 +143,7 @@ class Host(Node):
                            cfg.frame_bytes, cfg.vlan)
         self.udp_seq += 1
         self.ports[0].enqueue(frame)
-        sim.schedule(now + cfg.send_interval_ns, self._send_udp_frame)
+        sim.schedule(now + cfg.send_interval, self._send_udp_frame)
 
     # -- receive path -----------------------------------------------------
 
@@ -182,7 +182,7 @@ class Host(Node):
                                    f"arrived at {now} ns, after the timeout; the stream "
                                    "starts")
                 # first data frame strictly after the listener ready arrives
-                self.sim.schedule_in(self.talker.interval_ns, self._send_stream_frame)
+                self.sim.schedule(now + self.talker.interval, self._send_stream_frame)
 
     def _handle_arp(self, frame: EthernetFrame, msg: ArpMessage) -> None:
         if msg.kind is ArpKind.REQUEST:
@@ -213,5 +213,5 @@ class Host(Node):
                 # its last send check falls within one interval past the count
                 left = cfg.count - self.udp_seq + 1
                 raise NotPeriodic(f"{self.name}: count-limited source still sending",
-                                  until=cx.start + left * cfg.send_interval_ns)
+                                  until=cx.start + left * cfg.send_interval)
             cx.add_source(self.protocol_addr, UDP_FLOW, self.udp_seq)

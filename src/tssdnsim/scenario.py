@@ -45,8 +45,8 @@ class RunResult(NamedTuple):
         """Send-time window after the configured convergence bound, to run end."""
         start = self.traffic_start_ns
         if start is None:
-            return (self.config.run_until_ns, self.config.run_until_ns)
-        return (start + self.config.convergence_bound_ns, self.config.run_until_ns)
+            return (self.config.run_until, self.config.run_until)
+        return (start + self.config.convergence_bound, self.config.run_until)
 
     def check_guarantee(self) -> GuaranteeResult:
         """The sink's latency check; a rejected reservation fails it whatever
@@ -119,7 +119,7 @@ def build_network(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> Network
     nodes = {**hosts, **switches}
 
     for link in cfg.links:
-        connect(nodes[link.a], nodes[link.b], link.rate_bps, link.propagation_ns,
+        connect(nodes[link.a], nodes[link.b], link.rate_bps, link.propagation,
                 cfg.queue_capacity, cfg.shaper_enabled)
 
     controller = None
@@ -131,8 +131,8 @@ def build_network(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> Network
 
     if cfg.talker is not None:
         hosts[cfg.talker.node].run_talker(cfg.talker)
-        for node in cfg.listeners:
-            hosts[node].run_listener(cfg.talker.unique_id)
+        for listener in cfg.listeners:
+            hosts[listener.node].run_listener(listener.unique_id)
 
     if cfg.cross_traffic is not None:
         hosts[cfg.cross_traffic.node].run_udp_source(cfg.cross_traffic)
@@ -148,7 +148,7 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
     """Build the scenario's network and run it; `trace` becomes `Simulator.trace`."""
     net = build_network(cfg, trace)
     sim, sink, hosts, switches = net.sim, net.sink, net.hosts, net.switches
-    sim.run_until(cfg.run_until_ns)
+    sim.run_until(cfg.run_until)
     talker_host = hosts[cfg.talker.node] if cfg.talker is not None else None
     controller = net.controller
 
@@ -156,7 +156,7 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
     if cfg.talker is not None and cfg.listeners:
         # the nearest listener's: every frame is held to the tightest bound
         ports = hops(cfg.adjacency(), cfg.talker.node)
-        scheduled_ports = min(ports[node] for node in cfg.listeners)
+        scheduled_ports = min(ports[listener.node] for listener in cfg.listeners)
 
     first_stream = first_udp = None
     for flow, _, _, send, _, _, _ in sink.progressions():
@@ -179,7 +179,7 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
             and talker_host.stream_seq:
         stream_start = first_stream
         if stream_start is None:
-            stream_start = talker_host.lr_arrival_ns + cfg.talker.interval_ns
+            stream_start = talker_host.lr_arrival_ns + cfg.talker.interval
 
     return RunResult(
         config=cfg,
@@ -234,7 +234,7 @@ def format_report(result: RunResult, stats: dict, ws: int, we: int) -> str:
     cfg = result.config
     lines = [f"scenario: {cfg.name}",
              f"sdn_enabled: {cfg.sdn_enabled}",
-             f"run_until_ns: {cfg.run_until_ns}",
+             f"run_until_ns: {cfg.run_until}",
              f"frames recorded: {result.sink.count}",
              f"summary window (send_ns): [{ws}, {we})"]
     for flow in sorted(stats):

@@ -31,8 +31,8 @@ def report(capsys, ok, label):
 @pytest.fixture(scope="module")
 def zero_delay_sdn_result():
     cfg = load_config(resolve_scenario("case_study_sdn"))
-    cfg.control.one_way_delay_ns = 0
-    cfg.control.processing_delay_ns = 0
+    cfg.control.one_way_delay = 0
+    cfg.control.processing_delay = 0
     return run_scenario(cfg)
 
 

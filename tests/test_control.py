@@ -1,7 +1,7 @@
 import pytest
 
 from tssdnsim.cli import resolve_scenario
-from tssdnsim.config import ControlConfig, load_config, parse_config
+from tssdnsim.config import Section, load_config, parse_config
 from tssdnsim.control import Controller
 from tssdnsim.engine import Simulator
 from tssdnsim.frames import (MacAddress, SrpKind, SrpMessage, StreamId, UdpDatagram,
@@ -26,7 +26,7 @@ def make_rig(one_way=25 * US, processing=25 * US, n_ports=2):
         wire(sim, sw, rec)
         recs.append(rec)
     ctl = Controller(sim, "ctl")
-    ctl.attach_switch(sw, ControlConfig(one_way, processing))
+    ctl.attach_switch(sw, Section(one_way_delay=one_way, processing_delay=processing))
     ctl.start()
     return sim, sw, ctl, recs
 
@@ -168,7 +168,7 @@ def test_both_switches_bootstrap_long_before_traffic(sdn_result):
     for switch in ("switch0", "switch1"):
         updates = [t for t in c2s(sdn_result.control_trace, switch)
                    if t.kind == "MissActionUpdate"]
-        assert updates and updates[0].time_ns < sdn_result.config.idle_setup_ns
+        assert updates and updates[0].time_ns < sdn_result.config.idle_setup
 
 
 def test_controller_handles_srp_before_any_switch_applies_it(sdn_result):
@@ -203,7 +203,7 @@ def test_one_stream_rule_per_switch_installed_before_first_frame(sdn_result):
 ], ids=["case_study_sdn", "line8"])
 def test_controller_and_switches_end_with_the_same_sr_tables(cfg):
     net = build_network(cfg)
-    net.sim.run_until(cfg.run_until_ns)
+    net.sim.run_until(cfg.run_until)
     for name, switch in net.switches.items():
         assert switch.sr_table.streams
         assert net.controller.sr_tables[name].streams == switch.sr_table.streams

@@ -133,7 +133,7 @@ def test_no_model_schedules_a_lambda(propagation):
     callbacks = set()
     net = build_network(cfg, trace=lambda kind, _, entry, __: callbacks.add(entry[2])
                         if kind == "dispatch" else None)
-    net.sim.run_until(cfg.run_until_ns)
+    net.sim.run_until(cfg.run_until)
     owners = {id(model) for model in net.models()}
     strays = sorted({getattr(cb, "__qualname__", repr(cb)) for cb in callbacks
                      if id(getattr(cb, "__self__", None)) not in owners})
@@ -152,7 +152,7 @@ def test_skipping_cycles_changes_no_output(raw, until, most_run_ms, tmp_path):
     assert _emitted(fast, tmp_path / "fast") == _emitted(full, tmp_path / "full")
     if most_run_ms is not None:
         skipped_ns = fast.skipped.cycles * fast.skipped.period_ns
-        assert fast.config.run_until_ns - skipped_ns <= most_run_ms * MS
+        assert fast.config.run_until - skipped_ns <= most_run_ms * MS
 
 
 class Ticker:
@@ -168,8 +168,9 @@ class Ticker:
     def tick(self):
         self.ticks += 1
         land = (lambda: self.land()) if self.as_lambda else self.land
-        self.sim.schedule_in(self.delay, land)
-        self.sim.schedule_in(self.period, self.tick)
+        now = self.sim.now()
+        self.sim.schedule(now + self.delay, land)
+        self.sim.schedule(now + self.period, self.tick)
 
     def land(self):
         self.landed += 1
@@ -211,10 +212,10 @@ def test_only_a_cycle_of_model_methods_within_the_period_is_skipped(delay, as_la
 
 def test_run_until_in_pieces_matches_one_call():
     cfg = load_config(resolve_scenario("case_study_sdn"))
-    cfg.run_until_ns = 300 * MS
+    cfg.run_until = 300 * MS
     whole = run_scenario(cfg)
     net = build_network(cfg)
-    for t_end in (50 * MS, 100 * MS + 250_001, 230 * MS, 230 * MS, cfg.run_until_ns):
+    for t_end in (50 * MS, 100 * MS + 250_001, 230 * MS, 230 * MS, cfg.run_until):
         net.sim.run_until(t_end)
     assert net.sim.boundary.cycles_skipped > 0
     assert list(net.sink.rows()) == records(whole.sink)
@@ -473,7 +474,7 @@ def test_a_longer_run_stores_no_more_records():
     # a skip stores one block, whatever the number of periods it skips
     def run(until_ns):
         cfg = load_config(resolve_scenario("case_study_sdn"))
-        cfg.run_until_ns = until_ns
+        cfg.run_until = until_ns
         return run_scenario(cfg)
 
     short, long = run(2_000 * MS), run(60_000 * MS)
@@ -499,7 +500,7 @@ def test_the_overload_is_found_to_repeat_every_72_cycles():
     # the shaperless overload fills a queue and drops; its state comes round
     # every 72 hyperperiods, not every one
     cfg = load_config(resolve_scenario("fault_injection"))
-    cfg.run_until_ns = 2_000 * MS
+    cfg.run_until = 2_000 * MS
     skipped = run_scenario(cfg).skipped
     assert skipped.repeat_ns == 72 * skipped.period_ns == 36 * MS
     assert skipped.cycles == 3_149
@@ -1006,7 +1007,7 @@ def test_every_model_field_is_classified_for_the_fast_forward():
     # a field added later must say how a snapshot treats it, or fail here
     cfg = load_config(resolve_scenario("case_study_sdn"))
     net = build_network(cfg)
-    net.sim.run_until(cfg.run_until_ns)
+    net.sim.run_until(cfg.run_until)
     models = net.models()
     models += [cs for port in models if isinstance(port, EgressPort)
                for cs in port.shaped.values()]

@@ -1,8 +1,8 @@
-from tssdnsim.config import parse_config
+from tssdnsim.config import Section, parse_config
 from tssdnsim.engine import Simulator
 from tssdnsim.frames import (ArpKind, ArpMessage, MacAddress, SrpKind,
                              SrpMessage, StreamId, VlanTag, make_frame)
-from tssdnsim.hosts import CrossTrafficConfig, Host, TalkerConfig
+from tssdnsim.hosts import Host
 from tssdnsim.metrics import MetricsSink
 from tssdnsim.scenario import run_scenario
 
@@ -14,9 +14,9 @@ GROUP = mac("91:E0:F0:00:00:01")
 
 
 def talker_config(advertise_at=1 * MS):
-    return TalkerConfig(node="hostA", unique_id=1, dst_group=GROUP,
-                        vlan=VlanTag(2, 6), sr_class="A", frame_bytes=150,
-                        interval_ns=125 * US, advertise_at_ns=advertise_at)
+    return Section(node="hostA", unique_id=1, dst_group=GROUP,
+                   vlan=VlanTag(2, 6), sr_class="A", frame_bytes=150,
+                   interval=125 * US, advertise_at=advertise_at)
 
 
 def host_pair(sim, sink):
@@ -108,9 +108,9 @@ def test_arp_gives_up_after_retries():
     host = Host(sim, "hostA", mac("02:00:00:00:00:01"), "hostA", sink)
     rec = Recorder(sim)
     wire(sim, host, rec)
-    host.run_udp_source(CrossTrafficConfig(node="hostA", dst_node="ghost",
-                                           frame_bytes=1000, send_interval_ns=100 * US,
-                                           start_at_ns=0))
+    host.run_udp_source(Section(node="hostA", dst_node="ghost", frame_bytes=1000,
+                                send_interval=100 * US, start_at=0, count=None,
+                                vlan=None))
     sim.run_until(100 * MS)
     requests = [f for _, _, f in rec.received if isinstance(f.payload, ArpMessage)]
     assert len(requests) == 4  # the original plus three retries
@@ -122,9 +122,8 @@ def test_first_udp_frame_goes_out_at_arp_reply_time():
     sim = Simulator()
     sink = MetricsSink()
     a, b = host_pair(sim, sink)
-    a.run_udp_source(CrossTrafficConfig(node="hostA", dst_node="hostB",
-                                        frame_bytes=1000, send_interval_ns=100 * US,
-                                        start_at_ns=1 * MS, count=5))
+    a.run_udp_source(Section(node="hostA", dst_node="hostB", frame_bytes=1000,
+                             send_interval=100 * US, start_at=1 * MS, count=5, vlan=None))
     sim.run_until(10 * MS)
     # request and reply are 64-byte frames: one serialization each way
     reply_at = 1 * MS + 2 * 6_720

@@ -14,7 +14,8 @@ import pytest
 import yaml
 
 from tssdnsim.cli import BUILTIN_SCENARIOS, main, resolve_scenario
-from tssdnsim.config import SCHEMA, ConfigError, load_config, parse_config, parse_time_ns
+from tssdnsim.config import (SCHEMA, ConfigError, Section, load_config, parse_config,
+                              parse_time_ns)
 from tssdnsim.metrics import FRAME_CSV_HEADER, MetricsSink
 from tssdnsim.scenario import compare_report, emit_outputs, run_scenario
 from tssdnsim.srp import CLASS_A
@@ -112,8 +113,8 @@ def minimal_raw(**overrides):
 
 def test_minimal_config_parses():
     cfg = parse_config(minimal_raw())
-    assert cfg.run_until_ns == 10 * MS
-    assert cfg.idle_setup_ns == 100 * MS  # default
+    assert cfg.run_until == 10 * MS
+    assert cfg.idle_setup == 100 * MS  # default
     assert [l.rate_bps for l in cfg.links] == [100_000_000, 100_000_000]
 
 
@@ -376,10 +377,18 @@ def _schema_keys():
 SCHEMA_KEYS = list(_schema_keys())
 
 
-@pytest.mark.parametrize("path, field", SCHEMA_KEYS, ids=[field for _, field in SCHEMA_KEYS])
-def test_every_key_of_the_wrong_type_is_refused_by_name(tmp_path, capsys, path, field):
+# the keys whose value is true or false; YAML's true is no number or time
+BOOLEAN_KEYS = {"sdn_enabled", "shaper_enabled"}
+WRONG_TYPES = [(path, field, value) for path, field in SCHEMA_KEYS
+               for value in (2.5, True) if value is not True or field not in BOOLEAN_KEYS]
+
+
+@pytest.mark.parametrize("path, field, value", WRONG_TYPES,
+                         ids=[field + "-true" * (value is True)
+                              for _, field, value in WRONG_TYPES])
+def test_every_key_of_the_wrong_type_is_refused_by_name(tmp_path, capsys, path, field, value):
     # a fraction is no string, boolean, time, integer, list or mapping
-    assert f"{field}: " in _refused(tmp_path, capsys, _case_study_set(path, 2.5))
+    assert f"{field}: " in _refused(tmp_path, capsys, _case_study_set(path, value))
 
 
 @pytest.mark.parametrize("path, field", SCHEMA_KEYS, ids=[field for _, field in SCHEMA_KEYS])
@@ -416,20 +425,37 @@ def test_shipped_scenarios_load():
     nosdn = load_config(resolve_scenario("case_study_nosdn"))
     fault = load_config(resolve_scenario("fault_injection"))
     assert sdn.sdn_enabled and not nosdn.sdn_enabled
-    assert sdn.talker.interval_ns == 125 * US
-    assert sdn.control.one_way_delay_ns == 25 * US
+    assert sdn.talker.interval == 125 * US
+    assert sdn.control.one_way_delay == 25 * US
     assert nosdn.controller is None
     assert fault.shaper_enabled is False
     assert fault.cross_traffic.vlan.pcp == 6
 
 
+def test_every_schema_key_is_an_attribute_of_the_same_name():
+    cfg = load_config(resolve_scenario("case_study_sdn"))
+    assert cfg.cross_traffic is not None
+    # set from vid and pcp, built once and read per frame
+    derived = {"talker": {"vlan"}, "cross_traffic": {"vlan"}}
+    for section, table in SCHEMA.items():
+        if section == "defaults":           # read by the links, then dropped
+            continue
+        record = getattr(cfg, section) if section else cfg
+        if isinstance(record, list):
+            record = record[0]
+        assert isinstance(record, Section), section
+        keys = set(table) - {"defaults"} | derived.get(section, set())
+        assert set(vars(record)) == keys, section
+
+
 def _value(record):
-    """A config as nested tuples: each `__slots__` record as its type and
-    fields, since such a record compares by identity."""
-    slots = getattr(type(record), "__slots__", None)
-    if slots is None or isinstance(record, tuple):
+    """A config as nested tuples: each section as its type and attributes,
+    since a section compares by identity."""
+    if isinstance(record, list):
+        return [_value(item) for item in record]
+    if not isinstance(record, Section):
         return record
-    return (type(record),) + tuple(_value(getattr(record, name)) for name in slots)
+    return (type(record),) + tuple((name, _value(value)) for name, value in vars(record).items())
 
 
 @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
@@ -570,7 +596,7 @@ def test_guarantee_names_the_worst_frame():
 
 def test_run_ending_before_setup_produces_no_records():
     cfg = load_config(resolve_scenario("case_study_nosdn"))
-    cfg.run_until_ns = 50 * MS  # before anything is scheduled to start
+    cfg.run_until = 50 * MS  # before anything is scheduled to start
     result = run_scenario(cfg)
     assert records(result.sink) == []
     assert result.stream_start_ns is None
@@ -833,6 +859,15 @@ def test_cli_check_guarantee_pass_and_fail(capsys):
     assert main(["check", "--scenario", "fault_injection", "--until", "120ms",
                  "--guarantee"]) == 1
     assert "guarantee FAIL" in capsys.readouterr().out
+
+
+def test_cli_check_with_no_check_named_is_a_usage_error(capsys):
+    # it checked nothing and exited 0, on a scenario whose guarantee fails too
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--scenario", "fault_injection"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--guarantee" in captured.err and not captured.out
 
 
 def test_cli_unknown_scenario_is_a_config_error(capsys):

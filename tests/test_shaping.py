@@ -299,7 +299,7 @@ def test_the_credit_stays_within_the_802_1qav_bounds(raw, span):
                     seen[1] = credit
 
     net.sim.trace = check
-    net.sim.run_until(cfg.run_until_ns)
+    net.sim.run_until(cfg.run_until)
     check()
     assert checks
     assert tuple(seen) == span
