@@ -59,10 +59,16 @@ class Section:
     """A parsed section of a scenario: one attribute per key of its `SCHEMA`
     table, named as the key, holding the parsed value (a time in integer ns).
     Its attributes live in a `__dict__`, so the fast-forward only ever keeps
-    a section as a static field."""
+    a section as a static field. Only the attributes it was built with can
+    be assigned: a misspelled one would change nothing."""
 
     def __init__(self, **values) -> None:
         vars(self).update(values)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name not in vars(self):
+            raise AttributeError(f"{type(self).__name__} has no attribute {name!r}")
+        super().__setattr__(name, value)
 
 
 class ScenarioConfig(Section):
@@ -151,8 +157,12 @@ def _items(parse):
 
 
 def _section(key: str):
-    return lambda value, name, top: Section(**_fields(_typed(dict, "a mapping")(value, name),
-                                                      SCHEMA[key], f"{name}.", top, {}))
+    def parse(value, name, top):
+        out = _fields(_typed(dict, "a mapping")(value, name), SCHEMA[key], f"{name}.", top, {})
+        if "vid" in out:        # a traffic source's VLAN tag, None without a vid
+            out["vlan"] = None if out["vid"] is None else VlanTag(out["vid"], out["pcp"])
+        return Section(**out)
+    return parse
 
 
 def _integer(value, name: str) -> int:
@@ -295,7 +305,6 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
             # admission shapes the class's queue; frames in another would bypass it
             raise ConfigError(f"{source}: talker.pcp: {t.pcp} is not the PCP of SR "
                               f"class {t.sr_class} ({class_pcp})")
-        t.vlan = VlanTag(t.vid, t.pcp)
     for i, listener in enumerate(cfg.listeners):
         # a listener subscribes to the talker's stream
         if t is not None and listener.unique_id != t.unique_id:
@@ -308,7 +317,6 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
             raise ConfigError(f"{where}.pcp: needs a vid, the VLAN tag that carries it")
         if c.dst_node == c.node:
             raise ConfigError(f"{where}.dst_node: {c.node!r} is the sending node itself")
-        c.vlan = None if c.vid is None else VlanTag(c.vid, c.pcp)
 
     if names:
         adjacency = cfg.adjacency()

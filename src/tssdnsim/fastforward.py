@@ -13,7 +13,8 @@ their time relative to b and their owner and method, and the sizes of the
 frames in each non-empty queue, by the queue's index. Equal states have equal
 keys. When the key at b was last seen at a boundary a, P = b - a is a
 candidate period: it takes a full snapshot of the model state normalised to b
-and, at b + P, another one. Only when the two are equal does the period from
+and, at b + P, another one. One candidate is open at a time; the keys seen
+while it is open are still learned. Only when the two are equal does the period from
 b + P on repeat the last one, and so does every later period up to the first
 pending event beyond the next one or the end of the run. Those k periods are
 skipped: the model's times move by k*P and its counters grow by k times their
@@ -34,8 +35,8 @@ before the next event or the end of the run, and moves no state: no callback
 runs in the jumped time, so the jump is exact by construction. Where the two
 snapshots would have been equal it skips as they would, by the same number
 of periods. It also skips where they would differ only by the times an idle
-model holds, normalised to a different boundary in each: the last update of
-a reserved port's credit, or a pending event that a model refers to. If a
+model holds, normalised to a different boundary in each: when a reserved
+port last settled its credits, or a pending event that a model refers to. If a
 condition fails, it backs off as a changed state does; a cancelled event
 popped in the stretch changes the heap's length, so it backs off there too,
 though the snapshots ignore cancelled events.
@@ -46,8 +47,8 @@ class attribute `FF_FIELDS` built by `fields()`:
 - static: fixed once the network is built, a cache whose value does not
   change what the model does next, or an index derived from compared fields
   (`SrTable._by_group`, `EgressPort._backlog`);
-- normalised: compared as a value copy (`Cycle.freeze`); an event it refers
-  to compares by its time relative to b;
+- normalised: compared as a value copy (`Cycle.snapshot`); an event it
+  refers to compares by its time relative to b;
 - shifted: holds times or sequence numbers; the class's `ff_state(cx)` returns
   its normalised form and `ff_shift(cx)` moves it by the skipped periods. An
   append-only log, such as the controller's trace, is compared by its
@@ -71,7 +72,7 @@ class attribute `FF_FIELDS` built by `fields()`:
   up. The tests' reference snapshot copies the contents and checks that
   equal counts come with equal contents.
 
-`Cycle.freeze` copies a normalised value by the kind of its type, which a
+`Cycle.snapshot` copies a normalised value by the kind of its type, which a
 table (`KINDS`) finds on the type's first sight and keeps:
 
 - kept as they are: the immutable values, that is `int`, `bool`, `float`,
@@ -105,12 +106,11 @@ boundary, so two such lists compare field by field.
 A class without shifted fields may still define `ff_state`, to register on the
 cycle or to refuse the snapshot by raising `NotPeriodic`. The pending events
 are read and moved here alone, as the engine's heap entries `[fire_at, seq,
-callback]` (None for a cancelled one), in one walk per boundary: the key
-sorts and normalises the live ones before b + H, a snapshot at the same b
-reuses them and walks the heap only from b + H on, and a skip moves the
-ones before b + P in place, so a model's `Event` handle on one sees its new
-time, and rebuilds the heap without the cancelled ones
-(`SteadyState._pending` and `_skip`).
+callback]` (None for a cancelled one): the key sorts and normalises the live
+ones before b + H, a snapshot sorts the live heap once and splits it at
+b + P, and a skip moves the ones before b + P in place, so a model's `Event`
+handle on one sees its new time, and rebuilds the heap without the cancelled
+ones (`SteadyState._pending` and `_skip`).
 
 What is in flight is model state: a port's frames on the wire and a control
 channel's messages are FIFOs, and their delivery events are model methods. No
@@ -245,11 +245,6 @@ class Cycle:
         if callback is None or fire_at < self.start:
             return None
         return fire_at - self.start
-
-    def freeze(self, value):
-        """A value copy of a normalised field, untouched by later changes to it."""
-        kind = KINDS[type(value)]
-        return value if kind is None else kind(self, value)
 
     def snapshot(self, plans: list) -> tuple:
         """The state of the models that `plans` reads (see `model_plans`):
@@ -422,9 +417,9 @@ class SteadyState:
         self._queues = [q for m in models for q in getattr(m, "queues", ())]
         self._indexed = list(enumerate(self._queues))   # (index, queue) per queue
         self._owners = frozenset(id(m) for m in models)
-        self._near: tuple = ([], ())  # the last key's live entries and their events
         self._seen: dict = {}        # hash of a boundary's key -> last boundary with it
-        self._candidates: dict = {}  # period P -> (key hash, snapshot at its start)
+        # the open candidate: (P, key hash, snapshot or `Idle` at its start)
+        self._candidate: Optional[tuple] = None
         self._wait = 1
         self.next_stop = period
         self.snapshots = 0
@@ -453,9 +448,10 @@ class SteadyState:
         except NotPeriodic as exc:
             return self._back_off(b, str(exc))
         key = hash((events, queued))
-        for period, (cand_key, cand) in self._candidates.items():
+        if self._candidate is not None:
+            period, cand_key, cand = self._candidate
             if cand.start + period == b:
-                del self._candidates[period]
+                self._candidate = None
                 if key != cand_key:
                     return self._back_off(b, f"the state changed over a {period} ns cycle")
                 if type(cand) is Idle:
@@ -463,7 +459,7 @@ class SteadyState:
                 return self._compare(cand, b, t_end)
         last = self._seen.get(key)
         self._seen[key] = b
-        if last is not None and b - last not in self._candidates:
+        if last is not None and self._candidate is None:
             period = b - last
             # a live event pending before b + H is one before b + period
             cand = None if events else self._idle(b, period)
@@ -473,7 +469,7 @@ class SteadyState:
                     self._snapshot(cand)
                 except NotPeriodic as exc:
                     return self._back_off(b, str(exc), exc.until)
-            self._candidates[period] = key, cand
+            self._candidate = period, key, cand
         return b + self.period
 
     def _idle(self, b: int, period: int) -> Optional[Idle]:
@@ -492,12 +488,10 @@ class SteadyState:
     def _key(self, b: int) -> tuple:
         """What equal states at b share: the pending events before b + H, as
         `_events` normalises them, and the frame sizes in each non-empty
-        queue, by its index. A snapshot at b reuses the events (`_near`)."""
+        queue, by its index."""
         horizon = b + self.period
-        near = sorted([entry for entry in self.sim._heap
-                       if entry[0] < horizon and entry[2] is not None])
-        events = self._events(near, b)
-        self._near = near, events
+        events = self._events(sorted([entry for entry in self.sim._heap
+                                      if entry[0] < horizon and entry[2] is not None]), b)
         return events, tuple([(i, tuple(map(FRAME_BYTES, q)))
                               for i, q in compress(self._indexed, self._queues)])
 
@@ -521,19 +515,17 @@ class SteadyState:
 
     def _pending(self, cx: Cycle) -> tuple:
         """The pending events at cx's boundary b: those before b + P as the
-        key there normalised the ones before b + H, in dispatch order, and
-        the later ones as (fire_at, seq), since none of them may fire, appear
-        or go in a skipped period. Keeps on cx the first ones, which a skip
-        moves, and when the first later one fires."""
+        key normalises events, in dispatch order, and the later ones as
+        (fire_at, seq), since none of them may fire, appear or go in a
+        skipped period. Keeps on cx the first ones, which a skip moves, and
+        when the first later one fires."""
         b = cx.start
-        near, events = self._near
-        later = sorted([entry for entry in self.sim._heap
-                        if entry[0] >= b + self.period and entry[2] is not None])
-        split = bisect_left(later, [b + cx.period])     # the first at or after b + P
-        cx.near = near + later[:split]
-        far = tuple([(fire_at, seq) for fire_at, seq, _ in later[split:]])
+        live = sorted([entry for entry in self.sim._heap if entry[2] is not None])
+        split = bisect_left(live, [b + cx.period])      # the first at or after b + P
+        cx.near = live[:split]
+        far = tuple([(fire_at, seq) for fire_at, seq, _ in live[split:]])
         cx.first_far = far[0][0] if far else None
-        return events + self._events(later[:split], b), far
+        return self._events(cx.near, b), far
 
     def _snapshot(self, cx: Cycle) -> None:
         if self._plans is None:     # found at the first snapshot
@@ -590,7 +582,7 @@ class SteadyState:
 
     def _forget(self) -> None:
         self._seen.clear()
-        self._candidates.clear()
+        self._candidate = None
 
     def _back_off(self, b: int, reason: str, until: Optional[int] = None) -> int:
         self.reason = reason

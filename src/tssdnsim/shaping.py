@@ -23,21 +23,17 @@ _HIGHEST = [backlog.bit_length() - 1 for backlog in range(1 << NUM_QUEUES)]
 class CreditState:
     """CBS state for one shaped class; credit is in nanobits (bits * ns/s).
 
-    Its port's snapshot reads the credit and the last update in place, and
-    the port's `changes` counts each change of the idle slope."""
+    Its port settles every class's credit at the same time, `credits_at`,
+    reads the credit in place for a snapshot, and counts each change of the
+    idle slope in its `changes`."""
 
-    __slots__ = ("idle_slope_bps", "credit", "last_update")
+    __slots__ = ("idle_slope_bps", "credit")
 
-    def __init__(self, idle_slope_bps: int, credit: int = 0, last_update: int = 0) -> None:
+    def __init__(self, idle_slope_bps: int, credit: int = 0) -> None:
         self.idle_slope_bps = idle_slope_bps
         self.credit = credit
-        self.last_update = last_update
 
-    FF_FIELDS = fields(tracked="idle_slope_bps", normalised="credit",
-                       shifted="last_update")
-
-    def ff_shift(self, cx) -> None:
-        self.last_update += cx.shift_ns
+    FF_FIELDS = fields(tracked="idle_slope_bps", normalised="credit")
 
 
 class EgressPort:
@@ -59,8 +55,8 @@ class EgressPort:
                "_classes _tx_done _backlog",
         normalised="transmitting_pcp _wakeup max_depth changes",
         tracked="total_reserved_bps reserved_streams",
-        shifted="queues shaped tx_busy_until _wire",
-        counted="frames_sent dropped_overflow reservations_rejected")
+        shifted="queues shaped tx_busy_until credits_at _wire",
+        counted="dropped_overflow reservations_rejected")
 
     def __init__(self, sim: Simulator, name: str, peer, peer_port: int, rate_bps: int,
                  propagation_ns: int, queue_capacity: int, shaper_enabled: bool) -> None:
@@ -82,6 +78,7 @@ class EgressPort:
         self.total_reserved_bps = 0
         self.reserved_streams: dict = {}    # stream id -> its advertise, by srp.admit
         self.tx_busy_until = 0
+        self.credits_at = 0     # when every shaped class's credit was last settled
         self.transmitting_pcp: Optional[int] = None
         self._wakeup: Optional[Event] = None
         # the frames sent and not yet delivered, oldest first: the delay is
@@ -90,7 +87,6 @@ class EgressPort:
         # the bound method each transmission schedules, made once
         self._tx_done = self._on_tx_done
         # counters
-        self.frames_sent = 0
         self.dropped_overflow = 0
         self.reservations_rejected = 0      # counted by srp.admit
         # a tuple, which a snapshot keeps as it is; rewritten at a new maximum
@@ -110,7 +106,7 @@ class EgressPort:
             return
         cs = self.shaped.get(pcp)
         if cs is None:
-            cs = CreditState(idle_slope_bps=0, last_update=now)
+            cs = CreditState(idle_slope_bps=0)
             self.shaped[pcp] = cs
             self._classes += ((pcp, cs, self.queues[pcp]),)
         cs.idle_slope_bps += bps
@@ -143,13 +139,14 @@ class EgressPort:
     # -- credit dynamics --------------------------------------------------
 
     def _update_credits(self, now: int) -> None:
+        dt = now - self.credits_at
+        if dt <= 0:
+            if dt:
+                raise SimulationError(f"port {self.name}: credit update in the past")
+            return
+        self.credits_at = now
         transmitting = self.transmitting_pcp
         for pcp, cs, queue in self._classes:
-            dt = now - cs.last_update
-            if dt <= 0:
-                if dt:
-                    raise SimulationError(f"port {self.name}: credit update in the past")
-                continue
             if transmitting == pcp:
                 # the send slope: idle slope minus the port rate
                 cs.credit += (cs.idle_slope_bps - self.rate_bps) * dt
@@ -163,7 +160,6 @@ class EgressPort:
                     cs.credit = credit if credit < 0 else 0
                 else:
                     cs.credit = 0
-            cs.last_update = now
 
     # -- transmission selection -------------------------------------------
 
@@ -205,7 +201,6 @@ class EgressPort:
         if self.propagation_ns:
             sim.schedule(tx_end + self.propagation_ns, self._deliver)
         sim.schedule(tx_end, self._tx_done)
-        self.frames_sent += 1
         if sim.trace is not None:
             sim.trace("tx", now, self, frame)
 
@@ -254,12 +249,12 @@ class EgressPort:
     # -- steady-state fast-forward (see fastforward.py) --------------------
 
     def ff_state(self, cx) -> tuple:
-        """Each shaped class's credit and last update, read in place; then,
-        unless the port is idle, the frames queued and on the wire and the
-        time left of the transmission."""
+        """Each shaped class's credit, read in place, and when they were
+        settled; then, unless the port is idle, the frames queued and on the
+        wire and the time left of the transmission."""
         start = cx.start
-        credits = tuple([(cs.credit, cs.last_update - start)
-                         for _, cs, _ in self._classes]) if self._classes else ()
+        credits = (*[cs.credit for _, cs, _ in self._classes],
+                   self.credits_at - start) if self._classes else ()
         if not (self._backlog or self._wire):
             # nothing queued and nothing on the wire, so nothing is sending
             return (credits,)
@@ -276,6 +271,5 @@ class EgressPort:
                     moved = [frame_shifted(frame, cx) for frame in q]
                     q.clear()
                     q.extend(moved)
-        for _, cs, _ in self._classes:
-            cs.ff_shift(cx)
+        self.credits_at += cx.shift_ns
         self.tx_busy_until += cx.shift_ns

@@ -529,20 +529,27 @@ def test_report_and_stdout_give_the_cycles_skipped(tmp_path, capsys):
 
 
 def test_idle_stretches_with_messages_in_flight_are_jumped():
-    # no pair of snapshots finds these stretches idle: a reserved port's
-    # credit holds the time of its last update, which tells them apart
+    # no pair of snapshots finds these stretches idle: a reserved port holds
+    # the time it last settled its credits, which tells them apart
     raw = _changed(workloads.line_scenario(8), **{"control.one_way_delay": "40ms"},
                    run_until="1500ms")
     assert run_scenario(parse_config(raw)).skipped.line() == (
         "fast-forward: 2662 cycles of 500000 ns skipped, 1331000000 ns of simulated time")
 
 
-def test_a_line_of_16_switches_is_skipped_from_its_set_up_on():
-    result = run_scenario(parse_config(dict(workloads.line_scenario(16), run_until="600ms")))
-    assert result.skipped.line() == (
-        "fast-forward: 1160 cycles of 500000 ns skipped, 580000000 ns of simulated time")
+@pytest.mark.parametrize("raw, cycles, frames", [
+    (dict(workloads.line_scenario(16), run_until="600ms"), 1160, ("9de5c1dd1a0f9cf6", 8_927)),
+    # the shaped benchmark workloads, whose snapshots hold each port's
+    # credit clock, normalised to b
+    (_shipped("case_study_sdn", run_until="1500ms"), 2990, ("17d12910d164c0c1", 25_190)),
+    (dict(workloads.line_scenario(8), run_until="600ms"), 1177, ("cc1513cfeed426b2", 8_963)),
+], ids=["line16", "sdn_steady", "line8_sdn"])
+def test_a_line_is_skipped_from_its_set_up_on(raw, cycles, frames):
+    result = run_scenario(parse_config(raw))
+    assert result.skipped.line() == (f"fast-forward: {cycles} cycles of 500000 ns skipped, "
+                                     f"{cycles * 500_000} ns of simulated time")
     assert result.skipped.snapshots == 2
-    assert (result.frame_csv_hash()[:16], result.sink.count) == ("9de5c1dd1a0f9cf6", 8_927)
+    assert (result.frame_csv_hash()[:16], result.sink.count) == frames
 
 
 def test_a_period_confirmed_with_less_than_one_left_is_named(capsys, tmp_path):
@@ -592,6 +599,12 @@ def _cycle():
     return Cycle(0, P, None)
 
 
+def _freeze(cx, value):
+    """A value copy of a normalised field, by the kind table a snapshot uses."""
+    kind = fastforward.KINDS[type(value)]
+    return value if kind is None else kind(cx, value)
+
+
 def _state_of(cx, model):
     """A snapshot of one model."""
     return cx.snapshot(fastforward.model_plans([model]))
@@ -617,7 +630,7 @@ def test_the_fieldless_actions_differ_and_freeze_by_their_type():
     # a NamedTuple without fields equals (), and so every other one
     cx = _cycle()
     assert Drop() != ToController()
-    assert cx.freeze(Drop()) == cx.freeze(Drop()) != cx.freeze(ToController())
+    assert _freeze(cx, Drop()) == _freeze(cx, Drop()) != _freeze(cx, ToController())
 
 
 def test_a_flow_table_whose_miss_action_changed_snapshots_apart():
@@ -755,7 +768,7 @@ class Plain:
 ], ids=["deque", "bytearray", "no-slots", "nested-deque"])
 def test_freeze_refuses_a_mutable_value_it_cannot_copy(value, name):
     with pytest.raises(TypeError, match=re.escape(name)):
-        _cycle().freeze(value)
+        _freeze(_cycle(), value)
 
 
 class Base:
@@ -769,7 +782,7 @@ class Derived(Base):
 def test_a_record_freezes_the_slots_of_its_bases_after_its_own():
     record = Derived()
     record.a, record.b = 1, [2]
-    assert _cycle().freeze(record) == (Derived, (2,), 1)
+    assert _freeze(_cycle(), record) == (Derived, (2,), 1)
 
 
 # -- the freeze table and plans against the generic freeze they replaced ------
@@ -973,13 +986,13 @@ def test_a_flow_table_written_around_its_count_fails_the_reference(
 @pytest.mark.parametrize("case", ["control-delay-1ms", "line8-control-40ms"])
 def test_a_snapshot_without_the_events_the_key_leaves_out_fails_the_reference(
         case, checked_snapshots, monkeypatch):
-    # the negative control: a snapshot reuses the key's events before b + H
-    # and must add those from b + H to b + P, control messages in flight here
+    # the negative control: a snapshot must hold the events from b + H to
+    # b + P too, which the key leaves out: control messages in flight here
     pending = SteadyState._pending
 
     def short(self, cx):
         events, far = pending(self, cx)
-        return events[:len(self._near[1])], far
+        return tuple(event for event in events if event[0] < self.period), far
 
     monkeypatch.setattr(SteadyState, "_pending", short)
     _, raw, until, _ = next(c for c in EQUIVALENCE_CASES if c[0] == case)
@@ -1034,7 +1047,7 @@ def test_every_model_field_is_classified_for_the_fast_forward():
             if kind == COUNTED or name == "changes":
                 assert isinstance(value, int), f"{cls.__name__}.{name}"
             if kind == NORMALISED:
-                # `Cycle.freeze` refuses a model, whose fields live in its
+                # a snapshot refuses a model, whose fields live in its
                 # `__dict__`: a model is a static field and goes into
                 # `Network.models()` on its own
                 items = value.values() if isinstance(value, dict) else ()

@@ -448,6 +448,21 @@ def test_every_schema_key_is_an_attribute_of_the_same_name():
         assert set(vars(record)) == keys, section
 
 
+@pytest.mark.parametrize("section, name", [("", "run_until_ns"), ("talker", "intervl")],
+                         ids=["run_until_ns", "talker.intervl"])
+def test_a_section_refuses_an_attribute_it_was_not_built_with(section, name):
+    # kept, the typo would change nothing: before, `run_until_ns` left the
+    # run at 140 ms and its 715 frames, and `intervl` the interval at 125 us
+    cfg = load_config(resolve_scenario("case_study_nosdn"))
+    record = getattr(cfg, section) if section else cfg
+    with pytest.raises(AttributeError, match=repr(name)):
+        setattr(record, name, 5)
+    assert not hasattr(record, name)
+    cfg.run_until = 20 * MS
+    cfg.talker.interval = 250 * US
+    assert (cfg.run_until, cfg.talker.interval) == (20 * MS, 250 * US)
+
+
 def _value(record):
     """A config as nested tuples: each section as its type and attributes,
     since a section compares by identity."""

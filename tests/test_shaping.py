@@ -51,7 +51,8 @@ def test_back_to_back_frames_arrive_after_serialization_plus_propagation(
     # 64-byte frames serialize in 6.72 us; the second starts when the first ends
     assert [t for t, _, _ in receiver.received] == [6_720 + propagation_ns,
                                                    2 * 6_720 + propagation_ns]
-    assert port.frames_sent == 2 and port.tx_busy_until == 2 * 6_720
+    assert [frame for _, _, frame in receiver.received] == [be_frame(0), be_frame(1)]
+    assert port.tx_busy_until == 2 * 6_720
     # one tx-done per frame, plus a delivery event per frame on a delayed link
     assert seen.count("dispatch") == dispatches
 
@@ -94,7 +95,7 @@ def test_queue_empty_with_positive_credit_resets_to_zero():
 def test_a_class_idle_at_zero_credit_is_not_credited_for_its_idle_gap():
     # idle since its reservation at 0; a best-effort frame holds the port from
     # 50 us, and the stream frame waits from 51 us. Only that wait accrues
-    # idle slope: the update at each enqueue moves the class's last update on
+    # idle slope: the update at each enqueue moves the port's credit clock on
     sim, port, _ = make_rig()
     port.add_reservation(6, 75_000_000)
     sim.run_until(50 * US)
@@ -104,7 +105,7 @@ def test_a_class_idle_at_zero_credit_is_not_credited_for_its_idle_gap():
     sim.run_until(173_360)
     cs = port.shaped[6]
     assert port.transmitting_pcp == 6
-    assert cs.last_update == 173_360
+    assert port.credits_at == 173_360
     assert cs.credit == 75_000_000 * (173_360 - 51 * US)
 
 
