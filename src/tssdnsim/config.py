@@ -306,10 +306,13 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
             raise ConfigError(f"{source}: talker.pcp: {t.pcp} is not the PCP of SR "
                               f"class {t.sr_class} ({class_pcp})")
     for i, listener in enumerate(cfg.listeners):
-        # a listener subscribes to the talker's stream
+        # a listener subscribes to the talker's stream, over a path with a port
         if t is not None and listener.unique_id != t.unique_id:
             raise ConfigError(f"{source}: listeners[{i}].unique_id: {listener.unique_id} "
                               f"names no talker (talker.unique_id is {t.unique_id})")
+        if t is not None and listener.node == t.node:
+            raise ConfigError(f"{source}: listeners[{i}].node: {t.node!r} is the "
+                              "talker's node")
     c = cfg.cross_traffic
     if c is not None:
         where = f"{source}: cross_traffic"

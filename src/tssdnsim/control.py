@@ -152,17 +152,15 @@ class Controller:
 
     # the SR tables are models of their own; the logs are compared by length
     FF_FIELDS = fields(
-        static="sim name channels sr_tables log",
+        static="sim channels sr_tables",
         normalised="mac_locations",
         shifted="trace flow_installs")
 
-    def __init__(self, sim, name: str = "controller", log=None) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
-        self.name = name
         self.channels: dict[str, ControlChannel] = {}
         self.trace: list[TraceEntry] = []
         self.flow_installs: list[FlowInstall] = []
-        self.log = log if log is not None else (lambda msg: None)
         # each switch's streams, learned before the switch applies the message
         self.sr_tables: dict[str, SrTable] = {}
         self.mac_locations: dict = {}               # switch -> {mac: port}
@@ -197,19 +195,11 @@ class Controller:
     def _on_forward_srp(self, switch: Switch, channel: ControlChannel, msg: ForwardSrp) -> None:
         srp: SrpMessage = msg.frame.payload
         table = self.sr_tables[switch.name]
-        rec = table.streams.get(srp.stream_id)
         if srp.kind is SrpKind.TALKER_ADVERTISE:
-            prev = rec.talker_port if rec is not None else None
-            if table.register_talker(srp, msg.in_port) == "moved":
-                self.log(f"controller: stream {srp.stream_id} talker moved on "
-                         f"{switch.name}: port {prev} -> {msg.in_port}")
-            channel.send_to_switch(ForwardSrp(msg.frame, msg.in_port))
+            table.register_talker(srp, msg.in_port)
         else:
-            if rec is None:
-                self.log(f"controller: listener ready for unknown stream "
-                         f"{srp.stream_id} at {switch.name}, dropped")
-                return
             table.add_listener(srp.stream_id, msg.in_port)
+            rec = table.streams[srp.stream_id]
             advertise = rec.descriptor
             match = FlowMatch(
                 in_port=rec.talker_port,
@@ -221,7 +211,7 @@ class Controller:
             # rule install strictly precedes the listener ready on this FIFO channel
             channel.send_to_switch(FlowMod(match, STREAM_RULE_PRIORITY,
                                            (Output(rec.listener_ports),)))
-            channel.send_to_switch(ForwardSrp(msg.frame, msg.in_port))
+        channel.send_to_switch(ForwardSrp(msg.frame, msg.in_port))
 
     # -- reactive forwarding ----------------------------------------------
 

@@ -63,9 +63,9 @@ class attribute `FF_FIELDS` built by `fields()`:
   count only grows, so an equal count at two boundaries means that no
   mutator ran between them, and the contents are the ones the earlier
   snapshot saw: the comparison is sound by construction, as long as nothing
-  else writes the field. A call that changes nothing, such as a talker
-  advertise the table already holds, leaves the count, so a run that makes
-  it each period still repeats. This extends the rule for append-only logs,
+  else writes the field. A call that changes nothing, such as a listener
+  port the table already lists, leaves the count, so a run that makes it
+  each period still repeats. This extends the rule for append-only logs,
   whose count is their length. The flow tables, the SR tables and the
   ports' reservations are tracked: only SRP and control messages change
   them, so a snapshot's cost does not grow with the rules and streams set

@@ -11,8 +11,8 @@ from typing import Optional
 
 from .config import Section
 from .fastforward import NotPeriodic, fields
-from .frames import (ArpKind, ArpMessage, BROADCAST, EthernetFrame, MacAddress,
-                     SrpKind, SrpMessage, StreamData, StreamId, UdpDatagram,
+from .frames import (ArpKind, ArpMessage, BROADCAST, MIN_FRAME_BYTES, EthernetFrame,
+                     MacAddress, SrpKind, SrpMessage, StreamData, StreamId, UdpDatagram,
                      make_frame)
 from .network import Node
 from .srp import admit
@@ -42,7 +42,7 @@ class Host(Node):
     FF_FIELDS = fields(
         static="sim name ports mac protocol_addr sink talker stream_id "
                "streams_listened cross _lr_timeout",
-        normalised="lr_arrival_ns _lr_sent _arp_resolved _arp_tries _arp_retry_event",
+        normalised="lr_arrival_ns _arp_resolved _arp_tries _arp_retry_event",
         counted="stream_seq udp_seq")
 
     def __init__(self, sim, name, mac: MacAddress, protocol_addr: str, sink) -> None:
@@ -56,7 +56,6 @@ class Host(Node):
         self._lr_timeout = None                 # cancelled once the listener ready arrives
         self.stream_seq = 0
         self.streams_listened: dict = {}        # subscribed unique_id -> its flow name
-        self._lr_sent: set = set()
         self.cross: Optional[Section] = None
         self._arp_resolved: Optional[MacAddress] = None
         self._arp_tries = 0
@@ -83,8 +82,10 @@ class Host(Node):
 
     def _advertise(self) -> None:
         cfg = self.talker
+        # the size its frames go on the wire with: `make_frame` pads a short one
         advertise = SrpMessage(SrpKind.TALKER_ADVERTISE, self.stream_id, cfg.dst_group,
-                               cfg.vlan, cfg.frame_bytes, cfg.interval, cfg.sr_class)
+                               cfg.vlan, max(cfg.frame_bytes, MIN_FRAME_BYTES),
+                               cfg.interval, cfg.sr_class)
         reason = admit(self.ports[0], advertise)
         if reason is not None:
             self.sink.warn(f"{self.name}: NIC reservation rejected: {reason}")
@@ -165,9 +166,7 @@ class Host(Node):
 
     def _handle_srp(self, msg: SrpMessage) -> None:
         if msg.kind is SrpKind.TALKER_ADVERTISE:
-            if msg.stream_id.unique_id in self.streams_listened \
-                    and msg.stream_id not in self._lr_sent:
-                self._lr_sent.add(msg.stream_id)
+            if msg.stream_id.unique_id in self.streams_listened:
                 ready = msg._replace(kind=SrpKind.LISTENER_READY)
                 self.ports[0].enqueue(make_frame(self.mac, msg.stream_id.talker, ready,
                                                  SRP_FRAME_BYTES))

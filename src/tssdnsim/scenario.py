@@ -59,9 +59,6 @@ class RunResult(NamedTuple):
             return GuaranteeResult(False, None, None, "no talker configured")
         if not cfg.listeners:
             return GuaranteeResult(False, None, None, "no listener configured")
-        if not self.scheduled_ports:
-            return GuaranteeResult(False, None, None,
-                                   f"listener {cfg.talker.node} is the talker's node")
         result = self.sink.check_guarantee(SR_CLASSES[cfg.talker.sr_class],
                                            self.scheduled_ports)
         failures = ["reservation rejected on " + ", ".join(self.rejected_ports)] \
@@ -124,7 +121,7 @@ def build_network(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> Network
 
     controller = None
     if cfg.sdn_enabled:
-        controller = Controller(sim, cfg.controller, log=sink.warn)
+        controller = Controller(sim)
         for name in cfg.switches:
             controller.attach_switch(switches[name], cfg.control)
         controller.start()

@@ -10,11 +10,12 @@ from __future__ import annotations
 from bisect import insort
 from typing import NamedTuple, Optional, Union
 
+from .engine import SimulationError
 from .fastforward import fields
 from .frames import (EthernetFrame, MacAddress, SrpKind, SrpMessage, StreamData,
                      StreamId)
 from .network import Node
-from .srp import admit, release
+from .srp import admit
 
 
 # -- flow table ----------------------------------------------------------
@@ -168,8 +169,11 @@ class SrTable:
     """One bridge's streams. The switch forwards and filters by its table; in
     SDN mode the controller keeps one for each switch, from the same messages.
 
-    Only `register_talker` and `add_listener` change the streams, and each
-    change adds one to `changes`."""
+    One talker advertises each stream once, over a loop-free tree, so a
+    second advertise of a stream, or a ready for one never advertised, is a
+    model bug, refused with a `SimulationError`. Only `register_talker` and
+    `add_listener` change the streams, and each change adds one to
+    `changes`."""
 
     # the group index is derived from the streams
     FF_FIELDS = fields(static="_by_group", normalised="changes", tracked="streams")
@@ -179,28 +183,19 @@ class SrTable:
         self._by_group: dict[tuple, StreamRecord] = {}
         self.changes = 0
 
-    def register_talker(self, msg: SrpMessage, port: int) -> str:
-        """Record a talker; returns 'new', 'unchanged', 'changed' (a new
-        descriptor from the same port) or 'moved' (from another port)."""
-        rec = self.streams.get(msg.stream_id)
-        if rec is None:
-            rec = self.streams[msg.stream_id] = StreamRecord(msg, port)
-            status = "new"
-        elif rec.talker_port == port and rec.descriptor == msg:
-            return "unchanged"
-        else:
-            old = (rec.descriptor.dst_group, rec.descriptor.vlan.vid)
-            if self._by_group.get(old) is rec:
-                del self._by_group[old]
-            status = "changed" if rec.talker_port == port else "moved"
-            rec.descriptor = msg
-            rec.talker_port = port
+    def register_talker(self, msg: SrpMessage, port: int) -> None:
+        """Record a newly advertised stream, whose talker is behind `port`."""
+        if msg.stream_id in self.streams:
+            raise SimulationError(f"stream {msg.stream_id} advertised twice")
+        rec = self.streams[msg.stream_id] = StreamRecord(msg, port)
         self._by_group[(msg.dst_group, msg.vlan.vid)] = rec
         self.changes += 1
-        return status
 
     def add_listener(self, stream_id: StreamId, port: int) -> bool:
-        rec = self.streams[stream_id]
+        """Add a listener port to a stream; False if the port was listed."""
+        rec = self.streams.get(stream_id)
+        if rec is None:
+            raise SimulationError(f"stream {stream_id} was never advertised")
         if port in rec.listener_ports:
             return False
         insort(rec.listener_ports, port)
@@ -325,33 +320,22 @@ class Switch(Node):
             self.apply_srp(frame, in_port)
 
     def apply_srp(self, frame: EthernetFrame, in_port: int) -> None:
-        """Update the SR table and propagate the SRP message onward.
+        """Update the SR table and propagate the SRP message onward: flood an
+        advertise, and send a ready toward the talker, reserving on a new
+        listener port.
 
         In SDN mode this runs when the ForwardSRP message returns from the
         controller; in TSN-only mode it runs directly on arrival.
         """
         msg = frame.payload
-        rec = self.sr_table.streams.get(msg.stream_id)
+        table = self.sr_table
         if msg.kind is SrpKind.TALKER_ADVERTISE:
-            prev = rec.talker_port if rec is not None else None
-            old = rec.descriptor if rec is not None else None
-            status = self.sr_table.register_talker(msg, in_port)
-            if status == "unchanged":
-                return
-            if status == "moved":
-                self.log(f"{self.name}: stream {msg.stream_id} talker moved: "
-                         f"port {prev} -> {in_port}")
-            if old is not None and old != msg:
-                # a changed descriptor: each listener port swaps its reservation
-                for port in rec.listener_ports:
-                    release(self.ports[port], msg.stream_id)
-                    self._reserve(port, msg)
+            table.register_talker(msg, in_port)
             self._flood(in_port, frame)
         else:
-            if rec is None:
-                self.log(f"{self.name}: listener ready for unknown stream {msg.stream_id}, dropped")
-                return
-            if self.sr_table.add_listener(msg.stream_id, in_port):
+            new_port = table.add_listener(msg.stream_id, in_port)
+            rec = table.streams[msg.stream_id]
+            if new_port:
                 self._reserve(in_port, rec.descriptor)
             self.ports[rec.talker_port].enqueue(frame)
 

@@ -66,8 +66,14 @@ def test_compare_equals_the_pairing_of_expanded_records(sdn, nosdn, until):
     assert compare_report(a, b) == expanded_compare_report(a, b)
 
 
-@pytest.mark.parametrize("raw, until", [case[1:3] for case in EQUIVALENCE_CASES],
-                         ids=[case[0] for case in EQUIVALENCE_CASES])
+# the cases with one listener: several record each frame of the stream
+# under one flow and seq (`test_a_stream_with_two_listeners_is_not_paired`)
+ONE_LISTENER_CASES = [case for case in EQUIVALENCE_CASES
+                      if len(case[1].get("listeners", [])) <= 1]
+
+
+@pytest.mark.parametrize("raw, until", [case[1:3] for case in ONE_LISTENER_CASES],
+                         ids=[case[0] for case in ONE_LISTENER_CASES])
 def test_no_flow_records_a_seq_twice(raw, until):
     # `pair_by_seq` counts the seqs two runs share; a seq recorded twice
     # would name no one frame

@@ -3,7 +3,7 @@ import pytest
 from tssdnsim.cli import resolve_scenario
 from tssdnsim.config import Section, load_config, parse_config
 from tssdnsim.control import Controller
-from tssdnsim.engine import Simulator
+from tssdnsim.engine import SimulationError, Simulator
 from tssdnsim.frames import (MacAddress, SrpKind, SrpMessage, StreamId, UdpDatagram,
                              VlanTag, make_frame)
 from tssdnsim.scenario import build_network
@@ -25,7 +25,7 @@ def make_rig(one_way=25 * US, processing=25 * US, n_ports=2):
         rec = Recorder(sim, f"h{i}")
         wire(sim, sw, rec)
         recs.append(rec)
-    ctl = Controller(sim, "ctl")
+    ctl = Controller(sim)
     ctl.attach_switch(sw, Section(one_way_delay=one_way, processing_delay=processing))
     ctl.start()
     return sim, sw, ctl, recs
@@ -103,23 +103,24 @@ def srp(kind, frame_bytes):
     return make_frame(B, A, msg, 64)
 
 
-def test_a_changed_descriptor_swaps_the_reservation_through_the_controller():
-    # the ForwardSrp path: the switch re-admits when the controller hands
-    # the changed advertise back
+def test_a_second_advertise_through_the_controller_is_refused():
+    # the controller's table holds the stream before the switch's does, so
+    # it refuses the second advertise before handing it back
     sim, sw, ctl, _ = make_rig(n_ports=3)
-    for at, port, kind, frame_bytes in (
-            (1 * MS, 1, SrpKind.TALKER_ADVERTISE, 150),
-            (2 * MS, 2, SrpKind.LISTENER_READY, 150),
-            (3 * MS, 1, SrpKind.TALKER_ADVERTISE, 300),
-            (4 * MS, 2, SrpKind.LISTENER_READY, 300)):
-        frame = srp(kind, frame_bytes)
-        sim.schedule(at, lambda f=frame, p=port: sw.handle_frame(p, f))
-    sim.run_until(3 * MS)
-    assert sw.ports[2].shaped[6].idle_slope_bps == 10_880_000
-    sim.run_until(5 * MS)
-    assert sw.ports[2].shaped[6].idle_slope_bps == 20_480_000
-    assert sw.ports[2].total_reserved_bps == 20_480_000
-    assert ctl.sr_tables["sw0"].streams == sw.sr_table.streams
+    for at in (1 * MS, 2 * MS):
+        sim.schedule(at, lambda: sw.handle_frame(1, srp(SrpKind.TALKER_ADVERTISE, 150)))
+    with pytest.raises(SimulationError, match=f"stream {StreamId(A, 1)} advertised twice"):
+        sim.run_until(3 * MS)
+    assert sim.now() == 2 * MS + 50 * US
+    assert [t.kind for t in ctl.trace if t.kind == "ForwardSrp"] == ["ForwardSrp"] * 3
+
+
+def test_a_ready_through_the_controller_for_a_stream_never_advertised_is_refused():
+    sim, sw, ctl, _ = make_rig(n_ports=3)
+    sim.schedule(1 * MS, lambda: sw.handle_frame(2, srp(SrpKind.LISTENER_READY, 150)))
+    with pytest.raises(SimulationError, match=f"stream {StreamId(A, 1)} was never advertised"):
+        sim.run_until(2 * MS)
+    assert ctl.sr_tables["sw0"].streams == sw.sr_table.streams == {}
 
 
 # -- reactive forwarding --------------------------------------------------

@@ -17,7 +17,7 @@ from tssdnsim import fastforward
 from tssdnsim.cli import main, resolve_scenario
 from tssdnsim.config import load_config, parse_config
 from tssdnsim.control import ControlChannel, Controller
-from tssdnsim.engine import Event, Simulator
+from tssdnsim.engine import Event, SimulationError, Simulator
 from tssdnsim.fastforward import (COUNTED, NORMALISED, SHIFTED, STATIC, TRACKED, Cycle,
                                   NotPeriodic, SteadyState, fields)
 from tssdnsim.hosts import Host
@@ -53,6 +53,15 @@ def _changed(raw, **changes):
         else:
             node[key] = value
     return raw
+
+
+# three listeners: client3 on switch0, and client1 and client2 on switch1,
+# behind one port of switch0, which so takes two readies on one port
+STAR = {"clients": ["client0", "client1", "client2", "client3"],
+        "links": [{"a": "client0", "b": "switch0"}, {"a": "switch0", "b": "switch1"},
+                  {"a": "switch1", "b": "client1"}, {"a": "switch1", "b": "client2"},
+                  {"a": "switch0", "b": "client3"}],
+        "listeners": [{"node": "client1"}, {"node": "client2"}, {"node": "client3"}]}
 
 
 def _outputs(result):
@@ -121,6 +130,8 @@ EQUIVALENCE_CASES = [
     ("nosdn-shaper-off", _shipped("case_study_nosdn", shaper_enabled=False), "400ms", 30),
     ("fault-shaper-on", _shipped("fault_injection", shaper_enabled=True), "400ms", None),
     ("queue-capacity-3", _shipped("case_study_sdn", queue_capacity=3), "400ms", 30),
+    ("star-sdn", _shipped("case_study_sdn", **STAR), "500ms", 30),
+    ("star-nosdn", _shipped("case_study_nosdn", **STAR), "500ms", 30),
 ]
 
 
@@ -688,17 +699,15 @@ def test_a_flow_table_counts_each_miss_action_set():
     assert isinstance(table.miss_action, ToController)
 
 
-def test_an_sr_table_counts_each_talker_change_but_not_an_unchanged_advertise():
+def test_an_sr_table_counts_the_first_advertise_and_refuses_a_second():
     table = SrTable()
-    for advertise, port, status, moves in [
-            (_advertise(), 0, "new", True),
-            (_advertise(), 0, "unchanged", False),
-            (_advertise(300), 0, "changed", True),
-            (_advertise(300), 1, "moved", True)]:
-        statuses = []
-        assert _moves(table, lambda: statuses.append(table.register_talker(advertise, port))) \
-            is moves
-        assert statuses == [status]
+    assert _moves(table, lambda: table.register_talker(_advertise(), 0))
+    for advertise, port in [(_advertise(), 0), (_advertise(300), 0), (_advertise(), 1)]:
+        before = table.changes
+        with pytest.raises(SimulationError, match="advertised twice"):
+            table.register_talker(advertise, port)
+        assert table.changes == before
+    assert table.streams[SID].descriptor == _advertise()
 
 
 def test_an_sr_table_counts_each_new_listener_port_but_not_one_already_listed():

@@ -1,7 +1,6 @@
 from tssdnsim.config import Section, parse_config
 from tssdnsim.engine import Simulator
-from tssdnsim.frames import (ArpKind, ArpMessage, MacAddress, SrpKind,
-                             SrpMessage, StreamId, VlanTag, make_frame)
+from tssdnsim.frames import ArpKind, ArpMessage, VlanTag, make_frame
 from tssdnsim.hosts import Host
 from tssdnsim.metrics import MetricsSink
 from tssdnsim.scenario import run_scenario
@@ -67,25 +66,6 @@ def test_a_listener_ready_after_the_timeout_starts_the_stream_and_says_when():
         f"client0: listener ready for {stream} arrived at 1380520960 ns, after the "
         "timeout; the stream starts",
     ]
-
-
-def test_duplicate_advertise_yields_one_listener_ready():
-    sim = Simulator()
-    listener = Host(sim, "hostB", mac("02:00:00:00:00:02"), "hostB", MetricsSink())
-    rec = Recorder(sim)
-    wire(sim, listener, rec)
-    listener.run_listener(1)
-    advertise = make_frame(
-        mac("02:00:00:00:00:01"), GROUP,
-        SrpMessage(SrpKind.TALKER_ADVERTISE, StreamId(mac("02:00:00:00:00:01"), 1),
-                   GROUP, VlanTag(2, 6), 150, 125 * US, "A"), 64)
-    listener.handle_frame(0, advertise)
-    listener.handle_frame(0, advertise)
-    sim.run_until(1 * MS)
-    readies = [f for _, _, f in rec.received
-               if isinstance(f.payload, SrpMessage)
-               and f.payload.kind is SrpKind.LISTENER_READY]
-    assert len(readies) == 1
 
 
 def test_stream_clock_anchors_one_interval_after_listener_ready():

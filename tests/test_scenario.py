@@ -17,7 +17,7 @@ from tssdnsim.cli import BUILTIN_SCENARIOS, main, resolve_scenario
 from tssdnsim.config import (SCHEMA, ConfigError, Section, load_config, parse_config,
                               parse_time_ns)
 from tssdnsim.metrics import FRAME_CSV_HEADER, MetricsSink
-from tssdnsim.scenario import compare_report, emit_outputs, run_scenario
+from tssdnsim.scenario import build_network, compare_report, emit_outputs, run_scenario
 from tssdnsim.srp import CLASS_A
 
 from conftest import records, stream_records, udp_records, workloads
@@ -256,6 +256,9 @@ BAD_SCENARIO_VALUES = [
     (("defaults", "link_rate"), 5, "defaults.link_rate"),
     (("listeners", 0, "nod"), "client1", "listeners[0].nod"),
     (("cross_traffic", "cont"), 5, "cross_traffic.cont"),
+    # a listener on the talker's node, which hid every other listener's check
+    (("listeners", 0, "node"), "client0", "listeners[0].node"),
+    (("listeners",), [{"node": "client1"}, {"node": "client0"}], "listeners[1].node"),
 ]
 BAD_SCENARIO_IDS = [f"{field}={value}" for _, value, field in BAD_SCENARIO_VALUES]
 
@@ -788,9 +791,7 @@ def test_a_host_whose_arp_is_answered_keeps_the_guarantee(tmp_path):
 @pytest.mark.parametrize("change, reason", [
     ({"talker": None}, "no talker configured"),
     ({"listeners": []}, "no listener configured"),
-    ({"listeners": [{"node": "client0", "unique_id": 1}]},
-     "listener client0 is the talker's node"),
-], ids=["no-talker", "no-listener", "listener-on-talker"])
+], ids=["no-talker", "no-listener"])
 def test_a_scenario_without_a_stream_to_check_gets_no_invented_bound(
         change, reason, tmp_path, capsys):
     # no stream has a class or a path, so there is no bound to print
@@ -810,6 +811,21 @@ def test_a_scenario_without_a_stream_to_check_gets_no_invented_bound(
     assert f"guarantee check: FAIL -- {reason}" in report
     assert main(["check", "--scenario", str(scenario), "--guarantee"]) == 1
     assert capsys.readouterr().out == f"guarantee FAIL: {reason}\n"
+
+
+def test_a_talker_under_the_ethernet_minimum_reserves_for_its_padded_frames():
+    # 40-byte frames go on the wire padded to 64 bytes: (64 + 20) * 8 bits
+    # every 125 us need 5,376,000 bit/s, not the 3,840,000 of 40 bytes
+    raw = yaml.safe_load(resolve_scenario("case_study_nosdn").read_text())
+    raw["talker"]["frame_bytes"] = 40
+    cfg = parse_config(raw)
+    net = build_network(cfg)
+    net.sim.run_until(cfg.run_until)
+    path = [net.hosts["client0"].ports[0], net.switches["switch0"].ports[1],
+            net.switches["switch1"].ports[1]]
+    assert [port.shaped[6].idle_slope_bps for port in path] == [5_376_000] * 3
+    gr = run_scenario(parse_config(raw)).check_guarantee()
+    assert (gr.passed, gr.worst.latency_ns) == (True, 233_240)
 
 
 @pytest.mark.parametrize("near_first", [False, True], ids=["near-second", "near-first"])
