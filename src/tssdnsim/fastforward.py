@@ -13,12 +13,13 @@ their time relative to b and their owner and method, and the sizes of the
 frames in each non-empty queue, by the queue's index. Equal states have equal
 keys. When the key at b was last seen at a boundary a, P = b - a is a
 candidate period: it takes a full snapshot of the model state normalised to b
-and, at b + P, another one. One candidate is open at a time; the keys seen
-while it is open are still learned. Only when the two are equal does the period from
-b + P on repeat the last one, and so does every later period up to the first
-pending event beyond the next one or the end of the run. Those k periods are
-skipped: the model's times move by k*P and its counters grow by k times their
-change over the last period. The latency records of the last period become the
+and, at b + P, the next stop, another one. No stop falls inside the candidate
+and nothing is learned there: every way it resolves forgets the keys seen.
+Only when the two are equal does the period from b + P on repeat the last
+one, and so does every later period up to the first pending event beyond the
+next one or the end of the run. Those k periods are skipped: the model's
+times move by k*P and its counters grow by k times their change over the
+last period. The latency records of the last period become the
 template of one repeat block (`metrics.Repeat`), which stores their place
 among the records, each one's seq step per period, k and P: copy j of a record
 is j*P later and j steps on. A skip thus costs the same however many periods
@@ -448,29 +449,29 @@ class SteadyState:
         except NotPeriodic as exc:
             return self._back_off(b, str(exc))
         key = hash((events, queued))
-        if self._candidate is not None:
+        if self._candidate is not None:     # it opened one period ago
             period, cand_key, cand = self._candidate
-            if cand.start + period == b:
-                self._candidate = None
-                if key != cand_key:
-                    return self._back_off(b, f"the state changed over a {period} ns cycle")
-                if type(cand) is Idle:
-                    return self._jump(cand, b, t_end)
-                return self._compare(cand, b, t_end)
+            self._candidate = None
+            if key != cand_key:
+                return self._back_off(b, f"the state changed over a {period} ns cycle")
+            if type(cand) is Idle:
+                return self._jump(cand, b, t_end)
+            return self._compare(cand, b, t_end)
         last = self._seen.get(key)
         self._seen[key] = b
-        if last is not None and self._candidate is None:
-            period = b - last
-            # a live event pending before b + H is one before b + period
-            cand = None if events else self._idle(b, period)
-            if cand is None:
-                cand = Cycle(b, period, None)
-                try:
-                    self._snapshot(cand)
-                except NotPeriodic as exc:
-                    return self._back_off(b, str(exc), exc.until)
-            self._candidate = period, key, cand
-        return b + self.period
+        if last is None:
+            return b + self.period
+        period = b - last
+        # a live event pending before b + H is one before b + period
+        cand = None if events else self._idle(b, period)
+        if cand is None:
+            cand = Cycle(b, period, None)
+            try:
+                self._snapshot(cand)
+            except NotPeriodic as exc:
+                return self._back_off(b, str(exc), exc.until)
+        self._candidate = period, key, cand
+        return b + period
 
     def _idle(self, b: int, period: int) -> Optional[Idle]:
         """A candidate period from b that needs no snapshot: no live event is

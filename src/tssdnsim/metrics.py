@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import repeat
 from math import gcd
 from operator import itemgetter
 from pathlib import Path
@@ -340,25 +341,26 @@ def pair_by_seq(ours: FlowSeqs, theirs: FlowSeqs) -> Optional[tuple]:
 def write_frame_csv(path: Path, sink: MetricsSink) -> None:
     """`sink.rows()` as `csv.writer` writes them, CRLF included.
 
-    A block's copies are written from strings built once per template
-    record: the flow field and the latency field are the same in every copy,
-    so only seq, send_ns and recv_ns are formatted per row.
+    Every run is written from strings built once per record of its template:
+    the flow field, rendered by `csv` once per flow, and the latency field
+    are the same in every copy, so only seq, send_ns and recv_ns are
+    formatted per row. A run of stored records is its template's one copy,
+    at offset 0.
     """
+    # a writer whose file's write is `str` returns the line it renders
+    render = csv.writer(SimpleNamespace(write=str)).writerow
+    heads = {flow: render((flow, "")).removesuffix("\r\n") for flow in sink.flows()}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FRAME_CSV_HEADER)
-        # a writer whose file's write is `str` returns the line it renders
-        render = csv.writer(SimpleNamespace(write=str)).writerow
+        csv.writer(fh).writerow(FRAME_CSV_HEADER)
         for run, rep in sink.runs():
             if rep is None:
-                writer.writerows((flow, seq, send, recv, recv - send)
-                                 for flow, seq, send, recv in run)
-                continue
-            template = [(render((flow, "")).removesuffix("\r\n"), seq, step, send, recv,
-                         render(("", recv - send)))
+                run, copies, period = zip(run, repeat(0)), range(1), 0
+            else:
+                copies, period = range(1, rep.copies + 1), rep.period
+            template = [(heads[flow], seq, step, send, recv, f",{recv - send}\r\n")
                         for (flow, seq, send, recv), step in run]
-            for j in range(1, rep.copies + 1):
-                dt = j * rep.period
+            for j in copies:
+                dt = j * period
                 fh.write("".join([f"{head}{seq + j * step},{send + dt},{recv + dt}{tail}"
                                   for head, seq, step, send, recv, tail in template]))
 

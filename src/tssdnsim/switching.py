@@ -202,9 +202,6 @@ class SrTable:
         self.changes += 1
         return True
 
-    def lookup_group(self, dst: MacAddress, vid: Optional[int]) -> Optional[StreamRecord]:
-        return self._by_group.get((dst, vid))
-
 
 # -- the switch ----------------------------------------------------------
 
@@ -248,7 +245,7 @@ class Switch(Node):
         vlan = frame.vlan
         if vlan is not None:
             # ingress filter: a stream's frames come from its talker's port
-            # (`SrTable.lookup_group`, read in place)
+            # (`SrTable._by_group`, read in place: no call per frame)
             rec = self.sr_table._by_group.get((dst, vlan.vid))
             if rec is not None and rec.talker_port != in_port:
                 self.dropped_filter += 1

@@ -8,6 +8,7 @@ import csv
 import math
 import re
 from collections import deque
+from functools import partial
 from operator import attrgetter
 
 import pytest
@@ -348,9 +349,25 @@ def _sink_with_quoted_flows():
     return sink
 
 
-@pytest.mark.parametrize("sink", [_sink_with_block(10)[0], _sink_with_quoted_flows()],
-                         ids=["tied-recv", "quoted-flows"])
-def test_frames_csv_is_the_csv_writer_rendering_of_the_rows(sink, tmp_path):
+def _run_sink(name, **changes):
+    """The sink of a run of a shipped scenario, changed as `_changed` does."""
+    return run_scenario(parse_config(_shipped(name, **changes))).sink
+
+
+FRAME_CSV_SINKS = {
+    "tied-recv": lambda: _sink_with_block(10)[0],
+    "quoted-flows": _sink_with_quoted_flows,
+    **{name: partial(_run_sink, name)
+       for name in ("case_study_sdn", "case_study_nosdn", "fault_injection")},
+    # stored rows only, then one 72-cycle block among them
+    "fault_injection-400ms": partial(_run_sink, "fault_injection", run_until="400ms"),
+    "fault_injection-2s": partial(_run_sink, "fault_injection", run_until="2s"),
+}
+
+
+@pytest.mark.parametrize("case", FRAME_CSV_SINKS)
+def test_frames_csv_is_the_csv_writer_rendering_of_the_rows(case, tmp_path):
+    sink = FRAME_CSV_SINKS[case]()
     write_frame_csv(tmp_path / "frames.csv", sink)
     with open(tmp_path / "reference.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -479,6 +496,35 @@ def test_a_key_that_drops_a_queued_frame_fails_the_reference(monkeypatch):
     matches = _check_keys(monkeypatch, short)
     run_scenario(parse_config(dict(_shipped("fault_injection"), run_until="300ms")))
     assert matches and not all(matches)
+
+
+# the `_key` calls of the sweep's runs where a candidate spans more than one
+# cycle; the rest take as many as a run that keys inside a candidate too
+KEYS_TAKEN = {"fault_injection-2s": 781, "fault_injection-500ns-2s": 781,
+              "control-delay-1ms": 25, "line8-control-40ms": 276}
+
+
+@pytest.mark.parametrize("case, raw, until", [case[:3] for case in EQUIVALENCE_CASES],
+                         ids=[case[0] for case in EQUIVALENCE_CASES])
+def test_no_key_is_taken_inside_an_open_candidate(case, raw, until, monkeypatch):
+    # every way a candidate resolves forgets the keys seen, so a key taken
+    # while it is open would never be read
+    key = SteadyState._key
+    taken, inside = [], []
+
+    def watched(self, b):
+        if self._candidate is not None:
+            period, _, cand = self._candidate
+            if cand.start < b < cand.start + period:
+                inside.append(b)
+        taken.append(b)
+        return key(self, b)
+
+    monkeypatch.setattr(SteadyState, "_key", watched)
+    run_scenario(parse_config(dict(raw, **({"run_until": until} if until else {}))))
+    assert not inside
+    if case in KEYS_TAKEN:
+        assert len(taken) == KEYS_TAKEN[case]
 
 
 def test_a_longer_run_stores_no_more_records():

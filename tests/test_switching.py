@@ -231,7 +231,7 @@ def test_talker_advertise_records_port_and_broadcasts():
     sw.handle_frame(1, advertise_frame())
     sim.run_until(1_000_000)
     assert sw.sr_table.streams[SID].talker_port == 1
-    assert sw.sr_table.lookup_group(G, 2) is sw.sr_table.streams[SID]
+    assert sw.sr_table._by_group[(G, 2)] is sw.sr_table.streams[SID]
     assert len(recs[0].received) == 1 and len(recs[2].received) == 1
     assert recs[1].received == []
 
@@ -287,7 +287,7 @@ def test_register_talker_records_a_new_stream_and_returns_nothing():
     assert table.register_talker(advertise_frame().payload, 1) is None
     rec = table.streams[SID]
     assert (rec.talker_port, rec.listener_ports) == (1, [])
-    assert table.lookup_group(G, 2) is rec
+    assert table._by_group[(G, 2)] is rec
 
 
 # -- TSN-only forwarding --------------------------------------------------
