@@ -13,7 +13,7 @@ import math
 import re
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import yaml
 
@@ -76,16 +76,6 @@ class ScenarioConfig(Section):
     `talker.vlan` and `cross_traffic.vlan` set from their vid and pcp, and
     no `defaults`, which the links have read. A caller may change
     `run_until`."""
-
-    def hyperperiod_ns(self) -> Optional[int]:
-        """The least common multiple of the traffic sources' intervals, the
-        period a settled network repeats with; None without a source."""
-        intervals = []
-        if self.talker is not None:
-            intervals.append(self.talker.interval)
-        if self.cross_traffic is not None:
-            intervals.append(self.cross_traffic.send_interval)
-        return math.lcm(*intervals) if intervals else None
 
     def adjacency(self) -> dict:
         adj: dict = {n: set() for n in (*self.clients, *self.switches)}

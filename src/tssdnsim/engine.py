@@ -8,8 +8,8 @@ nothing more: the heap orders entries by time, then by the order they were
 scheduled in. `schedule` pushes the entry and returns it. Cancelling sets its
 callback to None, and the loop drops such an entry before the trace hook
 and the callback could see it. Only `timer` hands out a handle that can
-cancel (`Event`), for the three callbacks a model may call off: a port's
-credit wakeup, a talker's listener-ready timeout and a host's ARP retry.
+cancel (`Event`), for the three callbacks a model may call off: a port's credit
+wakeup, a talker's listener-ready timeout and a UDP source's ARP retry.
 This module and `fastforward.py` are the only ones that read entries.
 
 `Simulator.trace` is the one observation point of a run. It is None by

@@ -99,10 +99,10 @@ table (`KINDS`) finds on the type's first sight and keeps:
 `Cycle.snapshot` reads each model through its class's plan (`PLANS`), built
 on the class's first snapshot: the class's `ff_state` or None, and a getter of
 its normalised fields. It runs every model's `ff_state` first, in order, since
-a host registers its traffic sources there before anything is normalised
-against them. It then copies every model's normalised fields into one flat
-list. A boundary object reads the same models by the same plans at each
-boundary, so two such lists compare field by field.
+the traffic sources, listed first, register there before anything is
+normalised against them. It then copies every model's normalised fields into
+one flat list. A boundary object reads the same models by the same plans at
+each boundary, so two such lists compare field by field.
 
 A class without shifted fields may still define `ff_state`, to register on the
 cycle or to refuse the snapshot by raising `NotPeriodic`. The pending events
@@ -249,8 +249,8 @@ class Cycle:
 
     def snapshot(self, plans: list) -> tuple:
         """The state of the models that `plans` reads (see `model_plans`):
-        the result of each one's `ff_state`, which all run first, since a
-        host registers its sources there; then all of their normalised
+        the result of each one's `ff_state`, which all run first, since the
+        traffic sources register there; then all of their normalised
         fields, frozen, in one list."""
         own = [own_state(model, self) for model, own_state, _ in plans
                if own_state is not None]
@@ -401,7 +401,7 @@ class SteadyState:
     """The boundary object `Simulator.run_until` stops at (see the module docstring).
 
     `models` lists every object the snapshot covers, in the order it is
-    normalised: hosts first, since they register the traffic sources that
+    normalised: the traffic sources first, since they register the flows that
     queued frames and latency records are normalised against. The ones with
     `queues`, the egress ports, give the key its queued frame sizes.
     """

@@ -1,8 +1,11 @@
-"""Endpoint applications: TSN talker and listener, UDP cross-traffic source, sinks.
+"""Endpoint nodes and applications: the client host, the TSN talker and the
+UDP cross-traffic source.
 
-Hosts are event-handler state machines on the simulation thread. Host
-processing delays are zero so all measured latency is attributable to the
-network elements.
+A `Host` answers ARP for its protocol address, records what it listens to,
+and hands a listener ready or an ARP reply to the source it answers. Each
+source (`Talker`, `UdpSource`) is a model of its own that sends on its host's
+NIC. Host processing delays are zero so all measured latency is attributable
+to the network elements.
 """
 
 from __future__ import annotations
@@ -37,116 +40,23 @@ def stream_flow(unique_id: int) -> str:
 
 
 class Host(Node):
-    """A client: answers ARP for its protocol address and runs attached apps."""
+    """A client's NIC, and the dispatch of what arrives on it by payload type."""
 
-    FF_FIELDS = fields(
-        static="sim name ports mac protocol_addr sink talker stream_id "
-               "streams_listened cross _lr_timeout",
-        normalised="lr_arrival_ns _arp_resolved _arp_tries _arp_retry_event",
-        counted="stream_seq udp_seq")
+    FF_FIELDS = fields(static="sim name ports mac protocol_addr sink streams_listened "
+                              "sources")
 
     def __init__(self, sim, name, mac: MacAddress, protocol_addr: str, sink) -> None:
         super().__init__(sim, name)
         self.mac = mac
         self.protocol_addr = protocol_addr
         self.sink = sink
-        self.talker: Optional[Section] = None
-        self.stream_id: Optional[StreamId] = None
-        self.lr_arrival_ns: Optional[int] = None
-        self._lr_timeout = None                 # cancelled once the listener ready arrives
-        self.stream_seq = 0
         self.streams_listened: dict = {}        # subscribed unique_id -> its flow name
-        self.cross: Optional[Section] = None
-        self._arp_resolved: Optional[MacAddress] = None
-        self._arp_tries = 0
-        self._arp_retry_event = None
-        self.udp_seq = 0
-
-    # -- app wiring -------------------------------------------------------
-
-    def run_talker(self, cfg: Section) -> None:
-        self.talker = cfg
-        self.stream_id = StreamId(self.mac, cfg.unique_id)
-        self.sim.schedule(cfg.advertise_at, self._advertise)
-        self._lr_timeout = self.sim.timer(cfg.advertise_at + LR_TIMEOUT_NS,
-                                          self._lr_timed_out)
+        # its sources, by what a reply to one names: a talker's stream id, or
+        # the protocol address a UDP source resolves
+        self.sources: dict = {}
 
     def run_listener(self, unique_id: int) -> None:
         self.streams_listened[unique_id] = stream_flow(unique_id)
-
-    def run_udp_source(self, cfg: Section) -> None:
-        self.cross = cfg
-        self.sim.schedule(cfg.start_at, self._send_arp_request)
-
-    # -- talker -----------------------------------------------------------
-
-    def _advertise(self) -> None:
-        cfg = self.talker
-        # the size its frames go on the wire with: `make_frame` pads a short one
-        advertise = SrpMessage(SrpKind.TALKER_ADVERTISE, self.stream_id, cfg.dst_group,
-                               cfg.vlan, max(cfg.frame_bytes, MIN_FRAME_BYTES),
-                               cfg.interval, cfg.sr_class)
-        reason = admit(self.ports[0], advertise)
-        if reason is not None:
-            self.sink.warn(f"{self.name}: NIC reservation rejected: {reason}")
-            return
-        self.ports[0].enqueue(make_frame(self.mac, cfg.dst_group, advertise, SRP_FRAME_BYTES))
-
-    def _lr_timed_out(self) -> None:
-        # a ready may still come, and start the stream then
-        self.sink.warn(f"{self.name}: no listener ready for stream {self.stream_id} "
-                       f"within {LR_TIMEOUT_NS} ns of its advertise")
-
-    def _send_stream_frame(self) -> None:
-        cfg = self.talker
-        sim = self.sim
-        now = sim._now
-        frame = make_frame(self.mac, cfg.dst_group,
-                           _tuple_new(StreamData, (self.stream_id, self.stream_seq, now)),
-                           cfg.frame_bytes, cfg.vlan)
-        self.stream_seq += 1
-        self.ports[0].enqueue(frame)
-        sim.schedule(now + cfg.interval, self._send_stream_frame)
-
-    # -- cross traffic ----------------------------------------------------
-
-    def _send_arp_request(self) -> None:
-        cfg = self.cross
-        if self._arp_resolved is not None:
-            return
-        if self._arp_tries > ARP_RETRIES:
-            self.sink.warn(f"{self.name}: ARP for {cfg.dst_node} unanswered after "
-                           f"{ARP_RETRIES} retries; cross traffic never starts")
-            self._arp_retry_event = None    # given up: a late reply is ignored
-            return
-        self._arp_tries += 1
-        frame = make_frame(self.mac, BROADCAST,
-                           ArpMessage(ArpKind.REQUEST, cfg.dst_node), ARP_FRAME_BYTES)
-        self.ports[0].enqueue(frame)
-        sim = self.sim
-        self._arp_retry_event = sim.timer(sim._now + ARP_RETRY_INTERVAL_NS,
-                                          self._send_arp_request)
-
-    @property
-    def arp_given_up(self) -> bool:
-        """Whether the UDP source gave up on ARP, so that it never sends."""
-        return self._arp_tries > ARP_RETRIES and self._arp_retry_event is None
-
-    def _send_udp_frame(self) -> None:
-        cfg = self.cross
-        if cfg.count is not None and self.udp_seq >= cfg.count:
-            return
-        sim = self.sim
-        now = sim._now
-        frame = make_frame(self.mac, self._arp_resolved,
-                           _tuple_new(UdpDatagram,
-                                      (self.udp_seq, now, self.protocol_addr, cfg.dst_node)),
-                           cfg.frame_bytes, cfg.vlan)
-        self.udp_seq += 1
-        self.ports[0].enqueue(frame)
-        sim.schedule(now + cfg.send_interval, self._send_udp_frame)
-
-    # -- receive path -----------------------------------------------------
 
     def handle_frame(self, in_port: int, frame: EthernetFrame) -> None:
         # by the payload's exact type, the data frames first
@@ -160,57 +70,154 @@ class Host(Node):
             if payload.dst_addr == self.protocol_addr:
                 self.sink.record(UDP_FLOW, payload.seq, payload.sent_at, self.sim._now)
         elif kind is SrpMessage:
-            self._handle_srp(payload)
-        elif kind is ArpMessage:
-            self._handle_arp(frame, payload)
-
-    def _handle_srp(self, msg: SrpMessage) -> None:
-        if msg.kind is SrpKind.TALKER_ADVERTISE:
-            if msg.stream_id.unique_id in self.streams_listened:
-                ready = msg._replace(kind=SrpKind.LISTENER_READY)
-                self.ports[0].enqueue(make_frame(self.mac, msg.stream_id.talker, ready,
+            if payload.kind is SrpKind.LISTENER_READY:
+                if payload.stream_id in self.sources:
+                    self.sources[payload.stream_id].ready()
+            elif payload.stream_id.unique_id in self.streams_listened:
+                ready = payload._replace(kind=SrpKind.LISTENER_READY)
+                self.ports[0].enqueue(make_frame(self.mac, payload.stream_id.talker, ready,
                                                  SRP_FRAME_BYTES))
-        else:
-            if self.stream_id == msg.stream_id and self.lr_arrival_ns is None:
-                now = self.lr_arrival_ns = self.sim.now()
-                self._lr_timeout.cancel()
-                # the timeout, scheduled before any frame moved, dispatches
-                # before a ready that arrives at its time
-                if now >= self._lr_timeout.fire_at:
-                    self.sink.warn(f"{self.name}: listener ready for stream {self.stream_id} "
-                                   f"arrived at {now} ns, after the timeout; the stream "
-                                   "starts")
-                # first data frame strictly after the listener ready arrives
-                self.sim.schedule(now + self.talker.interval, self._send_stream_frame)
-
-    def _handle_arp(self, frame: EthernetFrame, msg: ArpMessage) -> None:
-        if msg.kind is ArpKind.REQUEST:
-            if msg.asked == self.protocol_addr:
-                reply = ArpMessage(ArpKind.REPLY, msg.asked, self.mac)
+        elif kind is ArpMessage:
+            if payload.kind is ArpKind.REPLY:
+                if payload.asked in self.sources:
+                    self.sources[payload.asked].resolve(payload.answer)
+            elif payload.asked == self.protocol_addr:
+                reply = ArpMessage(ArpKind.REPLY, payload.asked, self.mac)
                 self.ports[0].enqueue(make_frame(self.mac, frame.src, reply, ARP_FRAME_BYTES))
-        else:
-            cfg = self.cross
-            # a reply counts while a request is outstanding, its retry pending
-            if cfg is not None and msg.asked == cfg.dst_node and self._arp_resolved is None \
-                    and self._arp_retry_event is not None:
-                self._arp_resolved = msg.answer
-                self._arp_retry_event.cancel()
-                self._send_udp_frame()
 
-    # -- steady-state fast-forward (see fastforward.py) --------------------
+
+class Talker:
+    """An 802.1Qat talker on a host: it advertises its stream, and from one
+    interval after the first listener ready it sends a frame each interval."""
+
+    FF_FIELDS = fields(static="sim host cfg interval stream_id _lr_timeout",
+                       normalised="lr_arrival_ns", counted="seq")
+
+    def __init__(self, host: Host, cfg: Section) -> None:
+        self.sim = sim = host.sim
+        self.host = host
+        self.cfg = cfg
+        self.interval = cfg.interval
+        self.stream_id = StreamId(host.mac, cfg.unique_id)
+        self.lr_arrival_ns: Optional[int] = None
+        self.seq = 0
+        host.sources[self.stream_id] = self
+        sim.schedule(cfg.advertise_at, self._advertise)
+        # cancelled once the listener ready arrives
+        self._lr_timeout = sim.timer(cfg.advertise_at + LR_TIMEOUT_NS, self._lr_timed_out)
+
+    def _advertise(self) -> None:
+        cfg, host = self.cfg, self.host
+        # the size its frames go on the wire with: `make_frame` pads a short one
+        advertise = SrpMessage(SrpKind.TALKER_ADVERTISE, self.stream_id, cfg.dst_group,
+                               cfg.vlan, max(cfg.frame_bytes, MIN_FRAME_BYTES),
+                               cfg.interval, cfg.sr_class)
+        reason = admit(host.ports[0], advertise)
+        if reason is not None:
+            host.sink.warn(f"{host.name}: NIC reservation rejected: {reason}")
+            return
+        host.ports[0].enqueue(make_frame(host.mac, cfg.dst_group, advertise, SRP_FRAME_BYTES))
+
+    def _lr_timed_out(self) -> None:
+        # a ready may still come, and start the stream then
+        self.host.sink.warn(f"{self.host.name}: no listener ready for stream "
+                            f"{self.stream_id} within {LR_TIMEOUT_NS} ns of its advertise")
+
+    def ready(self) -> None:
+        """A listener ready for its stream arrived; the first starts the stream."""
+        if self.lr_arrival_ns is not None:
+            return
+        now = self.lr_arrival_ns = self.sim.now()
+        self._lr_timeout.cancel()
+        # the timeout, scheduled before any frame moved, dispatches before a
+        # ready that arrives at its time
+        if now >= self._lr_timeout.fire_at:
+            self.host.sink.warn(f"{self.host.name}: listener ready for stream "
+                                f"{self.stream_id} arrived at {now} ns, after the "
+                                "timeout; the stream starts")
+        # first data frame strictly after the listener ready arrives
+        self.sim.schedule(now + self.interval, self._send_frame)
+
+    def _send_frame(self) -> None:
+        cfg, host, sim = self.cfg, self.host, self.sim
+        now = sim._now
+        frame = make_frame(host.mac, cfg.dst_group,
+                           _tuple_new(StreamData, (self.stream_id, self.seq, now)),
+                           cfg.frame_bytes, cfg.vlan)
+        self.seq += 1
+        host.ports[0].enqueue(frame)
+        sim.schedule(now + self.interval, self._send_frame)
 
     def ff_state(self, cx) -> None:
-        """Register the host's traffic sources, whose counters number the
-        frames the snapshot finds queued and recorded."""
-        if self.talker is not None:
-            cx.add_source(self.stream_id, stream_flow(self.talker.unique_id),
-                          self.stream_seq)
-        cfg = self.cross
-        if cfg is not None:
-            if cfg.count is not None and self._arp_resolved is not None \
-                    and self.udp_seq < cfg.count:
-                # its last send check falls within one interval past the count
-                left = cfg.count - self.udp_seq + 1
-                raise NotPeriodic(f"{self.name}: count-limited source still sending",
-                                  until=cx.start + left * cfg.send_interval)
-            cx.add_source(self.protocol_addr, UDP_FLOW, self.udp_seq)
+        """Register the stream on the cycle, before anything is normalised
+        against its seqs (see fastforward.py)."""
+        cx.add_source(self.stream_id, stream_flow(self.cfg.unique_id), self.seq)
+
+
+class UdpSource:
+    """UDP cross traffic from a host: it resolves its destination by ARP, then
+    sends a datagram each interval, up to its count if it has one."""
+
+    FF_FIELDS = fields(static="sim host cfg interval",
+                       normalised="arp_resolved arp_given_up _arp_tries _arp_retry",
+                       counted="seq")
+
+    def __init__(self, host: Host, cfg: Section) -> None:
+        self.sim = host.sim
+        self.host = host
+        self.cfg = cfg
+        self.interval = cfg.send_interval
+        self.arp_resolved: Optional[MacAddress] = None
+        self.arp_given_up = False       # then it never sends
+        self._arp_tries = 0
+        self._arp_retry = None          # the last request's retry, once one is sent
+        self.seq = 0
+        host.sources[cfg.dst_node] = self
+        self.sim.schedule(cfg.start_at, self._send_arp_request)
+
+    def _send_arp_request(self) -> None:
+        host = self.host
+        if self._arp_tries > ARP_RETRIES:
+            host.sink.warn(f"{host.name}: ARP for {self.cfg.dst_node} unanswered after "
+                           f"{ARP_RETRIES} retries; cross traffic never starts")
+            self.arp_given_up = True    # a late reply is ignored
+            return
+        self._arp_tries += 1
+        frame = make_frame(host.mac, BROADCAST,
+                           ArpMessage(ArpKind.REQUEST, self.cfg.dst_node), ARP_FRAME_BYTES)
+        host.ports[0].enqueue(frame)
+        sim = self.sim
+        self._arp_retry = sim.timer(sim._now + ARP_RETRY_INTERVAL_NS, self._send_arp_request)
+
+    def resolve(self, answer: MacAddress) -> None:
+        """An ARP reply gave its destination's MAC address, `answer`."""
+        # it counts while a request is outstanding, its retry pending
+        if self.arp_resolved is None and self._arp_retry is not None \
+                and not self.arp_given_up:
+            self.arp_resolved = answer
+            self._arp_retry.cancel()
+            self._send_frame()
+
+    def _send_frame(self) -> None:
+        cfg, host, sim = self.cfg, self.host, self.sim
+        if cfg.count is not None and self.seq >= cfg.count:
+            return
+        now = sim._now
+        frame = make_frame(host.mac, self.arp_resolved,
+                           _tuple_new(UdpDatagram,
+                                      (self.seq, now, host.protocol_addr, cfg.dst_node)),
+                           cfg.frame_bytes, cfg.vlan)
+        self.seq += 1
+        host.ports[0].enqueue(frame)
+        sim.schedule(now + self.interval, self._send_frame)
+
+    def ff_state(self, cx) -> None:
+        """Register the datagrams, as `Talker.ff_state` does the stream; a
+        count-limited source still sending cannot repeat."""
+        cfg = self.cfg
+        if cfg.count is not None and self.arp_resolved is not None and self.seq < cfg.count:
+            # its last send check falls within one interval past the count
+            left = cfg.count - self.seq + 1
+            raise NotPeriodic(f"{self.host.name}: count-limited source still sending",
+                              until=cx.start + left * self.interval)
+        cx.add_source(self.host.protocol_addr, UDP_FLOW, self.seq)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -10,7 +11,7 @@ from .control import Controller
 from .engine import Simulator, Trace
 from .fastforward import Skipped, SteadyState
 from .frames import MacAddress
-from .hosts import UDP_FLOW, Host
+from .hosts import UDP_FLOW, Host, Talker, UdpSource
 from .metrics import (FlowSeqs, GuaranteeResult, MetricsSink, flow_seqs, pair_by_seq,
                       write_control_trace, write_counters, write_frame_csv, write_summary_csv)
 from .network import connect
@@ -78,18 +79,20 @@ class RunResult(NamedTuple):
 
 
 class Network(NamedTuple):
-    """A scenario's model, built and with its applications started."""
+    """A scenario's model, built and with its traffic sources started."""
 
     sim: Simulator
     sink: MetricsSink
     hosts: dict
     switches: dict
     controller: Optional[Controller]
+    sources: list       # the `Talker` and `UdpSource` of each configured flow
 
     def models(self) -> list:
-        """Every model object the fast-forward covers, hosts first."""
+        """Every model object the fast-forward covers, the traffic sources
+        first, since they register the flows the others are normalised against."""
         nodes = [*self.hosts.values(), *self.switches.values()]
-        models = nodes + [port for node in nodes for port in node.ports]
+        models = [*self.sources, *nodes, *[port for node in nodes for port in node.ports]]
         for switch in self.switches.values():
             models += [switch.flow_table, switch.sr_table]
         if self.controller is not None:
@@ -126,17 +129,18 @@ def build_network(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> Network
             controller.attach_switch(switches[name], cfg.control)
         controller.start()
 
+    sources = []
     if cfg.talker is not None:
-        hosts[cfg.talker.node].run_talker(cfg.talker)
+        sources.append(Talker(hosts[cfg.talker.node], cfg.talker))
         for listener in cfg.listeners:
             hosts[listener.node].run_listener(listener.unique_id)
-
     if cfg.cross_traffic is not None:
-        hosts[cfg.cross_traffic.node].run_udp_source(cfg.cross_traffic)
+        sources.append(UdpSource(hosts[cfg.cross_traffic.node], cfg.cross_traffic))
 
-    net = Network(sim, sink, hosts, switches, controller)
-    period = cfg.hyperperiod_ns()
-    if period is not None:
+    net = Network(sim, sink, hosts, switches, controller, sources)
+    if sources:
+        # the hyperperiod, the period a settled network repeats with
+        period = math.lcm(*[source.interval for source in sources])
         sim.boundary = SteadyState(sim, period, net.models())
     return net
 
@@ -146,7 +150,7 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
     net = build_network(cfg, trace)
     sim, sink, hosts, switches = net.sim, net.sink, net.hosts, net.switches
     sim.run_until(cfg.run_until)
-    talker_host = hosts[cfg.talker.node] if cfg.talker is not None else None
+    talker = next((s for s in net.sources if type(s) is Talker), None)
     controller = net.controller
 
     scheduled_ports = None
@@ -164,19 +168,17 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
             first_stream = send
 
     counters = {name: switches[name].counters() for name in cfg.switches}
+    sent = {(type(source), source.host.name): source.seq for source in net.sources}
     for name, host in hosts.items():
         counters[name] = {
-            "sent_stream": host.stream_seq,
-            "sent_udp": host.udp_seq,
+            "sent_stream": sent.get((Talker, name), 0),
+            "sent_udp": sent.get((UdpSource, name), 0),
             "dropped_overflow": sum(p.dropped_overflow for p in host.ports),
         }
 
-    stream_start = None
-    if talker_host is not None and talker_host.lr_arrival_ns is not None \
-            and talker_host.stream_seq:
-        stream_start = first_stream
-        if stream_start is None:
-            stream_start = talker_host.lr_arrival_ns + cfg.talker.interval
+    stream_start = first_stream
+    if stream_start is None and talker is not None and talker.seq:
+        stream_start = talker.lr_arrival_ns + talker.interval
 
     return RunResult(
         config=cfg,
@@ -185,12 +187,13 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
         control_trace=list(controller.trace) if controller else [],
         flow_installs=list(controller.flow_installs) if controller else [],
         stream_start_ns=stream_start,
-        lr_arrival_ns=talker_host.lr_arrival_ns if talker_host else None,
+        lr_arrival_ns=talker.lr_arrival_ns if talker else None,
         udp_first_send_ns=first_udp,
         scheduled_ports=scheduled_ports,
         rejected_ports=tuple(port.name for node in (*hosts.values(), *switches.values())
                              for port in node.ports if port.reservations_rejected),
-        arp_given_up=tuple(name for name, host in hosts.items() if host.arp_given_up),
+        arp_given_up=tuple(s.host.name for s in net.sources
+                           if type(s) is UdpSource and s.arp_given_up),
         skipped=(sim.boundary.summary() if sim.boundary is not None
                  else Skipped(0, None, reason="no periodic traffic source")),
     )

@@ -179,13 +179,11 @@ def test_a_longer_compare_reads_no_more_records(monkeypatch):
     assert all(b > 29 * a for a, b in zip(*seqs)) and len(seqs[1]) == 2
 
 
-def _line_twins(one_way_delay):
-    """The generated line of one switch under SDN control with `one_way_delay`,
-    and its no-SDN twin."""
-    sdn = workloads.line_scenario(1)
-    sdn["control"]["one_way_delay"] = one_way_delay
-    nosdn = {key: value for key, value in workloads.line_scenario(1).items()
-             if key not in ("controller", "control")}
+def _line_twins(n_switches, **changes):
+    """The generated line of `n_switches` with the top-level `changes`, run
+    under SDN control and as its no-SDN twin."""
+    sdn = dict(workloads.line_scenario(n_switches), **changes)
+    nosdn = {key: value for key, value in sdn.items() if key not in ("controller", "control")}
     nosdn["sdn_enabled"] = False
     return run_scenario(parse_config(sdn)), run_scenario(parse_config(nosdn))
 
@@ -194,7 +192,7 @@ def test_a_flow_recorded_in_only_one_run_is_named_and_not_paired():
     # 1 ms each way: the SDN host gives up on ARP, so no UDP frame is sent and
     # the stream meets no cross traffic there. Its delta compares runs that
     # carried different traffic, not the cost of SDN control.
-    sdn, nosdn = _line_twins("1ms")
+    sdn, nosdn = _line_twins(1, control={"one_way_delay": "1ms", "processing_delay": "25us"})
     assert any("ARP for client1 unanswered" in w for w in sdn.sink.warnings)
     report = compare_report(sdn, nosdn).splitlines()
     assert report[3:] == [
@@ -207,7 +205,39 @@ def test_a_flow_recorded_in_only_one_run_is_named_and_not_paired():
 
 
 def test_twins_that_carry_the_same_flows_are_compared_as_before():
-    sdn, nosdn = _line_twins("25us")
+    sdn, nosdn = _line_twins(1)
     report = compare_report(sdn, nosdn)
     assert report == expanded_compare_report(sdn, nosdn)
     assert "different traffic" not in report and "recorded only" not in report
+
+
+ZERO_CONTROL_DELAY = {"control": {"one_way_delay": "0ns", "processing_delay": "0ns"}}
+
+
+# The reservation is the stream's exact wire rate (README, "The case study"),
+# so the Class A credit has no drift over a stream period, an offset the set-up
+# leaves is never paid back, and each set-up settles into its own periodic
+# orbit. SDN control costs no frame a hop, but on line 8 its set-up detour
+# leaves another orbit than its twin's, and every frame's latency differs.
+# With no control delay, or with no shaper, the twins share one orbit.
+# (n_switches, changes, {flow: (seqs in both steady windows, seqs whose latency differs)})
+ORBIT_CASES = [
+    (1, {}, {"stream-1": (7_117, 0), "udp": (8_897, 0)}),
+    (3, {}, {"stream-1": (7_113, 1_778), "udp": (8_892, 1_779)}),
+    (8, {}, {"stream-1": (7_103, 7_103), "udp": (8_880, 8_880)}),
+    (8, ZERO_CONTROL_DELAY, {"stream-1": (7_113, 0), "udp": (8_892, 0)}),
+    (8, {"shaper_enabled": False}, {"stream-1": (7_104, 0), "udp": (8_880, 0)}),
+]
+
+
+@pytest.mark.parametrize("n_switches, changes, want", ORBIT_CASES,
+                         ids=["line1", "line3", "line8", "line8-no-control-delay",
+                              "line8-no-shaper"])
+def test_the_set_up_picks_the_steady_orbit_of_sdn_twins(n_switches, changes, want):
+    sdn, nosdn = map(_steady_latencies, _line_twins(n_switches, run_until="1s", **changes))
+    got = {}
+    for flow in sdn.keys() | nosdn.keys():
+        a, b = sdn.get(flow, {}), nosdn.get(flow, {})
+        common = a.keys() & b.keys()
+        got[flow] = (len(common), sum(a[seq] != b[seq] for seq in common))
+    assert got == want

@@ -21,7 +21,7 @@ from tssdnsim.control import ControlChannel, Controller
 from tssdnsim.engine import Event, SimulationError, Simulator
 from tssdnsim.fastforward import (COUNTED, NORMALISED, SHIFTED, STATIC, TRACKED, Cycle,
                                   NotPeriodic, SteadyState, fields)
-from tssdnsim.hosts import Host
+from tssdnsim.hosts import Host, Talker, UdpSource
 from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, MacAddress, SrpKind,
                              SrpMessage, StreamId, VlanTag, make_frame)
 from tssdnsim.metrics import (FRAME_CSV_HEADER, FlowStats, LatencyRecord, MetricsSink,
@@ -1064,8 +1064,8 @@ def test_a_jump_that_takes_every_candidate_for_idle_fails_the_reference(
     assert checked_snapshots.jumps and not all(checked_snapshots.jumps)
 
 
-GUARDED_CLASSES = (EgressPort, CreditState, Host, Switch, FlowTable, SrTable,
-                   Controller, ControlChannel, MetricsSink)
+GUARDED_CLASSES = (EgressPort, CreditState, Host, Talker, UdpSource, Switch, FlowTable,
+                   SrTable, Controller, ControlChannel, MetricsSink)
 # a record that the model holding it snapshots and counts: the port reads
 # its credit states in place, and counts each change of their idle slopes
 HELD_BY = {CreditState: EgressPort}
@@ -1109,3 +1109,8 @@ def test_every_model_field_is_classified_for_the_fast_forward():
                 for item in (value, *items):
                     assert not hasattr(item, "FF_FIELDS"), f"{cls.__name__}.{name}"
     assert seen == set(GUARDED_CLASSES)
+
+
+def test_a_host_holds_only_static_fields():
+    # its traffic sources are models of their own, and they hold what moves
+    assert set(Host.FF_FIELDS.values()) == {STATIC}

@@ -1,7 +1,7 @@
 from tssdnsim.config import Section, parse_config
 from tssdnsim.engine import Simulator
 from tssdnsim.frames import ArpKind, ArpMessage, VlanTag, make_frame
-from tssdnsim.hosts import Host
+from tssdnsim.hosts import Host, Talker, UdpSource
 from tssdnsim.metrics import MetricsSink
 from tssdnsim.scenario import run_scenario
 
@@ -28,11 +28,11 @@ def host_pair(sim, sink):
 def test_talker_without_listener_warns_and_stays_silent():
     sim = Simulator()
     sink = MetricsSink()
-    talker = Host(sim, "hostA", mac("02:00:00:00:00:01"), "hostA", sink)
-    wire(sim, talker, Recorder(sim))  # peer never answers the advertise
-    talker.run_talker(talker_config())
+    host = Host(sim, "hostA", mac("02:00:00:00:00:01"), "hostA", sink)
+    wire(sim, host, Recorder(sim))  # peer never answers the advertise
+    talker = Talker(host, talker_config())
     sim.run_until(3_000 * MS)
-    assert talker.stream_seq == 0
+    assert talker.seq == 0
     assert any("no listener ready" in w for w in sink.warnings)
 
 
@@ -40,9 +40,9 @@ def test_listener_ready_cancels_the_timeout():
     # a pending timeout would lie beyond every fast-forward skip until it fired
     sim = Simulator()
     sink = MetricsSink()
-    talker, listener = host_pair(sim, sink)
+    host, listener = host_pair(sim, sink)
     listener.run_listener(1)
-    talker.run_talker(talker_config())
+    talker = Talker(host, talker_config())
     sim.run_until(2 * MS)
     assert talker.lr_arrival_ns is not None
     assert talker._lr_timeout.cancelled
@@ -71,8 +71,8 @@ def test_a_listener_ready_after_the_timeout_starts_the_stream_and_says_when():
 def test_stream_clock_anchors_one_interval_after_listener_ready():
     sim = Simulator()
     sink = MetricsSink()
-    talker, listener = host_pair(sim, sink)
-    talker.run_talker(talker_config())
+    host, listener = host_pair(sim, sink)
+    talker = Talker(host, talker_config())
     listener.run_listener(1)
     sim.run_until(10 * MS)
     assert talker.lr_arrival_ns is not None
@@ -88,13 +88,13 @@ def test_arp_gives_up_after_retries():
     host = Host(sim, "hostA", mac("02:00:00:00:00:01"), "hostA", sink)
     rec = Recorder(sim)
     wire(sim, host, rec)
-    host.run_udp_source(Section(node="hostA", dst_node="ghost", frame_bytes=1000,
-                                send_interval=100 * US, start_at=0, count=None,
-                                vlan=None))
+    source = UdpSource(host, Section(node="hostA", dst_node="ghost", frame_bytes=1000,
+                                     send_interval=100 * US, start_at=0, count=None,
+                                     vlan=None))
     sim.run_until(100 * MS)
     requests = [f for _, _, f in rec.received if isinstance(f.payload, ArpMessage)]
     assert len(requests) == 4  # the original plus three retries
-    assert host.udp_seq == 0
+    assert source.seq == 0 and source.arp_given_up
     assert any("unanswered" in w for w in sink.warnings)
 
 
@@ -102,15 +102,16 @@ def test_first_udp_frame_goes_out_at_arp_reply_time():
     sim = Simulator()
     sink = MetricsSink()
     a, b = host_pair(sim, sink)
-    a.run_udp_source(Section(node="hostA", dst_node="hostB", frame_bytes=1000,
-                             send_interval=100 * US, start_at=1 * MS, count=5, vlan=None))
+    source = UdpSource(a, Section(node="hostA", dst_node="hostB", frame_bytes=1000,
+                                  send_interval=100 * US, start_at=1 * MS, count=5,
+                                  vlan=None))
     sim.run_until(10 * MS)
     # request and reply are 64-byte frames: one serialization each way
     reply_at = 1 * MS + 2 * 6_720
     udp = udp_records(sink)
     assert udp[0].send_ns == reply_at
     assert [r.seq for r in udp] == [0, 1, 2, 3, 4]
-    assert a.udp_seq == 5
+    assert source.seq == 5 and not source.arp_given_up
 
 
 def test_arp_request_for_another_address_is_ignored():
