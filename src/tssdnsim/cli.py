@@ -42,7 +42,8 @@ def _load(name: str, until: str = None):
 def cmd_run(args) -> int:
     cfg = _load(args.scenario, args.until)
     result = run_scenario(cfg)
-    outdir = Path(args.out) if args.out else Path(f"out-{cfg.name}")
+    # a nameless scenario is named after its path: keep its last part
+    outdir = Path(args.out) if args.out else Path(f"out-{Path(cfg.name).name}")
     paths = emit_outputs(result, outdir)
     print(f"{cfg.name}: {result.sink.count} frames recorded; outputs in {outdir}/")
     print(result.skipped.line())

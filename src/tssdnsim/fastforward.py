@@ -96,16 +96,19 @@ table (`KINDS`) finds on the type's first sight and keeps:
   a value would be one live object in both snapshots, which would always
   compare equal, and a run would skip periods in which it changed.
 
-`Cycle.snapshot` reads each model through its class's plan (`PLANS`), built
-on the class's first snapshot: the class's `ff_state` or None, and a getter of
-its normalised fields. It runs every model's `ff_state` first, in order, since
-the traffic sources, listed first, register there before anything is
-normalised against them. It then copies every model's normalised fields into
-one flat list. A boundary object reads the same models by the same plans at
-each boundary, so two such lists compare field by field.
+What a snapshot reads is fixed when the network is built, and `SteadyState`
+learns it then: each model's plan (`model_plans`: its bound `ff_state`, if it
+has one, and a getter of its normalised fields), and the traffic sources, each
+by the key its data frames carry and the flow its records are under. A
+snapshot records each source's next seq on its `Cycle`, which normalises the
+queued frames and the latency records whatever the order of the models. It
+then runs the `ff_state`s and copies every model's normalised fields into one
+flat list; the same plans read the same models at each boundary, so two such
+lists compare field by field. Two sources that share a flow or a key cannot
+be told apart, so every snapshot of such a network is refused.
 
-A class without shifted fields may still define `ff_state`, to register on the
-cycle or to refuse the snapshot by raising `NotPeriodic`. The pending events
+A class without shifted fields may still define `ff_state`, to refuse the
+snapshot by raising `NotPeriodic`. The pending events
 are read and moved here alone, as the engine's heap entries `[fire_at, seq,
 callback]` (None for a cancelled one): the key sorts and normalises the live
 ones before b + H, a snapshot sorts the live heap once and splits it at
@@ -169,10 +172,6 @@ def fields(static: str = "", normalised: str = "", shifted: str = "",
             for name in names.split()}
 
 
-def _named(model, kind: str) -> tuple:
-    return tuple(name for name, k in type(model).FF_FIELDS.items() if k == kind)
-
-
 class NotPeriodic(Exception):
     """Model state that a snapshot cannot normalise at this boundary; `until`,
     when known, is a time before which no snapshot can be normalised."""
@@ -202,38 +201,30 @@ class Cycle:
         self.near: list = []              # live heap entries before start + period, sorted
         self.first_far: Optional[int] = None  # first pending event from start + period
         self.marks: dict = {}             # model -> what it keeps for its own shift
-        self._seq_base: dict = {}         # source key -> its next sequence number
-        self._flow_source: dict = {}      # recorded flow name -> source key
+        self.seqs: dict = {}              # source key -> its next sequence number
+        self.flows: dict = {}             # recorded flow name -> its source's key
         self.state = None
         self.counts: list = []
 
     # -- traffic sources ----------------------------------------------------
 
-    def add_source(self, key, flow: str, next_seq: int) -> None:
-        """A source whose frames carry `key`, whose records are `flow`, and
-        that numbers its next frame `next_seq`."""
-        if key in self._seq_base or flow in self._flow_source:
-            raise NotPeriodic(f"two sources share flow {flow}")
-        self._seq_base[key] = next_seq
-        self._flow_source[flow] = key
-
     def seq(self, key, seq: int) -> int:
         """A frame's seq relative to its source's next one."""
-        base = self._seq_base.get(key)
+        base = self.seqs.get(key)
         if base is None:
             raise NotPeriodic(f"a frame from unregistered source {key}")
         return seq - base
 
     def seq_shift(self, key) -> int:
         """How far the seqs of source `key` move over the skipped cycles."""
-        return self.cycles * (self._seq_base[key] - self.prev._seq_base[key])
+        return self.cycles * (self.seqs[key] - self.prev.seqs[key])
 
     def flow_step(self, flow: str) -> int:
         """How far the seqs recorded as `flow` move per cycle."""
-        key = self._flow_source.get(flow)
-        if key is None or self.prev is None or key not in self.prev._seq_base:
+        key = self.flows.get(flow)
+        if key is None:
             raise NotPeriodic(f"records of flow {flow} from no registered source")
-        return self._seq_base[key] - self.prev._seq_base[key]
+        return self.seqs[key] - self.prev.seqs[key]
 
     # -- normalisation ------------------------------------------------------
 
@@ -247,15 +238,14 @@ class Cycle:
             return None
         return fire_at - self.start
 
-    def snapshot(self, plans: list) -> tuple:
+    def snapshot(self, plans: tuple) -> tuple:
         """The state of the models that `plans` reads (see `model_plans`):
-        the result of each one's `ff_state`, which all run first, since the
-        traffic sources register there; then all of their normalised
+        the result of each one's `ff_state`, then all of their normalised
         fields, frozen, in one list."""
-        own = [own_state(model, self) for model, own_state, _ in plans
-               if own_state is not None]
-        return own, [value if (kind := KINDS[type(value)]) is None else kind(self, value)
-                     for model, _, normalised in plans for value in normalised(model)]
+        own, normalised = plans
+        return [state(self) for state in own], \
+            [value if (kind := KINDS[type(value)]) is None else kind(self, value)
+             for model, get in normalised for value in get(model)]
 
 
 # -- the freeze table -------------------------------------------------------
@@ -329,30 +319,19 @@ class _Kinds(dict):
         return kind
 
 
-def plan(own_state, names) -> tuple:
-    """How `Cycle.snapshot` reads a model class: its `ff_state` or None, and a
-    function that returns the values of its normalised fields `names`."""
-    return own_state, _getter(names)
-
-
-class _Plans(dict):
-    """model class -> its plan, built on the class's first snapshot."""
-
-    def __missing__(self, cls: type) -> tuple:
-        self[cls] = found = plan(getattr(cls, "ff_state", None),
-                                 [name for name, kind in cls.FF_FIELDS.items()
-                                  if kind == NORMALISED])
-        return found
-
-
 KINDS = _Kinds()
-PLANS = _Plans()
 
 
-def model_plans(models) -> list:
-    """(model, its `ff_state` or None, the getter of its normalised fields)
-    for each model, as `Cycle.snapshot` reads them."""
-    return [(model, *PLANS[type(model)]) for model in models]
+def model_plans(models) -> tuple:
+    """How `Cycle.snapshot` reads `models`: the bound `ff_state` of each one
+    that has it, and (model, the getter of its normalised fields) of each
+    one that has some. The models of a class share one getter."""
+    getters = {}
+    for cls in {type(model) for model in models}:
+        names = [name for name, kind in cls.FF_FIELDS.items() if kind == NORMALISED]
+        getters[cls] = _getter(names) if names else None
+    return ([model.ff_state for model in models if hasattr(model, "ff_state")],
+            [(model, get) for model in models if (get := getters[type(model)]) is not None])
 
 
 class Idle(NamedTuple):
@@ -400,21 +379,29 @@ class Skipped(NamedTuple):
 class SteadyState:
     """The boundary object `Simulator.run_until` stops at (see the module docstring).
 
-    `models` lists every object the snapshot covers, in the order it is
-    normalised: the traffic sources first, since they register the flows that
-    queued frames and latency records are normalised against. The ones with
-    `queues`, the egress ports, give the key its queued frame sizes.
+    `models` lists every object the snapshot covers, in any order; the ones
+    with `queues`, the egress ports, give the key its queued frame sizes.
+    `sources` lists the traffic sources among them, each with the `key` its
+    data frames carry and the `flow` its records are under.
     """
 
-    def __init__(self, sim, period: int, models: list) -> None:
+    def __init__(self, sim, period: int, models: list, sources: list = ()) -> None:
         self.sim = sim
         self.period = period
         self._models = models
+        self._plans = model_plans(models)
         self._shifting = [m for m in models if SHIFTED in type(m).FF_FIELDS.values()]
-        counted = [(m, name) for m in models for name in _named(m, COUNTED)]
+        counted = [(m, name) for m in models
+                   for name, kind in type(m).FF_FIELDS.items() if kind == COUNTED]
         # the model and the name of each counted field, one list each
         self._counted = [m for m, _ in counted], [name for _, name in counted]
-        self._plans: Optional[list] = None   # `model_plans` of the models
+        self._sources = sources
+        self._flows: dict = {}      # recorded flow name -> its source's key
+        self._refused: Optional[str] = None     # why no snapshot can tell them apart
+        for source in sources:
+            if source.flow in self._flows or source.key in self._flows.values():
+                self._refused = f"two sources share flow {source.flow}"
+            self._flows[source.flow] = source.key
         self._queues = [q for m in models for q in getattr(m, "queues", ())]
         self._indexed = list(enumerate(self._queues))   # (index, queue) per queue
         self._owners = frozenset(id(m) for m in models)
@@ -529,9 +516,11 @@ class SteadyState:
         return self._events(cx.near, b), far
 
     def _snapshot(self, cx: Cycle) -> None:
-        if self._plans is None:     # found at the first snapshot
-            self._plans = model_plans(self._models)
         self.snapshots += 1
+        if self._refused is not None:
+            raise NotPeriodic(self._refused)
+        cx.seqs = {source.key: source.seq for source in self._sources}
+        cx.flows = self._flows
         cx.state = self._pending(cx), cx.snapshot(self._plans)
         cx.counts = list(map(getattr, *self._counted))
 

@@ -90,7 +90,7 @@ class Talker:
     """An 802.1Qat talker on a host: it advertises its stream, and from one
     interval after the first listener ready it sends a frame each interval."""
 
-    FF_FIELDS = fields(static="sim host cfg interval stream_id _lr_timeout",
+    FF_FIELDS = fields(static="sim host cfg interval stream_id key flow _lr_timeout",
                        normalised="lr_arrival_ns", counted="seq")
 
     def __init__(self, host: Host, cfg: Section) -> None:
@@ -99,6 +99,9 @@ class Talker:
         self.cfg = cfg
         self.interval = cfg.interval
         self.stream_id = StreamId(host.mac, cfg.unique_id)
+        # the key its frames carry and the flow its listeners record them
+        # under, by which the fast-forward tells the sources apart
+        self.key, self.flow = self.stream_id, stream_flow(cfg.unique_id)
         self.lr_arrival_ns: Optional[int] = None
         self.seq = 0
         host.sources[self.stream_id] = self
@@ -148,17 +151,12 @@ class Talker:
         host.ports[0].enqueue(frame)
         sim.schedule(now + self.interval, self._send_frame)
 
-    def ff_state(self, cx) -> None:
-        """Register the stream on the cycle, before anything is normalised
-        against its seqs (see fastforward.py)."""
-        cx.add_source(self.stream_id, stream_flow(self.cfg.unique_id), self.seq)
-
 
 class UdpSource:
     """UDP cross traffic from a host: it resolves its destination by ARP, then
     sends a datagram each interval, up to its count if it has one."""
 
-    FF_FIELDS = fields(static="sim host cfg interval",
+    FF_FIELDS = fields(static="sim host cfg interval key flow",
                        normalised="arp_resolved arp_given_up _arp_tries _arp_retry",
                        counted="seq")
 
@@ -167,6 +165,7 @@ class UdpSource:
         self.host = host
         self.cfg = cfg
         self.interval = cfg.send_interval
+        self.key, self.flow = host.protocol_addr, UDP_FLOW     # as a talker's
         self.arp_resolved: Optional[MacAddress] = None
         self.arp_given_up = False       # then it never sends
         self._arp_tries = 0
@@ -212,12 +211,10 @@ class UdpSource:
         sim.schedule(now + self.interval, self._send_frame)
 
     def ff_state(self, cx) -> None:
-        """Register the datagrams, as `Talker.ff_state` does the stream; a
-        count-limited source still sending cannot repeat."""
+        """A count-limited source still sending cannot repeat."""
         cfg = self.cfg
         if cfg.count is not None and self.arp_resolved is not None and self.seq < cfg.count:
             # its last send check falls within one interval past the count
             left = cfg.count - self.seq + 1
             raise NotPeriodic(f"{self.host.name}: count-limited source still sending",
                               until=cx.start + left * self.interval)
-        cx.add_source(self.host.protocol_addr, UDP_FLOW, self.seq)

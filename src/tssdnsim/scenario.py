@@ -89,8 +89,7 @@ class Network(NamedTuple):
     sources: list       # the `Talker` and `UdpSource` of each configured flow
 
     def models(self) -> list:
-        """Every model object the fast-forward covers, the traffic sources
-        first, since they register the flows the others are normalised against."""
+        """Every model object the fast-forward covers."""
         nodes = [*self.hosts.values(), *self.switches.values()]
         models = [*self.sources, *nodes, *[port for node in nodes for port in node.ports]]
         for switch in self.switches.values():
@@ -141,7 +140,7 @@ def build_network(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> Network
     if sources:
         # the hyperperiod, the period a settled network repeats with
         period = math.lcm(*[source.interval for source in sources])
-        sim.boundary = SteadyState(sim, period, net.models())
+        sim.boundary = SteadyState(sim, period, net.models(), sources)
     return net
 
 

@@ -16,7 +16,7 @@ import yaml
 
 from tssdnsim import fastforward
 from tssdnsim.cli import main, resolve_scenario
-from tssdnsim.config import load_config, parse_config
+from tssdnsim.config import Section, load_config, parse_config
 from tssdnsim.control import ControlChannel, Controller
 from tssdnsim.engine import Event, SimulationError, Simulator
 from tssdnsim.fastforward import (COUNTED, NORMALISED, SHIFTED, STATIC, TRACKED, Cycle,
@@ -26,7 +26,7 @@ from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, MacAddress, SrpKind
                              SrpMessage, StreamId, VlanTag, make_frame)
 from tssdnsim.metrics import (FRAME_CSV_HEADER, FlowStats, LatencyRecord, MetricsSink,
                               Repeat, write_frame_csv)
-from tssdnsim.scenario import build_network, emit_outputs, run_scenario
+from tssdnsim.scenario import Network, build_network, emit_outputs, run_scenario
 from tssdnsim.srp import CLASS_A, admit, release
 from tssdnsim.shaping import CreditState, EgressPort
 from tssdnsim.switching import (Drop, FlowEntry, FlowMatch, FlowTable, Output, SrTable,
@@ -264,9 +264,9 @@ def _sink_with_block(copies):
     template tie, and the frames before and after the block are faster."""
     sink = MetricsSink()
     sink.record("stream-1", 0, 100, 300)
+    flows = {"stream-1": "s", "udp": "u"}
     prev = Cycle(P, P, None)
-    prev.add_source("s", "stream-1", 1)
-    prev.add_source("u", "udp", 0)
+    prev.seqs, prev.flows = {"s": 1, "u": 0}, flows
     sink.ff_state(prev)
     template = [LatencyRecord("stream-1", 1, 1_100, 1_400),
                 LatencyRecord("udp", 0, 1_200, 1_700),
@@ -274,8 +274,7 @@ def _sink_with_block(copies):
     for rec in template:
         sink.record(*rec)
     cx = Cycle(2 * P, P, prev)
-    cx.add_source("s", "stream-1", 1 + STEPS["stream-1"])
-    cx.add_source("u", "udp", STEPS["udp"])
+    cx.seqs, cx.flows = {"s": 1 + STEPS["stream-1"], "u": STEPS["udp"]}, flows
     sink.ff_state(cx)
     cx.cycles = copies
     sink.ff_shift(cx)
@@ -643,6 +642,48 @@ def test_a_period_confirmed_too_late_in_one_call_is_not_named_after_a_later_call
         "fast-forward: 197 cycles of 500000 ns skipped, 98500000 ns of simulated time"
 
 
+ORDER_CASES = [
+    ("case-study-sdn-1500ms", _shipped("case_study_sdn", run_until="1500ms"), 2990),
+    ("fault-injection-2s", _shipped("fault_injection", run_until="2s"), 3149),
+    ("line8-600ms", dict(workloads.line_scenario(8), run_until="600ms"), 1177),
+]
+
+
+@pytest.mark.parametrize("raw, cycles", [case[1:] for case in ORDER_CASES],
+                         ids=[case[0] for case in ORDER_CASES])
+def test_the_fast_forward_does_not_depend_on_the_order_of_the_models(
+        raw, cycles, monkeypatch):
+    # the sources are registered when the network is built, so no model's
+    # snapshot waits for theirs; with the models reversed, the ports and the
+    # sink come first
+    built = run_scenario(parse_config(raw))
+    models = Network.models
+    monkeypatch.setattr(Network, "models", lambda net: models(net)[::-1])
+    reversed_ = run_scenario(parse_config(raw))
+    assert built.skipped.cycles == cycles
+    assert reversed_.skipped.line() == built.skipped.line()
+    assert reversed_.skipped.snapshots == built.skipped.snapshots
+    assert reversed_.frame_csv_hash() == built.frame_csv_hash()
+
+
+def test_two_sources_that_share_a_flow_are_refused_every_snapshot():
+    # their records could not be told apart, so no seq step per cycle is
+    # known for the flow; the refusal is found when the network is built
+    raw = _shipped("case_study_sdn", idle_setup="1ms", **{"talker.advertise_at": None,
+                                                          "cross_traffic.start_at": None})
+    cfg = parse_config(raw)
+    net = build_network(cfg)
+    back = Section(**{**vars(cfg.cross_traffic), "node": "client1", "dst_node": "client0"})
+    net.sources.append(UdpSource(net.hosts["client1"], back))
+    boundary = SteadyState(net.sim, net.sim.boundary.period, net.models(), net.sources)
+    assert boundary._refused == "two sources share flow udp"
+    net.sim.boundary = boundary
+    net.sim.run_until(cfg.run_until)
+    assert boundary.snapshots > 0
+    assert boundary.summary().line() == \
+        "fast-forward: 0 cycles of 500000 ns skipped (two sources share flow udp)"
+
+
 def test_a_scenario_without_a_source_reports_why_nothing_was_skipped():
     raw = _shipped("case_study_nosdn", talker=None, cross_traffic=None, listeners=None)
     assert run_scenario(parse_config(raw)).skipped.line() == \
@@ -844,9 +885,9 @@ def test_a_record_freezes_the_slots_of_its_bases_after_its_own():
 
 
 class ReferenceCycle(Cycle):
-    """A `Cycle` with the generic freeze that the kind table and the per-class
-    plans replaced: an isinstance chain on every value, and the normalised
-    names looked up at every snapshot. Every snapshot must equal the one it
+    """A `Cycle` with the generic freeze that the kind table and the plans
+    replaced: an isinstance chain on every value, and the normalised names
+    looked up at every snapshot. Every snapshot must equal the one it
     takes."""
 
     def freeze(self, value):
@@ -866,9 +907,11 @@ class ReferenceCycle(Cycle):
                                           for name in slots)
         return value
 
-    def snapshot(self, plans):
-        # each model's fields by name, not through its plan
-        models = [model for model, *_ in plans]
+    def snapshot(self, models, sources):
+        # each model's fields by name, not through its plan, and the sources'
+        # next seqs read by the reference itself
+        self.seqs = {source.key: source.seq for source in sources}
+        self.flows = {source.flow: source.key for source in sources}
         own = [model.ff_state(self) for model in models if hasattr(model, "ff_state")]
         return own, [self.freeze(getattr(model, name)) for model in models
                      for name, kind in type(model).FF_FIELDS.items() if kind == NORMALISED]
@@ -900,7 +943,7 @@ def _reference(boundary, ref):
     reason it is refused."""
     try:
         state = (_reference_pending(boundary, ref),
-                 ref.snapshot([(m,) for m in boundary._models]))
+                 ref.snapshot(boundary._models, boundary._sources))
     except NotPeriodic as exc:
         return str(exc)
     return state, [getattr(m, name) for m, name in zip(*boundary._counted)], \
@@ -1020,7 +1063,14 @@ def test_a_plan_that_drops_a_normalised_field_fails_the_reference(
         checked_snapshots, monkeypatch):
     # the negative control: the comparison above sees a field left out
     names = [name for name, kind in FlowTable.FF_FIELDS.items() if kind == NORMALISED]
-    monkeypatch.setitem(fastforward.PLANS, FlowTable, fastforward.plan(None, names[:-1]))
+    model_plans = fastforward.model_plans
+
+    def dropping(models):
+        own, normalised = model_plans(models)
+        return own, [(model, fastforward._getter(names[:-1]) if type(model) is FlowTable
+                      else get) for model, get in normalised]
+
+    monkeypatch.setattr(fastforward, "model_plans", dropping)
     run_scenario(load_config(resolve_scenario("case_study_sdn")))
     assert checked_snapshots.snapshots and not any(checked_snapshots.snapshots)
 

@@ -512,6 +512,23 @@ def test_a_run_again_into_an_out_directory_named_after_the_scenario_succeeds(
     assert (tmp_path / "case_study_sdn" / "frames.csv").is_file()
 
 
+def test_a_run_without_out_writes_one_directory_in_the_working_directory(
+        tmp_path, monkeypatch):
+    # a scenario without `name:` is named after its path, which holds
+    # separators; the default output directory takes only its last part
+    monkeypatch.chdir(tmp_path)
+    raw = yaml.safe_load(resolve_scenario("case_study_nosdn").read_text())
+    del raw["name"]
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "nameless.yaml").write_text(yaml.safe_dump(raw))
+    for scenario in ("sub/nameless.yaml", str(tmp_path / "sub" / "nameless.yaml"),
+                     "case_study_sdn"):
+        assert main(["run", "--scenario", scenario, "--until", "110ms"]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == \
+        ["out-case-study-sdn", "out-nameless.yaml", "sub"]
+    assert (tmp_path / "out-nameless.yaml" / "frames.csv").is_file()
+
+
 def test_a_directory_as_the_scenario_is_a_config_error(tmp_path, capsys):
     with pytest.raises(ConfigError, match="a directory"):
         load_config(tmp_path)
