@@ -64,10 +64,6 @@ class Event:
     def fire_at(self) -> int:
         return self.entry[0]
 
-    @property
-    def cancelled(self) -> bool:
-        return self.entry[2] is None
-
     def cancel(self) -> None:
         """Never dispatch the event; one that already fired is not affected."""
         self.entry[2] = None

@@ -1,10 +1,11 @@
 """Dataplane domain model: Ethernet frames, VLAN tags, SRP/ARP/UDP/stream payloads.
 
 Frames and everything they carry are immutable `NamedTuple` values: they
-compare and hash by value, as tuples do, and no field can be assigned. A type
-with a constraint checks it in `__new__`, once, when the value is built;
-`_replace` copies a value without checking it again. No byte-exact header
-encoding is attempted.
+compare and hash by value, as tuples do, and no field can be assigned. A
+payload type with a constraint checks it in `__new__`, once, when the value
+is built; a frame's constraints are checked by `make_frame`, the one place
+frames are built. `_replace` copies a value without checking it again. No
+byte-exact header encoding is attempted.
 """
 
 from __future__ import annotations
@@ -125,30 +126,21 @@ class StreamData(NamedTuple):
 Payload = Union[SrpMessage, ArpMessage, UdpDatagram, StreamData]
 
 
-class EthernetFrame(NamedTuple("EthernetFrame", [
-        ("src", MacAddress), ("dst", MacAddress), ("vlan", Optional[VlanTag]),
-        ("payload", Payload), ("frame_bytes", int)])):
-    __slots__ = ()
+class EthernetFrame(NamedTuple):
+    """A frame as `make_frame` builds it; an untagged frame is of PCP 0."""
 
-    def __new__(cls, src: MacAddress, dst: MacAddress, vlan: Optional[VlanTag],
-                payload: Payload, frame_bytes: int) -> "EthernetFrame":
-        if not MIN_FRAME_BYTES <= frame_bytes <= MAX_FRAME_BYTES:
-            raise ValueError(f"frame_bytes {frame_bytes} outside [64, 1522]")
-        if vlan is None and isinstance(payload, StreamData):
-            raise ValueError("TSN stream frames must carry a VLAN tag")
-        return tuple.__new__(cls, (src, dst, vlan, payload, frame_bytes))
-
-    @property
-    def pcp(self) -> int:
-        return self.vlan.pcp if self.vlan is not None else 0
+    src: MacAddress
+    dst: MacAddress
+    vlan: Optional[VlanTag]
+    payload: Payload
+    frame_bytes: int
 
 
 def make_frame(src: MacAddress, dst: MacAddress, payload: Payload,
                frame_bytes: int, vlan: Optional[VlanTag] = None) -> EthernetFrame:
-    """Build a frame, padding short payloads to the 64-byte Ethernet minimum.
-
-    It makes `EthernetFrame.__new__`'s checks itself and builds the tuple
-    directly: a class call would run that `__new__` in a frame of its own."""
+    """Build a frame, padding short payloads to the 64-byte Ethernet minimum;
+    refuse one over the 1522-byte maximum, and a stream frame without a
+    VLAN tag. The tuple is built directly, without a class call."""
     if frame_bytes < MIN_FRAME_BYTES:
         frame_bytes = MIN_FRAME_BYTES
     elif frame_bytes > MAX_FRAME_BYTES:

@@ -1,4 +1,4 @@
-"""Per-frame latency records, summary statistics, guarantee checking, file emission."""
+"""Per-frame latency records, per-flow statistics, the guarantee verdict, file emission."""
 
 from __future__ import annotations
 
@@ -52,6 +52,8 @@ class FlowStats(NamedTuple):
     min_ns: int
     mean_ns: float
     max_ns: int
+    first_send_ns: int
+    worst: LatencyRecord        # the greatest (latency, seq); its latency is max_ns
 
 
 class GuaranteeResult(NamedTuple):
@@ -154,53 +156,41 @@ class MetricsSink:
                 yield (flow, seq + first * step, step, send + first * period, period,
                        max(0, last - first + 1), recv - send)
 
-    def summarize(self, window_start_ns: int, window_end_ns: int) -> dict:
-        """Exact count and min/mean/max latency per flow over the records sent
-        inside the window; the copies of a block's record are counted by
-        arithmetic over j, since they share its latency.
+    def flow_stats(self, ws: int = 0, we: Optional[int] = None) -> dict:
+        """`FlowStats` per flow over the records sent in [ws, we) (to the end
+        of the run when `we` is None), from one walk of `progressions`: the
+        copies of a block's record are counted by arithmetic over j, since
+        they share its latency.
 
-        Flows with records but none in the window map to None (an explicit
-        empty marker, never zeros).
+        The worst frame is the first greatest (latency, seq) in the walk: the
+        last element of some progression. Flows with records but none in the
+        window map to None (an explicit empty marker, never zeros).
         """
-        acc: dict = {}      # flow -> [count, sum, min, max], None while none in the window
-        for flow, _, _, _, _, n, latency in self.progressions(window_start_ns, window_end_ns):
+        # flow -> [count, sum, min, max, first send, the worst's seq and send],
+        # None while none in the window; the worst's latency is the max
+        acc: dict = {}
+        for flow, seq, step, send, period, n, latency in self.progressions(ws, we):
             st = acc.get(flow)
             if not n:
                 acc.setdefault(flow, None)
-            elif st is None:
-                acc[flow] = [n, n * latency, latency, latency]
-            else:
-                st[0] += n
-                st[1] += n * latency
-                if latency < st[2]:
-                    st[2] = latency
-                elif latency > st[3]:
-                    st[3] = latency
-        return {flow: None if st is None else FlowStats(flow, st[0], st[2], st[1] / st[0], st[3])
+                continue
+            last = n - 1
+            if st is None:
+                acc[flow] = [n, n * latency, latency, latency, send,
+                             seq + last * step, send + last * period]
+                continue
+            st[0] += n
+            st[1] += n * latency
+            if latency < st[2]:
+                st[2] = latency
+            elif latency >= st[3] and (latency > st[3] or seq + last * step > st[5]):
+                st[3], st[5], st[6] = latency, seq + last * step, send + last * period
+            if send < st[4]:
+                st[4] = send
+        return {flow: None if st is None else
+                FlowStats(flow, st[0], st[2], st[1] / st[0], st[3], st[4],
+                          LatencyRecord(flow, st[5], st[6], st[6] + st[3]))
                 for flow, st in sorted(acc.items())}
-
-    def check_guarantee(self, sr_class: SrClass, scheduled_ports: int) -> GuaranteeResult:
-        """Pass iff every stream frame met the analytic per-class latency bound.
-
-        The worst frame is the greatest by (latency, seq): the last element
-        of some progression, since its copies share its latency."""
-        limit = analytic_guarantee(sr_class, scheduled_ports)
-        worst, top = None, (-1, -1)     # the first greatest (latency, seq) so far
-        for flow, seq, step, send, period, n, latency in self.progressions():
-            if latency >= top[0] and flow.startswith("stream"):
-                last = n - 1    # every record is sent in the whole run's window
-                if (latency, seq + last * step) > top:
-                    top = latency, seq + last * step
-                    worst = flow, send + last * period
-        if worst is None:
-            return GuaranteeResult(False, limit, None, "no stream frames observed")
-        (latency, seq), (flow, send) = top, worst
-        worst = LatencyRecord(flow, seq, send, send + latency)
-        if latency > limit:
-            return GuaranteeResult(False, limit, worst,
-                                   f"latency {latency} ns exceeds {limit} ns "
-                                   f"(flow {flow} seq {seq})")
-        return GuaranteeResult(True, limit, worst, "all deadlines met")
 
     # -- steady-state fast-forward (see fastforward.py) --------------------
 
@@ -220,6 +210,21 @@ class MetricsSink:
         if start < end:
             steps = tuple([step[rec[0]] for rec in self.records[start:end]])
             self.repeats.append(Repeat(start, end, steps, cx.cycles, cx.period))
+
+
+def guarantee_result(stream: Optional[FlowStats], sr_class: SrClass,
+                     scheduled_ports: int) -> GuaranteeResult:
+    """Pass iff every frame of a stream, its whole run's `FlowStats` (None
+    when it has no record), met the analytic per-class latency bound."""
+    limit = analytic_guarantee(sr_class, scheduled_ports)
+    if stream is None:
+        return GuaranteeResult(False, limit, None, "no stream frames observed")
+    worst = stream.worst
+    if worst.latency_ns > limit:
+        return GuaranteeResult(False, limit, worst,
+                               f"latency {worst.latency_ns} ns exceeds {limit} ns "
+                               f"(flow {worst.flow} seq {worst.seq})")
+    return GuaranteeResult(True, limit, worst, "all deadlines met")
 
 
 def shared_seqs(a: tuple, b: tuple) -> int:

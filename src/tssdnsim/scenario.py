@@ -11,9 +11,10 @@ from .control import Controller
 from .engine import Simulator, Trace
 from .fastforward import Skipped, SteadyState
 from .frames import MacAddress
-from .hosts import UDP_FLOW, Host, Talker, UdpSource
-from .metrics import (FlowSeqs, GuaranteeResult, MetricsSink, flow_seqs, pair_by_seq,
-                      write_control_trace, write_counters, write_frame_csv, write_summary_csv)
+from .hosts import Host, Talker, UdpSource
+from .metrics import (FlowSeqs, GuaranteeResult, MetricsSink, flow_seqs, guarantee_result,
+                      pair_by_seq, write_control_trace, write_counters, write_frame_csv,
+                      write_summary_csv)
 from .network import connect
 from .srp import SR_CLASSES
 from .switching import Switch
@@ -26,6 +27,8 @@ def client_mac(index: int) -> MacAddress:
 class RunResult(NamedTuple):
     config: ScenarioConfig
     sink: MetricsSink
+    stats: dict               # the whole run's `FlowStats` per flow
+    stream_flow: Optional[str]    # the talker's flow, None without a talker
     counters: dict
     control_trace: list
     flow_installs: list
@@ -50,18 +53,18 @@ class RunResult(NamedTuple):
         return (start + self.config.convergence_bound, self.config.run_until)
 
     def check_guarantee(self) -> GuaranteeResult:
-        """The sink's latency check; a rejected reservation fails it whatever
-        the latencies, since the stream then ran unreserved, and so does a
-        host that gave up on ARP, since the cross traffic it was to send never
-        met the stream. Without a talker and a listener there is no stream,
-        and so no bound to check."""
+        """The latency check of the talker's flow over the whole run; a
+        rejected reservation fails it whatever the latencies, since the stream
+        then ran unreserved, and so does a host that gave up on ARP, since the
+        cross traffic it was to send never met the stream. Without a talker
+        and a listener there is no stream, and so no bound to check."""
         cfg = self.config
         if cfg.talker is None:
             return GuaranteeResult(False, None, None, "no talker configured")
         if not cfg.listeners:
             return GuaranteeResult(False, None, None, "no listener configured")
-        result = self.sink.check_guarantee(SR_CLASSES[cfg.talker.sr_class],
-                                           self.scheduled_ports)
+        result = guarantee_result(self.stats.get(self.stream_flow),
+                                  SR_CLASSES[cfg.talker.sr_class], self.scheduled_ports)
         failures = ["reservation rejected on " + ", ".join(self.rejected_ports)] \
             if self.rejected_ports else []
         failures += [f"{host} gave up on ARP: its cross traffic never started"
@@ -149,7 +152,8 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
     net = build_network(cfg, trace)
     sim, sink, hosts, switches = net.sim, net.sink, net.hosts, net.switches
     sim.run_until(cfg.run_until)
-    talker = next((s for s in net.sources if type(s) is Talker), None)
+    sources = {type(source): source for source in net.sources}
+    talker, udp = sources.get(Talker), sources.get(UdpSource)
     controller = net.controller
 
     scheduled_ports = None
@@ -157,14 +161,6 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
         # the nearest listener's: every frame is held to the tightest bound
         ports = hops(cfg.adjacency(), cfg.talker.node)
         scheduled_ports = min(ports[listener.node] for listener in cfg.listeners)
-
-    first_stream = first_udp = None
-    for flow, _, _, send, _, _, _ in sink.progressions():
-        if flow == UDP_FLOW:
-            if first_udp is None or send < first_udp:
-                first_udp = send
-        elif first_stream is None or send < first_stream:
-            first_stream = send
 
     counters = {name: switches[name].counters() for name in cfg.switches}
     sent = {(type(source), source.host.name): source.seq for source in net.sources}
@@ -175,24 +171,29 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
             "dropped_overflow": sum(p.dropped_overflow for p in host.ports),
         }
 
-    stream_start = first_stream
+    stats = sink.flow_stats()
+    # each source's first send, from the stats of its own flow
+    first = {flow: st.first_send_ns for flow, st in stats.items()}
+    stream_flow = talker.flow if talker is not None else None
+    stream_start = first.get(stream_flow)
     if stream_start is None and talker is not None and talker.seq:
         stream_start = talker.lr_arrival_ns + talker.interval
 
     return RunResult(
         config=cfg,
         sink=sink,
+        stats=stats,
+        stream_flow=stream_flow,
         counters=counters,
         control_trace=list(controller.trace) if controller else [],
         flow_installs=list(controller.flow_installs) if controller else [],
         stream_start_ns=stream_start,
         lr_arrival_ns=talker.lr_arrival_ns if talker else None,
-        udp_first_send_ns=first_udp,
+        udp_first_send_ns=first.get(udp.flow) if udp is not None else None,
         scheduled_ports=scheduled_ports,
         rejected_ports=tuple(port.name for node in (*hosts.values(), *switches.values())
                              for port in node.ports if port.reservations_rejected),
-        arp_given_up=tuple(s.host.name for s in net.sources
-                           if type(s) is UdpSource and s.arp_given_up),
+        arp_given_up=(udp.host.name,) if udp is not None and udp.arp_given_up else (),
         skipped=(sim.boundary.summary() if sim.boundary is not None
                  else Skipped(0, None, reason="no periodic traffic source")),
     )
@@ -203,7 +204,7 @@ def emit_outputs(result: RunResult, outdir) -> dict:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     ws, we = result.steady_window()
-    stats = result.sink.summarize(ws, we)
+    stats = result.sink.flow_stats(ws, we)
     paths = {
         "frames": outdir / "frames.csv",
         "summary": outdir / "summary.csv",

@@ -54,7 +54,7 @@ class EgressPort:
         static="sim name peer peer_port rate_bps propagation_ns queue_capacity shaper_enabled "
                "_classes _tx_done _backlog",
         normalised="transmitting_pcp _wakeup max_depth changes",
-        tracked="total_reserved_bps reserved_streams",
+        tracked="reserved_streams",
         shifted="queues shaped tx_busy_until credits_at _wire",
         counted="dropped_overflow reservations_rejected")
 
@@ -75,7 +75,6 @@ class EgressPort:
         self.shaped: dict[int, CreditState] = {}
         # (pcp, its CreditState, its queue) per shaped class, in `shaped` order
         self._classes: tuple = ()
-        self.total_reserved_bps = 0
         self.reserved_streams: dict = {}    # stream id -> its advertise, by srp.admit
         self.tx_busy_until = 0
         self.credits_at = 0     # when every shaped class's credit was last settled
@@ -102,7 +101,6 @@ class EgressPort:
         self._update_credits(now)
         self.changes += 1
         if not self.shaper_enabled:
-            self.total_reserved_bps += bps
             return
         cs = self.shaped.get(pcp)
         if cs is None:
@@ -110,7 +108,6 @@ class EgressPort:
             self.shaped[pcp] = cs
             self._classes += ((pcp, cs, self.queues[pcp]),)
         cs.idle_slope_bps += bps
-        self.total_reserved_bps += bps
         if self.transmitting_pcp is None:
             self._select(now)
 
@@ -118,7 +115,7 @@ class EgressPort:
 
     def enqueue(self, frame: EthernetFrame) -> bool:
         """Append a frame to its priority queue; returns False on overflow drop."""
-        vlan = frame.vlan       # the frame's pcp, without the property call
+        vlan = frame.vlan
         pcp = vlan.pcp if vlan is not None else 0
         q = self.queues[pcp]
         depth = len(q) + 1

@@ -48,16 +48,19 @@ def admit(port, advertise: SrpMessage) -> Optional[str]:
     """Admission control on an egress port for the stream a talker advertise
     describes; on success raises the idle slope of its SR class's queue.
 
-    The limit is `ADMISSION_PERMILLE` thousandths of the port rate, compared
-    in integers. Returns None when admitted, the reason otherwise; a rejection
-    is also counted on the port, and fails the run's guarantee check. A stream
-    admitted on a port is listed in its `reserved_streams` until `release`.
+    A stream admitted on a port is listed in its `reserved_streams` until
+    `release`, and the limit, `ADMISSION_PERMILLE` thousandths of the port
+    rate, is compared in integers with the listed streams and the new one.
+    Returns None when admitted, the reason otherwise; a rejection is also
+    counted on the port, and fails the run's guarantee check.
     `admit` lists a stream right after `EgressPort.add_reservation`, and
     `release` unlists it right before, so the port's change count covers
     both (see fastforward.py).
     """
     new_bps = reserved_bps(advertise.max_frame_bytes, advertise.interval_ns)
-    if 1000 * (port.total_reserved_bps + new_bps) > ADMISSION_PERMILLE * port.rate_bps:
+    total_bps = sum(reserved_bps(a.max_frame_bytes, a.interval_ns)
+                    for a in port.reserved_streams.values())
+    if 1000 * (total_bps + new_bps) > ADMISSION_PERMILLE * port.rate_bps:
         port.reservations_rejected += 1
         return f"would exceed {ADMISSION_PERMILLE / 10:g}% of {port.rate_bps} bit/s"
     port.add_reservation(SR_CLASSES[advertise.sr_class].pcp, new_bps)

@@ -25,7 +25,7 @@ from tssdnsim.hosts import Host, Talker, UdpSource
 from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, MacAddress, SrpKind,
                              SrpMessage, StreamId, VlanTag, make_frame)
 from tssdnsim.metrics import (FRAME_CSV_HEADER, FlowStats, LatencyRecord, MetricsSink,
-                              Repeat, write_frame_csv)
+                              Repeat, guarantee_result, write_frame_csv)
 from tssdnsim.scenario import Network, build_network, emit_outputs, run_scenario
 from tssdnsim.srp import CLASS_A, admit, release
 from tssdnsim.shaping import CreditState, EgressPort
@@ -237,7 +237,7 @@ def _pending_wakeups(net):
     """(port, fire_at) of each port's credit wakeup that has yet to fire."""
     return [(model.name, model._wakeup.fire_at) for model in net.models()
             if isinstance(model, EgressPort) and model._wakeup is not None
-            and not model._wakeup.cancelled]
+            and model._wakeup.entry[2] is not None]
 
 
 def test_a_port_holds_its_credit_wakeup_at_its_full_run_time_after_a_skip():
@@ -291,8 +291,11 @@ def _summary_of(records, ws, we):
     """Per-flow stats of a record list, one record at a time."""
     out = {}
     for flow in sorted({r.flow for r in records}):
-        lats = [r.latency_ns for r in records if r.flow == flow and ws <= r.send_ns < we]
-        out[flow] = (FlowStats(flow, len(lats), min(lats), sum(lats) / len(lats), max(lats))
+        sent = [r for r in records if r.flow == flow and ws <= r.send_ns < we]
+        lats = [r.latency_ns for r in sent]
+        out[flow] = (FlowStats(flow, len(lats), min(lats), sum(lats) / len(lats), max(lats),
+                               min(r.send_ns for r in sent),
+                               max(sent, key=lambda r: (r.latency_ns, r.seq)))
                      if lats else None)
     return out
 
@@ -318,17 +321,17 @@ def test_a_block_expands_to_its_copies_in_frame_order():
 ])
 def test_the_summary_of_a_block_equals_that_of_its_copies(ws, we):
     sink, expanded = _sink_with_block(10)
-    assert sink.summarize(ws, we) == _summary_of(expanded, ws, we)
+    assert sink.flow_stats(ws, we) == _summary_of(expanded, ws, we)
 
 
 def test_an_empty_window_gives_none_per_flow():
     sink, _ = _sink_with_block(10)
-    assert sink.summarize(5 * P + 500, 5 * P + 1_000) == {"stream-1": None, "udp": None}
+    assert sink.flow_stats(5 * P + 500, 5 * P + 1_000) == {"stream-1": None, "udp": None}
 
 
 def test_the_worst_frame_of_a_block_is_its_last_copy():
     sink, expanded = _sink_with_block(10)
-    result = sink.check_guarantee(CLASS_A, 3)
+    result = guarantee_result(sink.flow_stats()["stream-1"], CLASS_A, 3)
     # every copy of the template's stream frames takes 300 ns: the tie goes
     # to the highest seq, the last copy of seq 2
     assert result.worst == LatencyRecord("stream-1", 2 + 10 * 2, 1_400 + 10 * P,
@@ -813,7 +816,7 @@ def test_a_port_counts_each_reservation_change(shaper_enabled):
     # a stream that was not admitted on the port
     assert not _moves(port, lambda: release(port, StreamId(SID.talker, 2)))
     assert _moves(port, lambda: release(port, SID))
-    assert (port.total_reserved_bps, port.reserved_streams) == (0, {})
+    assert port.reserved_streams == {}
     # a refusal changes no reservation, and is counted as a rejection
     assert not _moves(port, lambda: admit(port, _advertise(1500, 10_000)))
     assert port.reservations_rejected == 1
@@ -899,7 +902,7 @@ class ReferenceCycle(Cycle):
             return tuple(self.freeze(item) for item in value)
         if isinstance(value, Event):
             # through the handle's own reading of its entry
-            return None if value.cancelled or value.fire_at < self.start \
+            return None if value.entry[2] is None or value.fire_at < self.start \
                 else value.fire_at - self.start
         slots = getattr(type(value), "__slots__", None)
         if slots is not None and not isinstance(value, tuple):

@@ -1,8 +1,7 @@
 import pytest
 
-from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, EthernetFrame,
-                             MacAddress, StreamData, StreamId, VlanTag,
-                             make_frame)
+from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, MacAddress, StreamData,
+                             StreamId, VlanTag, make_frame)
 
 from conftest import wire_size
 
@@ -36,9 +35,6 @@ def test_oversize_frame_rejected():
     with pytest.raises(ValueError):
         make_frame(MacAddress.parse("00:11:22:33:44:55"), BROADCAST,
                    ArpMessage(ArpKind.REQUEST, "x"), 1523)
-    with pytest.raises(ValueError):
-        EthernetFrame(MacAddress.parse("00:11:22:33:44:55"), BROADCAST, None,
-                      ArpMessage(ArpKind.REQUEST, "x"), 1523)
 
 
 def test_multicast_bit():
@@ -67,11 +63,9 @@ def test_stream_frames_require_vlan_tag():
     group = MacAddress.parse("91:E0:F0:00:00:01")
     payload = StreamData(StreamId(talker, 1), 0, 0)
     with pytest.raises(ValueError):
-        EthernetFrame(talker, group, None, payload, 150)
-    with pytest.raises(ValueError):
         make_frame(talker, group, payload, 150)
     frame = make_frame(talker, group, payload, 150, vlan=VlanTag(2, 6))
-    assert frame.pcp == 6
+    assert frame.vlan.pcp == 6
 
 
 def test_frames_are_immutable_values():

@@ -45,8 +45,8 @@ def test_listener_ready_cancels_the_timeout():
     talker = Talker(host, talker_config())
     sim.run_until(2 * MS)
     assert talker.lr_arrival_ns is not None
-    assert talker._lr_timeout.cancelled
     # a cancelled entry's callback is None
+    assert talker._lr_timeout.entry[2] is None
     assert all(callback != talker._lr_timed_out for _, _, callback in sim._heap)
     sim.run_until(1_500 * MS)
     assert sink.warnings == []

@@ -16,7 +16,7 @@ import yaml
 from tssdnsim.cli import BUILTIN_SCENARIOS, main, resolve_scenario
 from tssdnsim.config import (SCHEMA, ConfigError, Section, load_config, parse_config,
                               parse_time_ns)
-from tssdnsim.metrics import FRAME_CSV_HEADER, MetricsSink
+from tssdnsim.metrics import FRAME_CSV_HEADER, MetricsSink, guarantee_result
 from tssdnsim.scenario import build_network, compare_report, emit_outputs, run_scenario
 from tssdnsim.srp import CLASS_A
 
@@ -590,19 +590,19 @@ def sink_of(flow, latencies, start=0, spacing=100):
 
 
 def test_summarize_min_mean_max():
-    stats = sink_of("udp", [100 * US, 200 * US, 300 * US]).summarize(0, 10 * MS)
+    stats = sink_of("udp", [100 * US, 200 * US, 300 * US]).flow_stats(0, 10 * MS)
     st = stats["udp"]
     assert (st.min_ns, st.mean_ns, st.max_ns) == (100 * US, 200 * US, 300 * US)
     assert st.count == 3
 
 
 def test_summarize_single_record():
-    st = sink_of("udp", [7]).summarize(0, 10 * MS)["udp"]
+    st = sink_of("udp", [7]).flow_stats(0, 10 * MS)["udp"]
     assert st.min_ns == st.max_ns == 7 and st.mean_ns == 7.0
 
 
 def test_summarize_empty_window_is_explicit_none():
-    stats = sink_of("udp", [100, 200]).summarize(5 * MS, 10 * MS)
+    stats = sink_of("udp", [100, 200]).flow_stats(5 * MS, 10 * MS)
     assert stats["udp"] is None
 
 
@@ -613,20 +613,56 @@ def test_sink_rejects_nonpositive_latency():
 
 
 def test_guarantee_with_no_stream_frames_fails_loudly():
-    result = sink_of("udp", [1]).check_guarantee(CLASS_A, 3)
+    result = guarantee_result(sink_of("udp", [1]).flow_stats().get("stream-1"), CLASS_A, 3)
     assert not result.passed
     assert result.reason == "no stream frames observed"
     assert result.worst is None
 
 
 def test_guarantee_names_the_worst_frame():
-    result = sink_of("stream-1", [100 * US, 800 * US]).check_guarantee(CLASS_A, 3)
+    stats = sink_of("stream-1", [100 * US, 800 * US]).flow_stats()
+    result = guarantee_result(stats["stream-1"], CLASS_A, 3)
     assert not result.passed
     assert result.worst.seq == 1
     assert result.limit_ns == 750 * US
 
 
+def test_flow_stats_give_each_flows_first_send_and_worst_frame():
+    # the worst is the greatest (latency, seq): of two equal latencies, the later seq
+    sink = sink_of("udp", [300, 500, 200, 500], start=1_000)
+    st = sink.flow_stats()["udp"]
+    assert (st.count, st.min_ns, st.max_ns, st.first_send_ns) == (4, 200, 500, 1_000)
+    assert st.worst == ("udp", 3, 1_300, 1_800)
+    assert sink.flow_stats(1_150, 1_250)["udp"].worst == ("udp", 2, 1_200, 1_400)
+
+
+def test_the_guarantee_judges_the_talkers_flow_alone(nosdn_result):
+    # a worse frame of another stream's flow does not count against the talker's
+    sink = sink_of("stream-1", [100 * US, 200 * US])
+    sink.record("stream-9", 0, 0, 900 * US)
+    result = nosdn_result._replace(stats=sink.flow_stats())
+    assert result.stream_flow == "stream-1"
+    gr = result.check_guarantee()
+    assert gr.passed and gr.worst == ("stream-1", 1, 100, 100 + 200 * US)
+
+
 # -- runs and outputs -----------------------------------------------------
+
+
+def test_a_run_walks_the_records_once_for_the_run_and_once_for_the_window(
+        monkeypatch, tmp_path):
+    # the start times, the guarantee and the summary share the per-flow walks
+    calls = []
+    progressions = MetricsSink.progressions
+
+    def counted(self, *window):
+        calls.append(window)
+        return progressions(self, *window)
+
+    monkeypatch.setattr(MetricsSink, "progressions", counted)
+    assert main(["run", "--scenario", "fault_injection", "--until", "2s",
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
 
 
 def test_run_ending_before_setup_produces_no_records():

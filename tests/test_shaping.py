@@ -188,7 +188,8 @@ class TxTrace:
 
     def __call__(self, kind, time_ns, subject, detail):
         if kind == "tx" and subject is self.port:
-            self.tx.append((time_ns, detail.pcp, wire_size(detail) * 8))
+            pcp = detail.vlan.pcp if detail.vlan is not None else 0
+            self.tx.append((time_ns, pcp, wire_size(detail) * 8))
 
 
 def _shaped_bits_in_window(tx_trace, start, end):

@@ -76,7 +76,7 @@ def test_admit_empty_port():
     port = _fresh_port()
     res = _reservation(10)
     assert admit(port, res) is None
-    assert port.total_reserved_bps == _reserved(res)
+    assert port.reserved_streams == {res.stream_id: res}
     assert port.shaped[CLASS_A.pcp].idle_slope_bps == _reserved(res)
 
 
@@ -104,7 +104,7 @@ def test_admit_monotone_in_reservation_size():
     assert admit(port, _reservation(70)) is None
     for mbit in (10, 20, 40, 60):
         assert admit(port, _reservation(mbit)) is not None
-        assert port.total_reserved_bps == _reserved(_reservation(70))
+        assert list(port.reserved_streams.values()) == [_reservation(70)]
 
 
 CASE_STUDY_ADJ = {

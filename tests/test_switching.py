@@ -256,7 +256,7 @@ def test_a_rejected_admission_is_counted_logged_and_reserves_nothing():
     sw.handle_frame(2, ready_frame(frame_bytes=1500))
     port = sw.ports[2]
     assert port.reservations_rejected == 1
-    assert (port.shaped, port.total_reserved_bps) == ({}, 0)
+    assert (port.shaped, port.reserved_streams) == ({}, {})
     assert logs == ["sw: reservation rejected on sw:2: would exceed 75% of "
                     "100000000 bit/s"]
 
