@@ -85,18 +85,27 @@ class ScenarioConfig(Section):
         return adj
 
 
-def hops(adjacency: dict, start: str) -> dict:
-    """Each node reachable from `start`, mapped to the number of links on its
-    shortest path; on a stream's path, the egress ports it leaves, the
-    talker's NIC included."""
-    dist = {start: 0}
+def _walk(adjacency: dict, start: str) -> dict:
+    """Each node reachable from `start`, mapped to the tuple of nodes on its
+    path from `start`, both ends included; over a tree, the one path."""
+    path = {start: (start,)}
     queue = [start]
     for node in queue:          # breadth first: the queue grows as it is walked
         for neigh in adjacency[node]:
-            if neigh not in dist:
-                dist[neigh] = dist[node] + 1
+            if neigh not in path:
+                path[neigh] = path[node] + (neigh,)
                 queue.append(neigh)
-    return dist
+    return path
+
+
+def paths(cfg: ScenarioConfig) -> tuple:
+    """The nodes the talker's stream crosses to each listener, in `listeners`
+    order, from the talker's node to the listener's. The loader refuses
+    parallel links, so a hop (node, next) leaves by the one port of `node`
+    whose peer is `next`: a path of n nodes has n - 1 egress ports, the
+    talker's NIC included."""
+    walk = _walk(cfg.adjacency(), cfg.talker.node)
+    return tuple(walk[listener.node] for listener in cfg.listeners)
 
 
 REQUIRED = object()         # the default of a key that its section must give
@@ -313,7 +322,7 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
 
     if names:
         adjacency = cfg.adjacency()
-        if len(hops(adjacency, names[0])) != len(names):
+        if len(_walk(adjacency, names[0])) != len(names):
             raise ConfigError(f"{source}: topology graph is not connected")
         # a connected graph is a tree iff it has one link fewer than nodes; this
         # also refuses parallel links and self-loops, which no bridge forwards over

@@ -6,7 +6,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .config import ScenarioConfig, hops
+from .config import ScenarioConfig, paths
 from .control import Controller
 from .engine import Simulator, Trace
 from .fastforward import Skipped, SteadyState
@@ -159,8 +159,7 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
     scheduled_ports = None
     if cfg.talker is not None and cfg.listeners:
         # the nearest listener's: every frame is held to the tightest bound
-        ports = hops(cfg.adjacency(), cfg.talker.node)
-        scheduled_ports = min(ports[listener.node] for listener in cfg.listeners)
+        scheduled_ports = min(len(path) - 1 for path in paths(cfg))
 
     counters = {name: switches[name].counters() for name in cfg.switches}
     sent = {(type(source), source.host.name): source.seq for source in net.sources}
@@ -205,29 +204,20 @@ def emit_outputs(result: RunResult, outdir) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     ws, we = result.steady_window()
     stats = result.sink.flow_stats(ws, we)
-    paths = {
+    files = {
         "frames": outdir / "frames.csv",
         "summary": outdir / "summary.csv",
         "counters": outdir / "counters.json",
         "report": outdir / "report.txt",
     }
-    write_frame_csv(paths["frames"], result.sink)
-    write_summary_csv(paths["summary"], stats, ws, we)
-    write_counters(paths["counters"], result.counters)
+    write_frame_csv(files["frames"], result.sink)
+    write_summary_csv(files["summary"], stats, ws, we)
+    write_counters(files["counters"], result.counters)
     if result.control_trace:
-        paths["control_trace"] = outdir / "control_trace.log"
-        write_control_trace(paths["control_trace"], result.control_trace)
-    paths["report"].write_text(format_report(result, stats, ws, we))
-    return paths
-
-
-PAPER_REFERENCE_NOTE = """\
-Reference magnitudes (calibration-dependent, not pass/fail):
-  no-SDN stream  min/mean/max = 110/390/499 us
-  no-SDN UDP     min/mean/max = 423/481/820 us
-  SDN stream     min/mean/max = 210/373/483 us
-  SDN UDP        min/mean/max = 408/466/1478 us
-"""
+        files["control_trace"] = outdir / "control_trace.log"
+        write_control_trace(files["control_trace"], result.control_trace)
+    files["report"].write_text(format_report(result, stats, ws, we))
+    return files
 
 
 def format_report(result: RunResult, stats: dict, ws: int, we: int) -> str:
@@ -255,8 +245,6 @@ def format_report(result: RunResult, stats: dict, ws: int, we: int) -> str:
     lines.append(f"guarantee check{bound}: {'PASS' if gr.passed else 'FAIL'} -- {gr.reason}")
     for warning in result.sink.warnings:
         lines.append(f"warning: {warning}")
-    lines.append("")
-    lines.append(PAPER_REFERENCE_NOTE)
     return "\n".join(lines) + "\n"
 
 
