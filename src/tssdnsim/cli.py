@@ -44,7 +44,7 @@ def cmd_run(args) -> int:
     result = run_scenario(cfg)
     # a nameless scenario is named after its path: keep its last part
     outdir = Path(args.out) if args.out else Path(f"out-{Path(cfg.name).name}")
-    paths = emit_outputs(result, outdir)
+    emit_outputs(result, outdir)
     print(f"{cfg.name}: {result.sink.count} frames recorded; outputs in {outdir}/")
     print(result.skipped.line())
     for warning in result.sink.warnings:

@@ -26,6 +26,10 @@ class ConfigError(Exception):
     """Invalid scenario file; CLI maps this to exit code 2."""
 
 
+# `scenario.client_mac` numbers a client in the last two octets of its MAC
+MAX_CLIENTS = 0xFFFF
+
+
 _TIME_RE = re.compile(r"^\s*(\d+)(?:\.(\d+))?\s*(ns|us|ms|s)?\s*$")
 _UNIT_NS = {"ns": 1, "us": 1_000, "ms": 1_000_000, "s": 1_000_000_000, None: 1}
 
@@ -193,8 +197,11 @@ _link_end = _typed(str, "the name of a client or a switch",
 
 
 def _multicast(value, name, top) -> MacAddress:
+    if not isinstance(value, str):      # YAML reads 91:00:00:00:00:01 as a number
+        raise ConfigError(f"{name}: expected a MAC address in quotes, as "
+                          f"\"91:E0:F0:00:00:01\", got {value!r}")
     try:
-        group = MacAddress.parse(str(value))
+        group = MacAddress.parse(value)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}")
     if not group.is_multicast:
@@ -293,6 +300,9 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
     names = cfg.clients + cfg.switches
     if len(set(names)) != len(names):
         raise ConfigError(f"{source}: duplicate node names")
+    if len(cfg.clients) > MAX_CLIENTS:
+        raise ConfigError(f"{source}: clients: {len(cfg.clients)} clients; at most "
+                          f"{MAX_CLIENTS}")
     for kind, nodes in (("client", cfg.clients), ("switch", cfg.switches)):
         if cfg.controller in nodes:      # the controller is a node of its own
             raise ConfigError(f"{source}: controller: {cfg.controller!r} is already "

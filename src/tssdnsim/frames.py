@@ -1,15 +1,16 @@
 """Dataplane domain model: Ethernet frames, VLAN tags, SRP/ARP/UDP/stream payloads.
 
 Frames and everything they carry are immutable `NamedTuple` values: they
-compare and hash by value, as tuples do, and no field can be assigned. A
-payload type with a constraint checks it in `__new__`, once, when the value
-is built; a frame's constraints are checked by `make_frame`, the one place
-frames are built. `_replace` copies a value without checking it again. No
-byte-exact header encoding is attempted.
+compare and hash by value, as tuples do, and no field can be assigned. They
+check nothing: every value a scenario gives is checked once, by the loader
+(`config.py`), which reads MAC text through `MacAddress.parse`.
+`make_frame`, the one place frames are built, pads a short frame to the
+Ethernet minimum. No byte-exact header encoding is attempted.
 """
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
@@ -22,25 +23,22 @@ MAX_UNIQUE_ID = 0xFFFF
 WIRE_OVERHEAD_BYTES = 20
 
 # `_tuple_new(cls, fields)` builds a `NamedTuple` value without a call to
-# the class's `__new__`, which runs in a Python frame of its own: for a type
-# that checks nothing, or after the caller has made its type's checks
+# the class's `__new__`, which runs in a Python frame of its own
 _tuple_new = tuple.__new__
 
+# six groups of two hex digits, with one kind of separator
+_MAC_RE = re.compile(r"[0-9A-Fa-f]{2}([:-])[0-9A-Fa-f]{2}(?:\1[0-9A-Fa-f]{2}){4}")
 
-class MacAddress(NamedTuple("MacAddress", [("octets", bytes)])):
-    __slots__ = ()
 
-    def __new__(cls, octets: bytes) -> "MacAddress":
-        if len(octets) != 6:
-            raise ValueError(f"MAC address needs 6 octets, got {len(octets)}")
-        return tuple.__new__(cls, (octets,))
+class MacAddress(NamedTuple):
+    octets: bytes
 
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
-        parts = text.replace("-", ":").split(":")
-        if len(parts) != 6:
+        match = _MAC_RE.fullmatch(text)
+        if match is None:
             raise ValueError(f"bad MAC address {text!r}")
-        return cls(bytes(int(p, 16) for p in parts))
+        return cls(bytes.fromhex(text.replace(match[1], "")))
 
     @property
     def is_multicast(self) -> bool:
@@ -54,24 +52,14 @@ class MacAddress(NamedTuple("MacAddress", [("octets", bytes)])):
 BROADCAST = MacAddress(b"\xff" * 6)
 
 
-class VlanTag(NamedTuple("VlanTag", [("vid", int), ("pcp", int)])):
-    __slots__ = ()
-
-    def __new__(cls, vid: int, pcp: int) -> "VlanTag":
-        if not 0 <= vid <= MAX_VID:
-            raise ValueError(f"VLAN id {vid} out of range")
-        if not 0 <= pcp <= MAX_PCP:
-            raise ValueError(f"PCP {pcp} out of range")
-        return tuple.__new__(cls, (vid, pcp))
+class VlanTag(NamedTuple):
+    vid: int
+    pcp: int
 
 
-class StreamId(NamedTuple("StreamId", [("talker", MacAddress), ("unique_id", int)])):
-    __slots__ = ()
-
-    def __new__(cls, talker: MacAddress, unique_id: int) -> "StreamId":
-        if not 0 <= unique_id <= MAX_UNIQUE_ID:
-            raise ValueError(f"stream unique_id {unique_id} out of range")
-        return tuple.__new__(cls, (talker, unique_id))
+class StreamId(NamedTuple):
+    talker: MacAddress
+    unique_id: int
 
     def __str__(self) -> str:
         return f"{self.talker}#{self.unique_id}"
@@ -82,21 +70,16 @@ class SrpKind(Enum):
     LISTENER_READY = "listener_ready"
 
 
-class SrpMessage(NamedTuple("SrpMessage", [
-        ("kind", SrpKind), ("stream_id", StreamId), ("dst_group", MacAddress),
-        ("vlan", VlanTag), ("max_frame_bytes", int), ("interval_ns", int),
-        ("sr_class", str)])):
+class SrpMessage(NamedTuple):
     """A talker advertise or listener ready; `sr_class` is "A" or "B"."""
 
-    __slots__ = ()
-
-    def __new__(cls, kind: SrpKind, stream_id: StreamId, dst_group: MacAddress,
-                vlan: VlanTag, max_frame_bytes: int, interval_ns: int,
-                sr_class: str) -> "SrpMessage":
-        if not dst_group.is_multicast:
-            raise ValueError("stream listener group must be a multicast address")
-        return tuple.__new__(cls, (kind, stream_id, dst_group, vlan, max_frame_bytes,
-                                   interval_ns, sr_class))
+    kind: SrpKind
+    stream_id: StreamId
+    dst_group: MacAddress
+    vlan: VlanTag
+    max_frame_bytes: int
+    interval_ns: int
+    sr_class: str
 
 
 class ArpKind(Enum):
@@ -138,15 +121,10 @@ class EthernetFrame(NamedTuple):
 
 def make_frame(src: MacAddress, dst: MacAddress, payload: Payload,
                frame_bytes: int, vlan: Optional[VlanTag] = None) -> EthernetFrame:
-    """Build a frame, padding short payloads to the 64-byte Ethernet minimum;
-    refuse one over the 1522-byte maximum, and a stream frame without a
-    VLAN tag. The tuple is built directly, without a class call."""
+    """Build a frame, padding short payloads to the 64-byte Ethernet minimum.
+    The tuple is built directly, without a class call."""
     if frame_bytes < MIN_FRAME_BYTES:
         frame_bytes = MIN_FRAME_BYTES
-    elif frame_bytes > MAX_FRAME_BYTES:
-        raise ValueError(f"frame_bytes {frame_bytes} outside [64, 1522]")
-    if vlan is None and isinstance(payload, StreamData):
-        raise ValueError("TSN stream frames must carry a VLAN tag")
     return _tuple_new(EthernetFrame, (src, dst, vlan, payload, frame_bytes))
 
 

@@ -21,7 +21,9 @@ from .switching import Switch
 
 
 def client_mac(index: int) -> MacAddress:
-    return MacAddress(bytes([0x02, 0, 0, 0, 0, index + 1]))
+    """The MAC of the client declared `index`-th, numbered from 1 in its last
+    two octets; the loader refuses more clients than these number."""
+    return MacAddress(b"\x02\x00\x00\x00" + (index + 1).to_bytes(2, "big"))
 
 
 class RunResult(NamedTuple):
@@ -117,7 +119,7 @@ def build_network(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> Network
 
     switches: dict = {}
     for name in cfg.switches:
-        switches[name] = Switch(sim, name, sdn=cfg.sdn_enabled, log=sink.warn)
+        switches[name] = Switch(sim, name, sdn=cfg.sdn_enabled, sink=sink)
     nodes = {**hosts, **switches}
 
     for link in cfg.links:
@@ -198,26 +200,18 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
     )
 
 
-def emit_outputs(result: RunResult, outdir) -> dict:
+def emit_outputs(result: RunResult, outdir) -> None:
     """Write per-frame CSV, summary CSV, control trace, counters and a report."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     ws, we = result.steady_window()
     stats = result.sink.flow_stats(ws, we)
-    files = {
-        "frames": outdir / "frames.csv",
-        "summary": outdir / "summary.csv",
-        "counters": outdir / "counters.json",
-        "report": outdir / "report.txt",
-    }
-    write_frame_csv(files["frames"], result.sink)
-    write_summary_csv(files["summary"], stats, ws, we)
-    write_counters(files["counters"], result.counters)
+    write_frame_csv(outdir / "frames.csv", result.sink)
+    write_summary_csv(outdir / "summary.csv", stats, ws, we)
+    write_counters(outdir / "counters.json", result.counters)
     if result.control_trace:
-        files["control_trace"] = outdir / "control_trace.log"
-        write_control_trace(files["control_trace"], result.control_trace)
-    files["report"].write_text(format_report(result, stats, ws, we))
-    return files
+        write_control_trace(outdir / "control_trace.log", result.control_trace)
+    (outdir / "report.txt").write_text(format_report(result, stats, ws, we))
 
 
 def format_report(result: RunResult, stats: dict, ws: int, we: int) -> str:

@@ -60,8 +60,6 @@ class EgressPort:
 
     def __init__(self, sim: Simulator, name: str, peer, peer_port: int, rate_bps: int,
                  propagation_ns: int, queue_capacity: int, shaper_enabled: bool) -> None:
-        if rate_bps <= 0:
-            raise SimulationError(f"port {name}: rate must be positive")
         self.sim = sim
         self.name = name
         self.peer = peer

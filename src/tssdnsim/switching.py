@@ -212,19 +212,19 @@ REACTIVE_RULE_PRIORITY = 10
 class Switch(Node):
     # the tables are models of their own
     FF_FIELDS = fields(
-        static="sim name ports sdn flow_table sr_table control log",
+        static="sim name ports sdn flow_table sr_table control sink",
         normalised="mac_table",
         counted="forwarded dropped_filter dropped_miss dropped_action dropped_no_listener "
                 "to_controller_count stream_miss")
 
-    def __init__(self, sim, name, sdn: bool, log=None) -> None:
+    def __init__(self, sim, name, sdn: bool, sink) -> None:
         super().__init__(sim, name)
         self.sdn = sdn
         self.flow_table = FlowTable()
         self.sr_table = SrTable()
         self.mac_table: dict[MacAddress, int] = {}
         self.control = None  # ControlChannel, wired by the controller in SDN mode
-        self.log = log if log is not None else (lambda msg: None)
+        self.sink = sink
         # counters
         self.forwarded = 0
         self.dropped_filter = 0     # stream frames from other than the talker's port
@@ -338,11 +338,11 @@ class Switch(Node):
 
     def _reserve(self, port: int, advertise: SrpMessage) -> None:
         """Admit a stream on a listener port; a rejection is counted on the
-        port and logged."""
+        port and a warning of the run."""
         reason = admit(self.ports[port], advertise)
         if reason is not None:
-            self.log(f"{self.name}: reservation rejected on {self.ports[port].name}: "
-                     f"{reason}")
+            self.sink.warn(f"{self.name}: reservation rejected on {self.ports[port].name}: "
+                           f"{reason}")
 
     # -- metrics ----------------------------------------------------------
 

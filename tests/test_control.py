@@ -6,6 +6,7 @@ from tssdnsim.control import Controller
 from tssdnsim.engine import SimulationError, Simulator
 from tssdnsim.frames import (MacAddress, SrpKind, SrpMessage, StreamId, UdpDatagram,
                              VlanTag, make_frame)
+from tssdnsim.metrics import MetricsSink
 from tssdnsim.scenario import build_network
 from tssdnsim.switching import Drop, Switch, ToController
 
@@ -19,7 +20,7 @@ B = MacAddress.parse("02:00:00:00:00:02")
 
 def make_rig(one_way=25 * US, processing=25 * US, n_ports=2):
     sim = Simulator()
-    sw = Switch(sim, "sw0", sdn=True)
+    sw = Switch(sim, "sw0", sdn=True, sink=MetricsSink())
     recs = []
     for i in range(n_ports):
         rec = Recorder(sim, f"h{i}")

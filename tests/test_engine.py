@@ -167,9 +167,3 @@ def test_a_busy_port_refuses_a_second_start_and_the_reverse_direction_is_free():
     # the reverse direction has its own port, so it starts at once (full duplex)
     b.ports[0].enqueue(frame)
     assert b.ports[0].tx_busy_until == 6_720
-
-
-def test_zero_rate_link_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError, match="rate must be positive"):
-        wire(sim, Recorder(sim, "a"), Recorder(sim, "b"), rate_bps=0)

@@ -186,7 +186,12 @@ BAD_TRAFFIC_VALUES = [
     ("cross_traffic", "vid", 9999),
     ("talker", "unique_id", 70000),
     ("talker", "dst_group", "zz:zz"),
+    # no octet of a MAC address is written 0x1
+    ("talker", "dst_group", "91:E0:F0:00:00:0x1"),
+    ("talker", "dst_group", "02:00:00:00:00:09"),     # a unicast address
     ("talker", "frame_bytes", 3000),
+    ("talker", "frame_bytes", 1523),
+    ("talker", "frame_bytes", 0),
     ("cross_traffic", "frame_bytes", 3000),
     ("cross_traffic", "frame_bytes", 0),
     ("cross_traffic", "pcp", 6),        # a PCP without a VLAN id to carry it
@@ -259,6 +264,13 @@ BAD_SCENARIO_VALUES = [
     # a listener on the talker's node, which hid every other listener's check
     (("listeners", 0, "node"), "client0", "listeners[0].node"),
     (("listeners",), [{"node": "client1"}, {"node": "client0"}], "listeners[1].node"),
+    # values no frame, tag or port can carry
+    (("links", 1, "rate_bps"), 0, "links[1].rate_bps"),
+    (("defaults", "link_rate_bps"), 0, "defaults.link_rate_bps"),
+    (("cross_traffic",), {"node": "client0", "dst_node": "client1", "vid": 3, "pcp": 8},
+     "cross_traffic.pcp"),
+    # a stream frame travels in its VLAN tag
+    (("talker",), {"node": "client0", "dst_group": "91:E0:F0:00:00:01"}, "talker.vid"),
 ]
 BAD_SCENARIO_IDS = [f"{field}={value}" for _, value, field in BAD_SCENARIO_VALUES]
 
@@ -416,11 +428,42 @@ def test_duplicate_node_names_rejected():
         parse_config(minimal_raw(switches=["c0"]))
 
 
-def test_unicast_stream_group_rejected():
-    raw = minimal_raw(talker={"node": "c0", "dst_group": "02:00:00:00:00:09",
-                              "vid": 2})
-    with pytest.raises(ConfigError):
-        parse_config(raw)
+def test_an_unquoted_mac_address_is_refused_with_a_hint_to_quote_it(tmp_path, capsys):
+    # YAML 1.1 reads 91:00:00:00:00:01 as a base-60 integer, 70761600001
+    text = resolve_scenario("case_study_sdn").read_text()
+    assert 'dst_group: "91:E0:F0:00:00:01"' in text
+    path = tmp_path / "unquoted.yaml"
+    path.write_text(text.replace('dst_group: "91:E0:F0:00:00:01"',
+                                 "dst_group: 91:00:00:00:00:01"))
+    with pytest.raises(ConfigError, match=r"talker\.dst_group: .*quote"):
+        load_config(path)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "talker.dst_group" in err
+
+
+def _star(clients: int, **overrides) -> dict:
+    names = [f"c{i}" for i in range(clients)]
+    return minimal_raw(clients=names, links=[{"a": name, "b": "s0"} for name in names],
+                       **overrides)
+
+
+def test_a_star_of_256_clients_builds_and_runs():
+    # the 256th client's number takes a second octet of its MAC
+    cfg = parse_config(_star(256, run_until="1ms", cross_traffic={
+        "node": "c255", "dst_node": "c0", "start_at": "0ns"}))
+    result = run_scenario(cfg)
+    macs = {name: host.mac for name, host in build_network(cfg).hosts.items()}
+    assert len(set(macs.values())) == 256
+    assert str(macs["c0"]) == "02:00:00:00:00:01"
+    assert str(macs["c254"]) == "02:00:00:00:00:FF"
+    assert str(macs["c255"]) == "02:00:00:00:01:00"
+    assert udp_records(result.sink)     # c255's ARP was answered, and its UDP arrived
+
+
+def test_more_clients_than_two_octets_number_are_refused():
+    with pytest.raises(ConfigError, match="clients: 65536 clients; at most 65535"):
+        parse_config(minimal_raw(clients=[f"c{i}" for i in range(65536)], links=[]))
 
 
 def test_shipped_scenarios_load():
@@ -682,8 +725,8 @@ def test_cross_traffic_disturbs_the_stream_immediately(nosdn_result):
 
 
 def test_emitted_frame_csv_layout(tmp_path, nosdn_result):
-    paths = emit_outputs(nosdn_result, tmp_path)
-    with open(paths["frames"]) as fh:
+    emit_outputs(nosdn_result, tmp_path)
+    with open(tmp_path / "frames.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == FRAME_CSV_HEADER
     assert len(rows) == 1 + len(records(nosdn_result.sink))

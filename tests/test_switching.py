@@ -6,6 +6,7 @@ from tssdnsim.engine import SimulationError, Simulator
 from tssdnsim.frames import (ArpKind, ArpMessage, BROADCAST, MacAddress, SrpKind,
                              SrpMessage, StreamData, StreamId, UdpDatagram,
                              VlanTag, make_frame)
+from tssdnsim.metrics import MetricsSink
 from tssdnsim.switching import (Drop, FlowMatch, FlowTable, Output, SrTable, Switch,
                                 ToController)
 
@@ -48,7 +49,7 @@ class StubChannel:
 
 def make_switch(sdn, n_ports=3, shaper_enabled=True):
     sim = Simulator()
-    sw = Switch(sim, "sw", sdn=sdn)
+    sw = Switch(sim, "sw", sdn=sdn, sink=MetricsSink())
     recorders = []
     for i in range(n_ports):
         rec = Recorder(sim, f"peer{i}")
@@ -248,17 +249,16 @@ def test_listener_ready_adds_port_and_raises_idle_slope():
 
 
 def test_a_rejected_admission_is_counted_logged_and_reserves_nothing():
-    logs = []
     sim, sw, _ = make_switch(sdn=False)
-    sw.log = logs.append
     # (1500 + 20) bytes * 8 bits every 125 us is 97,280,000 bit/s: over 75%
     sw.handle_frame(1, advertise_frame(frame_bytes=1500))
     sw.handle_frame(2, ready_frame(frame_bytes=1500))
     port = sw.ports[2]
     assert port.reservations_rejected == 1
     assert (port.shaped, port.reserved_streams) == ({}, {})
-    assert logs == ["sw: reservation rejected on sw:2: would exceed 75% of "
-                    "100000000 bit/s"]
+    # the run's sink, which every switch is built with, holds the warning
+    assert sw.sink.warnings == ["sw: reservation rejected on sw:2: would exceed 75% of "
+                                "100000000 bit/s"]
 
 
 @pytest.mark.parametrize("port, frame_bytes", [(1, 150), (1, 300), (0, 150)],
