@@ -247,7 +247,8 @@ SCHEMA = {
         "node": Field(_client),
         "unique_id": Field(_int(0, MAX_UNIQUE_ID), 1),
         "dst_group": Field(_multicast),
-        "vid": Field(_int(0, MAX_VID)),
+        # VID 0 tags a frame with its priority alone, in no VLAN
+        "vid": Field(_int(1, MAX_VID)),
         "sr_class": Field(_typed(str, "an SR class", lambda top: SR_CLASSES), "A"),
         "pcp": Field(_int(0, MAX_PCP), lambda top, talker: SR_CLASSES[talker["sr_class"]].pcp),
         # shorter frames are padded to the Ethernet minimum when built
@@ -314,6 +315,7 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
             # admission shapes the class's queue; frames in another would bypass it
             raise ConfigError(f"{source}: talker.pcp: {t.pcp} is not the PCP of SR "
                               f"class {t.sr_class} ({class_pcp})")
+    listening: dict = {}        # node -> the index of its listener
     for i, listener in enumerate(cfg.listeners):
         # a listener subscribes to the talker's stream, over a path with a port
         if t is not None and listener.unique_id != t.unique_id:
@@ -322,6 +324,11 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
         if t is not None and listener.node == t.node:
             raise ConfigError(f"{source}: listeners[{i}].node: {t.node!r} is the "
                               "talker's node")
+        # each listener records the stream under a flow named after its node
+        if listener.node in listening:
+            raise ConfigError(f"{source}: listeners[{i}].node: {listener.node!r} already "
+                              f"listens (listeners[{listening[listener.node]}])")
+        listening[listener.node] = i
     c = cfg.cross_traffic
     if c is not None:
         where = f"{source}: cross_traffic"

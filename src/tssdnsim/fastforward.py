@@ -99,7 +99,7 @@ table (`KINDS`) finds on the type's first sight and keeps:
 What a snapshot reads is fixed when the network is built, and `SteadyState`
 learns it then: each model's plan (`model_plans`: its bound `ff_state`, if it
 has one, and a getter of its normalised fields), and the traffic sources, each
-by the key its data frames carry and the flow its records are under. A
+by the key its data frames carry and the flows its records are under. A
 snapshot records each source's next seq on its `Cycle`, which normalises the
 queued frames and the latency records whatever the order of the models. It
 then runs the `ff_state`s and copies every model's normalised fields into one
@@ -382,7 +382,7 @@ class SteadyState:
     `models` lists every object the snapshot covers, in any order; the ones
     with `queues`, the egress ports, give the key its queued frame sizes.
     `sources` lists the traffic sources among them, each with the `key` its
-    data frames carry and the `flow` its records are under.
+    data frames carry and the `flows` its records are under, one per receiver.
     """
 
     def __init__(self, sim, period: int, models: list, sources: list = ()) -> None:
@@ -399,9 +399,9 @@ class SteadyState:
         self._flows: dict = {}      # recorded flow name -> its source's key
         self._refused: Optional[str] = None     # why no snapshot can tell them apart
         for source in sources:
-            if source.flow in self._flows or source.key in self._flows.values():
-                self._refused = f"two sources share flow {source.flow}"
-            self._flows[source.flow] = source.key
+            if source.key in self._flows.values() or self._flows.keys() & source.flows:
+                self._refused = f"two sources share flow {', '.join(source.flows)}"
+            self._flows.update(dict.fromkeys(source.flows, source.key))
         self._queues = [q for m in models for q in getattr(m, "queues", ())]
         self._indexed = list(enumerate(self._queues))   # (index, queue) per queue
         self._owners = frozenset(id(m) for m in models)

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Union
 
 MIN_FRAME_BYTES = 64
 MAX_FRAME_BYTES = 1522
-MAX_VID = 4095
+MAX_VID = 4094      # 802.1Q reserves VID 0xFFF
 MAX_PCP = 7
 MAX_UNIQUE_ID = 0xFFFF
 # preamble 7 + SFD 1 + interframe gap 12

@@ -34,9 +34,13 @@ UDP_FLOW = "udp"
 _tuple_new = tuple.__new__
 
 
-def stream_flow(unique_id: int) -> str:
-    """The flow name a listener records a stream's frames under."""
-    return f"stream-{unique_id}"
+def listener_flows(unique_id: int, nodes) -> tuple:
+    """The flow each listener of stream `unique_id` records it under, in the
+    order of `nodes`, the listeners' nodes: `stream-<id>` for a lone
+    listener, `stream-<id>@<node>` for each of several."""
+    if len(nodes) == 1:
+        return (f"stream-{unique_id}",)
+    return tuple(f"stream-{unique_id}@{node}" for node in nodes)
 
 
 class Host(Node):
@@ -55,8 +59,8 @@ class Host(Node):
         # the protocol address a UDP source resolves
         self.sources: dict = {}
 
-    def run_listener(self, unique_id: int) -> None:
-        self.streams_listened[unique_id] = stream_flow(unique_id)
+    def run_listener(self, unique_id: int, flow: str) -> None:
+        self.streams_listened[unique_id] = flow
 
     def handle_frame(self, in_port: int, frame: EthernetFrame) -> None:
         # by the payload's exact type, the data frames first
@@ -88,20 +92,21 @@ class Host(Node):
 
 class Talker:
     """An 802.1Qat talker on a host: it advertises its stream, and from one
-    interval after the first listener ready it sends a frame each interval."""
+    interval after the first listener ready it sends a frame each interval.
+    `flows` names the flow of each of its listeners, in `listeners` order."""
 
-    FF_FIELDS = fields(static="sim host cfg interval stream_id key flow _lr_timeout",
+    FF_FIELDS = fields(static="sim host cfg interval stream_id key flows _lr_timeout",
                        normalised="lr_arrival_ns", counted="seq")
 
-    def __init__(self, host: Host, cfg: Section) -> None:
+    def __init__(self, host: Host, cfg: Section, flows: tuple) -> None:
         self.sim = sim = host.sim
         self.host = host
         self.cfg = cfg
         self.interval = cfg.interval
         self.stream_id = StreamId(host.mac, cfg.unique_id)
-        # the key its frames carry and the flow its listeners record them
+        # the key its frames carry and the flows its listeners record them
         # under, by which the fast-forward tells the sources apart
-        self.key, self.flow = self.stream_id, stream_flow(cfg.unique_id)
+        self.key, self.flows = self.stream_id, flows
         self.lr_arrival_ns: Optional[int] = None
         self.seq = 0
         host.sources[self.stream_id] = self
@@ -156,7 +161,9 @@ class UdpSource:
     """UDP cross traffic from a host: it resolves its destination by ARP, then
     sends a datagram each interval, up to its count if it has one."""
 
-    FF_FIELDS = fields(static="sim host cfg interval key flow",
+    flows = (UDP_FLOW,)
+
+    FF_FIELDS = fields(static="sim host cfg interval key",
                        normalised="arp_resolved arp_given_up _arp_tries _arp_retry",
                        counted="seq")
 
@@ -165,7 +172,7 @@ class UdpSource:
         self.host = host
         self.cfg = cfg
         self.interval = cfg.send_interval
-        self.key, self.flow = host.protocol_addr, UDP_FLOW     # as a talker's
+        self.key = host.protocol_addr       # as a talker's
         self.arp_resolved: Optional[MacAddress] = None
         self.arp_given_up = False       # then it never sends
         self._arp_tries = 0

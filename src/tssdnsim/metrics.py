@@ -254,17 +254,15 @@ class FlowSeqs:
     seq, last seq, step, latency_ns), filed by its step and by its first
     seq's residue modulo the step."""
 
-    __slots__ = ("single", "runs", "by_step", "repeated")
+    __slots__ = ("single", "runs", "by_step")
 
     def __init__(self) -> None:
         self.single: dict = {}          # seq -> latency_ns
         self.runs: list = []
         self.by_step: dict = {}         # step -> {first seq % step: [run, ...]}
-        self.repeated = False           # some seq is known to be recorded twice
 
     def add(self, seq: int, step: int, n: int, latency: int) -> None:
         if n == 1:
-            self.repeated = self.repeated or seq in self.single
             self.single[seq] = latency
         else:
             run = (seq, seq + (n - 1) * step, step, latency)
@@ -294,12 +292,6 @@ class FlowSeqs:
                 for i in range(residues):
                     yield from by_residue.get((first + i * step) % t, ())
 
-    def repeats_a_seq(self) -> bool:
-        return (self.repeated
-                or any(self.run_latency(seq) is not None for seq in self.single)
-                or any(shared_seqs(run, other) for run in self.runs
-                       for other in self.candidates(run) if other is not run))
-
 
 def flow_seqs(sink: MetricsSink, ws: int, we: int) -> dict:
     """flow -> `FlowSeqs` of its records sent in [ws, we), for each flow with one."""
@@ -313,12 +305,9 @@ def flow_seqs(sink: MetricsSink, ws: int, we: int) -> dict:
     return out
 
 
-def pair_by_seq(ours: FlowSeqs, theirs: FlowSeqs) -> Optional[tuple]:
+def pair_by_seq(ours: FlowSeqs, theirs: FlowSeqs) -> tuple:
     """(count, sum of our latencies, sum of theirs) over the seqs both hold;
-    None when one of them holds a seq twice, as when two listeners record
-    one stream, since a seq then names no one frame."""
-    if ours.repeats_a_seq() or theirs.repeats_a_seq():
-        return None
+    a flow is one receiver's frames, so each seq of it names one frame."""
     count = sum_ours = sum_theirs = 0
     for seq, latency in ours.single.items():
         other = theirs.single.get(seq)

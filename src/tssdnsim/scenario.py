@@ -11,7 +11,7 @@ from .control import Controller
 from .engine import Simulator, Trace
 from .fastforward import Skipped, SteadyState
 from .frames import MacAddress
-from .hosts import Host, Talker, UdpSource
+from .hosts import UDP_FLOW, Host, Talker, UdpSource, listener_flows
 from .metrics import (FlowSeqs, GuaranteeResult, MetricsSink, flow_seqs, guarantee_result,
                       pair_by_seq, write_control_trace, write_counters, write_frame_csv,
                       write_summary_csv)
@@ -30,7 +30,7 @@ class RunResult(NamedTuple):
     config: ScenarioConfig
     sink: MetricsSink
     stats: dict               # the whole run's `FlowStats` per flow
-    stream_flow: Optional[str]    # the talker's flow, None without a talker
+    stream_flows: tuple       # the talker's flow per listener, in `listeners` order
     counters: dict
     control_trace: list
     flow_installs: list
@@ -55,18 +55,21 @@ class RunResult(NamedTuple):
         return (start + self.config.convergence_bound, self.config.run_until)
 
     def check_guarantee(self) -> GuaranteeResult:
-        """The latency check of the talker's flow over the whole run; a
-        rejected reservation fails it whatever the latencies, since the stream
-        then ran unreserved, and so does a host that gave up on ARP, since the
-        cross traffic it was to send never met the stream. Without a talker
-        and a listener there is no stream, and so no bound to check."""
+        """The latency check of the talker's flows over the whole run: the
+        greatest (latency, seq) of any listener's, the earlier listener's on
+        a tie. A rejected reservation fails it whatever the latencies, since
+        the stream then ran unreserved, and so does a host that gave up on
+        ARP, since the cross traffic it was to send never met the stream.
+        Without a talker and a listener there is no stream, and so no bound
+        to check."""
         cfg = self.config
         if cfg.talker is None:
             return GuaranteeResult(False, None, None, "no talker configured")
         if not cfg.listeners:
             return GuaranteeResult(False, None, None, "no listener configured")
-        result = guarantee_result(self.stats.get(self.stream_flow),
-                                  SR_CLASSES[cfg.talker.sr_class], self.scheduled_ports)
+        observed = [st for st in map(self.stats.get, self.stream_flows) if st is not None]
+        worst = max(observed, key=lambda st: (st.worst.latency_ns, st.worst.seq), default=None)
+        result = guarantee_result(worst, SR_CLASSES[cfg.talker.sr_class], self.scheduled_ports)
         failures = ["reservation rejected on " + ", ".join(self.rejected_ports)] \
             if self.rejected_ports else []
         failures += [f"{host} gave up on ARP: its cross traffic never started"
@@ -135,9 +138,11 @@ def build_network(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> Network
 
     sources = []
     if cfg.talker is not None:
-        sources.append(Talker(hosts[cfg.talker.node], cfg.talker))
-        for listener in cfg.listeners:
-            hosts[listener.node].run_listener(listener.unique_id)
+        flows = listener_flows(cfg.talker.unique_id,
+                               [listener.node for listener in cfg.listeners])
+        sources.append(Talker(hosts[cfg.talker.node], cfg.talker, flows))
+        for listener, flow in zip(cfg.listeners, flows):
+            hosts[listener.node].run_listener(listener.unique_id, flow)
     if cfg.cross_traffic is not None:
         sources.append(UdpSource(hosts[cfg.cross_traffic.node], cfg.cross_traffic))
 
@@ -173,10 +178,10 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
         }
 
     stats = sink.flow_stats()
-    # each source's first send, from the stats of its own flow
+    # each source's first send, the earliest in the stats of its flows
     first = {flow: st.first_send_ns for flow, st in stats.items()}
-    stream_flow = talker.flow if talker is not None else None
-    stream_start = first.get(stream_flow)
+    stream_flows = talker.flows if talker is not None else ()
+    stream_start = min([first[flow] for flow in stream_flows if flow in first], default=None)
     if stream_start is None and talker is not None and talker.seq:
         stream_start = talker.lr_arrival_ns + talker.interval
 
@@ -184,13 +189,13 @@ def run_scenario(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> RunResul
         config=cfg,
         sink=sink,
         stats=stats,
-        stream_flow=stream_flow,
+        stream_flows=stream_flows,
         counters=counters,
         control_trace=list(controller.trace) if controller else [],
         flow_installs=list(controller.flow_installs) if controller else [],
         stream_start_ns=stream_start,
         lr_arrival_ns=talker.lr_arrival_ns if talker else None,
-        udp_first_send_ns=first.get(udp.flow) if udp is not None else None,
+        udp_first_send_ns=first.get(UDP_FLOW),
         scheduled_ports=scheduled_ports,
         rejected_ports=tuple(port.name for node in (*hosts.values(), *switches.values())
                              for port in node.ports if port.reservations_rejected),
@@ -269,11 +274,8 @@ def compare_report(sdn: RunResult, nosdn: RunResult) -> str:
         if flow in only_in:
             lines.append(f"  {flow}: recorded only in the {only_in[flow]} run")
             continue
-        paired = pair_by_seq(sdn_seqs.get(flow, FlowSeqs()), nosdn_seqs.get(flow, FlowSeqs()))
-        if paired is None:
-            lines.append(f"  {flow}: a seq recorded more than once in a run; not paired")
-            continue
-        count, sum_sdn, sum_nosdn = paired
+        count, sum_sdn, sum_nosdn = pair_by_seq(sdn_seqs.get(flow, FlowSeqs()),
+                                                nosdn_seqs.get(flow, FlowSeqs()))
         if not count:
             lines.append(f"  {flow}: no seq in both steady windows")
             continue

@@ -9,7 +9,7 @@ import pytest
 
 from tssdnsim.config import parse_config
 from tssdnsim.metrics import FlowSeqs, MetricsSink, pair_by_seq, shared_seqs
-from tssdnsim.scenario import compare_report, run_scenario
+from tssdnsim.scenario import compare_report, emit_outputs, run_scenario
 
 from conftest import records, workloads
 from test_fastforward import EQUIVALENCE_CASES, _shipped
@@ -66,35 +66,56 @@ def test_compare_equals_the_pairing_of_expanded_records(sdn, nosdn, until):
     assert compare_report(a, b) == expanded_compare_report(a, b)
 
 
-# the cases with one listener: several record each frame of the stream
-# under one flow and seq (`test_a_stream_with_two_listeners_is_not_paired`)
-ONE_LISTENER_CASES = [case for case in EQUIVALENCE_CASES
-                      if len(case[1].get("listeners", [])) <= 1]
-
-
-@pytest.mark.parametrize("raw, until", [case[1:3] for case in ONE_LISTENER_CASES],
-                         ids=[case[0] for case in ONE_LISTENER_CASES])
+@pytest.mark.parametrize("raw, until", [case[1:3] for case in EQUIVALENCE_CASES],
+                         ids=[case[0] for case in EQUIVALENCE_CASES])
 def test_no_flow_records_a_seq_twice(raw, until):
     # `pair_by_seq` counts the seqs two runs share; a seq recorded twice
-    # would name no one frame
+    # would name no one frame. Each listener of a stream records its own flow.
     result = run_scenario(parse_config(dict(raw, **({"run_until": until} if until else {}))))
     seen = Counter((flow, seq) for flow, seq, _, _ in result.sink.rows())
     assert seen and max(seen.values()) == 1
 
 
-def test_a_stream_with_two_listeners_is_not_paired():
-    # both listeners record each stream frame under the same flow and seq
-    raw = _shipped("case_study_nosdn", run_until="300ms")
+def _two_listeners(name):
+    """The shipped `name` at 300 ms with a second listener, client2 on switch1."""
+    raw = _shipped(name, run_until="300ms")
     raw["clients"].append("client2")
     raw["links"].append({"a": "switch1", "b": "client2"})
     raw["listeners"].append({"node": "client2", "unique_id": 1})
-    result = run_scenario(parse_config(raw))
+    return run_scenario(parse_config(raw))
+
+
+def _stream_rows(result, tmp_path):
+    """The stream rows of the run's `report.txt`."""
+    emit_outputs(result, tmp_path)
+    return [line.strip() for line in (tmp_path / "report.txt").read_text().splitlines()
+            if line.startswith("  stream-")]
+
+
+def test_each_listener_of_a_stream_records_a_flow_of_its_own(tmp_path):
+    # client1 shares switch1's egress with the UDP flow; client2 does not
+    result = _two_listeners("case_study_nosdn")
+    assert result.skipped.line().startswith("fast-forward: 594 cycles of 500000 ns skipped")
+    assert result.stream_flows == ("stream-1@client1", "stream-1@client2")
+    assert _stream_rows(result, tmp_path) == [
+        "stream-1@client1: n=1517 min=178840 mean=211113.6 max=246840 (ns)",
+        "stream-1@client2: n=1518 min=178840 mean=178840.0 max=178840 (ns)",
+    ]
+    report = compare_report(result, result)
+    assert report == expanded_compare_report(result, result)
+    assert "  stream-1@client1: steady mean delta +0.0 ns over 1517 seqs" in report
+    assert "  stream-1@client2: steady mean delta +0.0 ns over 1518 seqs" in report
+
+
+def test_each_listener_has_its_own_rows_under_sdn_control(tmp_path):
+    result = _two_listeners("case_study_sdn")
     assert result.skipped.cycles > 0
-    report = compare_report(result, result).splitlines()
-    assert "  stream-1: a seq recorded more than once in a run; not paired" in report
-    udp = [line for line in report if line.startswith("  udp:")]
-    assert udp == [line for line in expanded_compare_report(result, result).splitlines()
-                   if line.startswith("  udp:")]
+    rows = _stream_rows(result, tmp_path)
+    assert [row.split(":")[0] for row in rows] == ["stream-1@client1", "stream-1@client2"]
+    report = compare_report(result, result)
+    assert report == expanded_compare_report(result, result)
+    assert all(f"  {flow}: steady mean delta +0.0 ns over " in report
+               for flow in result.stream_flows)
 
 
 def _brute_shared(a, b):
@@ -118,35 +139,28 @@ def test_shared_seqs_matches_brute_force(seed):
         assert shared_seqs(a, b) == _brute_shared(a, b), (a, b)
 
 
-def _flow_seqs(rng, runs, allow_repeats):
-    """A `FlowSeqs` of `runs` random runs, and the seq -> latency dict it
-    stands for; None for the dict when some seq is in two runs."""
-    seqs, expanded, repeated = FlowSeqs(), {}, False
+def _flow_seqs(rng, runs):
+    """A `FlowSeqs` of `runs` random runs that share no seq, and the seq ->
+    latency dict it stands for."""
+    seqs, expanded = FlowSeqs(), {}
     while runs:
         first, last, step = _random_run(rng)
         held = set(range(first, last + 1, step))
         if held & expanded.keys():
-            if not allow_repeats:
-                continue
-            repeated = True
+            continue
         latency = rng.randrange(1, 1_000)
         seqs.add(first, step, len(held), latency)
         expanded.update(dict.fromkeys(held, latency))
         runs -= 1
-    return seqs, None if repeated else expanded
+    return seqs, expanded
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13, 14])
 def test_pair_by_seq_matches_a_dict_of_every_seq(seed):
     rng = random.Random(seed)
     for _ in range(300):
-        allow_repeats = rng.random() < 0.2
-        ours, a = _flow_seqs(rng, rng.randrange(0, 12), allow_repeats)
-        theirs, b = _flow_seqs(rng, rng.randrange(0, 12), False)
-        if a is None:
-            assert pair_by_seq(ours, theirs) is None
-            assert pair_by_seq(theirs, ours) is None
-            continue
+        ours, a = _flow_seqs(rng, rng.randrange(0, 12))
+        theirs, b = _flow_seqs(rng, rng.randrange(0, 12))
         common = a.keys() & b.keys()
         want = (len(common), sum(a[s] for s in common), sum(b[s] for s in common))
         assert pair_by_seq(ours, theirs) == want

@@ -914,7 +914,7 @@ class ReferenceCycle(Cycle):
         # each model's fields by name, not through its plan, and the sources'
         # next seqs read by the reference itself
         self.seqs = {source.key: source.seq for source in sources}
-        self.flows = {source.flow: source.key for source in sources}
+        self.flows = {flow: source.key for source in sources for flow in source.flows}
         own = [model.ff_state(self) for model in models if hasattr(model, "ff_state")]
         return own, [self.freeze(getattr(model, name)) for model in models
                      for name, kind in type(model).FF_FIELDS.items() if kind == NORMALISED]

@@ -30,7 +30,7 @@ def test_talker_without_listener_warns_and_stays_silent():
     sink = MetricsSink()
     host = Host(sim, "hostA", mac("02:00:00:00:00:01"), "hostA", sink)
     wire(sim, host, Recorder(sim))  # peer never answers the advertise
-    talker = Talker(host, talker_config())
+    talker = Talker(host, talker_config(), ("stream-1",))
     sim.run_until(3_000 * MS)
     assert talker.seq == 0
     assert any("no listener ready" in w for w in sink.warnings)
@@ -41,8 +41,8 @@ def test_listener_ready_cancels_the_timeout():
     sim = Simulator()
     sink = MetricsSink()
     host, listener = host_pair(sim, sink)
-    listener.run_listener(1)
-    talker = Talker(host, talker_config())
+    listener.run_listener(1, "stream-1")
+    talker = Talker(host, talker_config(), ("stream-1",))
     sim.run_until(2 * MS)
     assert talker.lr_arrival_ns is not None
     # a cancelled entry's callback is None
@@ -72,8 +72,8 @@ def test_stream_clock_anchors_one_interval_after_listener_ready():
     sim = Simulator()
     sink = MetricsSink()
     host, listener = host_pair(sim, sink)
-    talker = Talker(host, talker_config())
-    listener.run_listener(1)
+    talker = Talker(host, talker_config(), ("stream-1",))
+    listener.run_listener(1, "stream-1")
     sim.run_until(10 * MS)
     assert talker.lr_arrival_ns is not None
     first = min(r.send_ns for r in stream_records(sink))

@@ -180,10 +180,14 @@ BAD_TRAFFIC_VALUES = [
     ("cross_traffic", "send_interval", "0ns"),
     ("talker", "interval", "0ns"),
     ("talker", "vid", 5000),
+    # 802.1Q: VID 0 is a priority tag, not a VLAN, and VID 0xFFF is reserved
+    ("talker", "vid", 0),
+    ("talker", "vid", 4095),
     ("talker", "pcp", 9),
     # Class A is PCP 6: its reservation would shape a queue the stream is not in
     ("talker", "pcp", 5),
     ("cross_traffic", "vid", 9999),
+    ("cross_traffic", "vid", 4095),
     ("talker", "unique_id", 70000),
     ("talker", "dst_group", "zz:zz"),
     # no octet of a MAC address is written 0x1
@@ -264,6 +268,8 @@ BAD_SCENARIO_VALUES = [
     # a listener on the talker's node, which hid every other listener's check
     (("listeners", 0, "node"), "client0", "listeners[0].node"),
     (("listeners",), [{"node": "client1"}, {"node": "client0"}], "listeners[1].node"),
+    # two listeners on one node, which would record the stream under one name
+    (("listeners",), [{"node": "client1"}, {"node": "client1"}], "listeners[1].node"),
     # values no frame, tag or port can carry
     (("links", 1, "rate_bps"), 0, "links[1].rate_bps"),
     (("defaults", "link_rate_bps"), 0, "defaults.link_rate_bps"),
@@ -684,9 +690,25 @@ def test_the_guarantee_judges_the_talkers_flow_alone(nosdn_result):
     sink = sink_of("stream-1", [100 * US, 200 * US])
     sink.record("stream-9", 0, 0, 900 * US)
     result = nosdn_result._replace(stats=sink.flow_stats())
-    assert result.stream_flow == "stream-1"
+    assert result.stream_flows == ("stream-1",)
     gr = result.check_guarantee()
     assert gr.passed and gr.worst == ("stream-1", 1, 100, 100 + 200 * US)
+
+
+def test_the_guarantee_judges_the_worst_frame_of_any_listener(nosdn_result):
+    # the greatest (latency, seq) over the listeners' flows; on a tie, the
+    # earlier listener's frame
+    flows = ("stream-1@client1", "stream-1@client2")
+    sink = sink_of(flows[0], [100 * US, 300 * US])
+    for seq, latency in enumerate([300 * US, 800 * US]):
+        sink.record(flows[1], seq, seq * 100, seq * 100 + latency)
+    result = nosdn_result._replace(stats=sink.flow_stats(), stream_flows=flows)
+    gr = result.check_guarantee()
+    assert not gr.passed and gr.worst == (flows[1], 1, 100, 100 + 800 * US)
+    tied = nosdn_result._replace(stats=sink_of(flows[1], [300 * US, 300 * US]).flow_stats()
+                                 | sink_of(flows[0], [300 * US, 300 * US]).flow_stats(),
+                                 stream_flows=flows)
+    assert tied.check_guarantee().worst == (flows[0], 1, 100, 100 + 300 * US)
 
 
 # -- runs and outputs -----------------------------------------------------
