@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -77,9 +77,9 @@ class Section:
 
 class ScenarioConfig(Section):
     """A parsed scenario: the top-level section, its sections as attributes,
-    `talker.vlan` and `cross_traffic.vlan` set from their vid and pcp, and
-    no `defaults`, which the links have read. A caller may change
-    `run_until`."""
+    `talker.vlan` set from its vid and its SR class's PCP, `cross_traffic.vlan`
+    from its vid and pcp, and no `defaults`, which the links have read. A
+    caller may change `run_until`."""
 
     def adjacency(self) -> dict:
         adj: dict = {n: set() for n in (*self.clients, *self.switches)}
@@ -162,7 +162,9 @@ def _items(parse):
 def _section(key: str):
     def parse(value, name, top):
         out = _fields(_typed(dict, "a mapping")(value, name), SCHEMA[key], f"{name}.", top, {})
-        if "vid" in out:        # a traffic source's VLAN tag, None without a vid
+        if key == "talker":     # its SR class gives the PCP its frames carry
+            out["vlan"] = VlanTag(out["vid"], SR_CLASSES[out["sr_class"]].pcp)
+        elif key == "cross_traffic":        # untagged without a vid
             out["vlan"] = None if out["vid"] is None else VlanTag(out["vid"], out["pcp"])
         return Section(**out)
     return parse
@@ -225,7 +227,6 @@ SCHEMA = {
         "convergence_bound": Field(_time(), "10ms"),
         "clients": Field(_items(_node)),
         "switches": Field(_items(_node)),
-        "controller": Field(_node, sdn=True),
         "control": Field(_section("control"), {}, sdn=True),
         "defaults": Field(_section("defaults"), {}),
         "links": Field(_items(_section("links"))),
@@ -250,14 +251,12 @@ SCHEMA = {
         # VID 0 tags a frame with its priority alone, in no VLAN
         "vid": Field(_int(1, MAX_VID)),
         "sr_class": Field(_typed(str, "an SR class", lambda top: SR_CLASSES), "A"),
-        "pcp": Field(_int(0, MAX_PCP), lambda top, talker: SR_CLASSES[talker["sr_class"]].pcp),
         # shorter frames are padded to the Ethernet minimum when built
         "frame_bytes": Field(_int(1, MAX_FRAME_BYTES), 150),
         "interval": Field(_time(1), "125us"),
         "advertise_at": Field(_time(), lambda top, talker: top["idle_setup"]),
     },
-    "listeners": {"node": Field(_client),
-                  "unique_id": Field(_int(0, MAX_UNIQUE_ID), 1)},
+    "listeners": {"node": Field(_client)},
     "cross_traffic": {
         "node": Field(_client),
         "dst_node": Field(_client),
@@ -271,12 +270,41 @@ SCHEMA = {
 }
 
 
+class _KeyGivenTwice(yaml.YAMLError):
+    """A key given twice in one mapping, of which YAML keeps the last value."""
+
+
+class _UniqueKeys:
+    """Mixed into a PyYAML loader: a mapping that gives a key twice is refused."""
+
+    def construct_mapping(self, node, deep=False):
+        lines: dict = {}        # each key -> the line it is first given on, from 1
+        for key_node, _ in node.value:
+            # `<<` merges in a mapping whose keys this one may override, and a
+            # key that is no scalar the base refuses as unhashable
+            if key_node.tag == "tag:yaml.org,2002:merge" \
+                    or not isinstance(key_node, yaml.ScalarNode):
+                continue
+            key = self.construct_object(key_node)
+            line = key_node.start_mark.line + 1
+            if key in lines:
+                raise _KeyGivenTwice(f"line {line}: {key}: given twice "
+                                     f"(first on line {lines[key]})")
+            lines[key] = line
+        return super().construct_mapping(node, deep)
+
+
+@cache
+def _unique_keys(loader: type) -> type:
+    return type(loader.__name__, (_UniqueKeys, loader), {})
+
+
 def load_config(path) -> ScenarioConfig:
     path = Path(path)
+    # libyaml's parser when PyYAML was built with it: the same documents
+    loader = _unique_keys(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     try:
-        # libyaml's parser when PyYAML was built with it: the same documents
-        raw = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader",
-                                                         yaml.SafeLoader))
+        raw = yaml.load(path.read_text(), Loader=loader)
     except FileNotFoundError:
         raise ConfigError(f"scenario file not found: {path}")
     except IsADirectoryError:
@@ -285,6 +313,8 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"scenario file not readable: {path}")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}")
+    except _KeyGivenTwice as exc:
+        raise ConfigError(f"{path}: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: YAML parse error: {exc}")
     if not isinstance(raw, dict):
@@ -304,23 +334,10 @@ def parse_config(raw: dict, source: str = "<config>") -> ScenarioConfig:
     if len(cfg.clients) > MAX_CLIENTS:
         raise ConfigError(f"{source}: clients: {len(cfg.clients)} clients; at most "
                           f"{MAX_CLIENTS}")
-    for kind, nodes in (("client", cfg.clients), ("switch", cfg.switches)):
-        if cfg.controller in nodes:      # the controller is a node of its own
-            raise ConfigError(f"{source}: controller: {cfg.controller!r} is already "
-                              f"the name of a {kind}")
     t = cfg.talker
-    if t is not None:
-        class_pcp = SR_CLASSES[t.sr_class].pcp
-        if t.pcp != class_pcp:
-            # admission shapes the class's queue; frames in another would bypass it
-            raise ConfigError(f"{source}: talker.pcp: {t.pcp} is not the PCP of SR "
-                              f"class {t.sr_class} ({class_pcp})")
     listening: dict = {}        # node -> the index of its listener
     for i, listener in enumerate(cfg.listeners):
         # a listener subscribes to the talker's stream, over a path with a port
-        if t is not None and listener.unique_id != t.unique_id:
-            raise ConfigError(f"{source}: listeners[{i}].unique_id: {listener.unique_id} "
-                              f"names no talker (talker.unique_id is {t.unique_id})")
         if t is not None and listener.node == t.node:
             raise ConfigError(f"{source}: listeners[{i}].node: {t.node!r} is the "
                               "talker's node")

@@ -1,7 +1,7 @@
 """Endpoint nodes and applications: the client host, the TSN talker and the
 UDP cross-traffic source.
 
-A `Host` answers ARP for its protocol address, records what it listens to,
+A `Host` answers ARP for its name, records what it listens to,
 and hands a listener ready or an ARP reply to the source it answers. Each
 source (`Talker`, `UdpSource`) is a model of its own that sends on its host's
 NIC. Host processing delays are zero so all measured latency is attributable
@@ -46,17 +46,15 @@ def listener_flows(unique_id: int, nodes) -> tuple:
 class Host(Node):
     """A client's NIC, and the dispatch of what arrives on it by payload type."""
 
-    FF_FIELDS = fields(static="sim name ports mac protocol_addr sink streams_listened "
-                              "sources")
+    FF_FIELDS = fields(static="sim name ports mac sink streams_listened sources")
 
-    def __init__(self, sim, name, mac: MacAddress, protocol_addr: str, sink) -> None:
+    def __init__(self, sim, name, mac: MacAddress, sink) -> None:
         super().__init__(sim, name)
         self.mac = mac
-        self.protocol_addr = protocol_addr
         self.sink = sink
         self.streams_listened: dict = {}        # subscribed unique_id -> its flow name
         # its sources, by what a reply to one names: a talker's stream id, or
-        # the protocol address a UDP source resolves
+        # the host name a UDP source resolves
         self.sources: dict = {}
 
     def run_listener(self, unique_id: int, flow: str) -> None:
@@ -71,7 +69,7 @@ class Host(Node):
             if flow is not None:
                 self.sink.record(flow, payload.seq, payload.sent_at, self.sim._now)
         elif kind is UdpDatagram:
-            if payload.dst_addr == self.protocol_addr:
+            if payload.dst_addr == self.name:
                 self.sink.record(UDP_FLOW, payload.seq, payload.sent_at, self.sim._now)
         elif kind is SrpMessage:
             if payload.kind is SrpKind.LISTENER_READY:
@@ -85,7 +83,7 @@ class Host(Node):
             if payload.kind is ArpKind.REPLY:
                 if payload.asked in self.sources:
                     self.sources[payload.asked].resolve(payload.answer)
-            elif payload.asked == self.protocol_addr:
+            elif payload.asked == self.name:
                 reply = ArpMessage(ArpKind.REPLY, payload.asked, self.mac)
                 self.ports[0].enqueue(make_frame(self.mac, frame.src, reply, ARP_FRAME_BYTES))
 
@@ -172,7 +170,7 @@ class UdpSource:
         self.host = host
         self.cfg = cfg
         self.interval = cfg.send_interval
-        self.key = host.protocol_addr       # as a talker's
+        self.key = host.name        # as a talker's
         self.arp_resolved: Optional[MacAddress] = None
         self.arp_given_up = False       # then it never sends
         self._arp_tries = 0
@@ -211,7 +209,7 @@ class UdpSource:
         now = sim._now
         frame = make_frame(host.mac, self.arp_resolved,
                            _tuple_new(UdpDatagram,
-                                      (self.seq, now, host.protocol_addr, cfg.dst_node)),
+                                      (self.seq, now, host.name, cfg.dst_node)),
                            cfg.frame_bytes, cfg.vlan)
         self.seq += 1
         host.ports[0].enqueue(frame)

@@ -118,7 +118,7 @@ def build_network(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> Network
 
     hosts: dict = {}
     for i, name in enumerate(cfg.clients):
-        hosts[name] = Host(sim, name, client_mac(i), protocol_addr=name, sink=sink)
+        hosts[name] = Host(sim, name, client_mac(i), sink)
 
     switches: dict = {}
     for name in cfg.switches:
@@ -142,7 +142,7 @@ def build_network(cfg: ScenarioConfig, trace: Optional[Trace] = None) -> Network
                                [listener.node for listener in cfg.listeners])
         sources.append(Talker(hosts[cfg.talker.node], cfg.talker, flows))
         for listener, flow in zip(cfg.listeners, flows):
-            hosts[listener.node].run_listener(listener.unique_id, flow)
+            hosts[listener.node].run_listener(cfg.talker.unique_id, flow)
     if cfg.cross_traffic is not None:
         sources.append(UdpSource(hosts[cfg.cross_traffic.node], cfg.cross_traffic))
 

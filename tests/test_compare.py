@@ -81,7 +81,7 @@ def _two_listeners(name):
     raw = _shipped(name, run_until="300ms")
     raw["clients"].append("client2")
     raw["links"].append({"a": "switch1", "b": "client2"})
-    raw["listeners"].append({"node": "client2", "unique_id": 1})
+    raw["listeners"].append({"node": "client2"})
     return run_scenario(parse_config(raw))
 
 
@@ -197,7 +197,7 @@ def _line_twins(n_switches, **changes):
     """The generated line of `n_switches` with the top-level `changes`, run
     under SDN control and as its no-SDN twin."""
     sdn = dict(workloads.line_scenario(n_switches), **changes)
-    nosdn = {key: value for key, value in sdn.items() if key not in ("controller", "control")}
+    nosdn = {key: value for key, value in sdn.items() if key != "control"}
     nosdn["sdn_enabled"] = False
     return run_scenario(parse_config(sdn)), run_scenario(parse_config(nosdn))
 

@@ -19,8 +19,8 @@ def talker_config(advertise_at=1 * MS):
 
 
 def host_pair(sim, sink):
-    a = Host(sim, "hostA", mac("02:00:00:00:00:01"), "hostA", sink)
-    b = Host(sim, "hostB", mac("02:00:00:00:00:02"), "hostB", sink)
+    a = Host(sim, "hostA", mac("02:00:00:00:00:01"), sink)
+    b = Host(sim, "hostB", mac("02:00:00:00:00:02"), sink)
     wire(sim, a, b)
     return a, b
 
@@ -28,7 +28,7 @@ def host_pair(sim, sink):
 def test_talker_without_listener_warns_and_stays_silent():
     sim = Simulator()
     sink = MetricsSink()
-    host = Host(sim, "hostA", mac("02:00:00:00:00:01"), "hostA", sink)
+    host = Host(sim, "hostA", mac("02:00:00:00:00:01"), sink)
     wire(sim, host, Recorder(sim))  # peer never answers the advertise
     talker = Talker(host, talker_config(), ("stream-1",))
     sim.run_until(3_000 * MS)
@@ -85,7 +85,7 @@ def test_stream_clock_anchors_one_interval_after_listener_ready():
 def test_arp_gives_up_after_retries():
     sim = Simulator()
     sink = MetricsSink()
-    host = Host(sim, "hostA", mac("02:00:00:00:00:01"), "hostA", sink)
+    host = Host(sim, "hostA", mac("02:00:00:00:00:01"), sink)
     rec = Recorder(sim)
     wire(sim, host, rec)
     source = UdpSource(host, Section(node="hostA", dst_node="ghost", frame_bytes=1000,
@@ -116,7 +116,7 @@ def test_first_udp_frame_goes_out_at_arp_reply_time():
 
 def test_arp_request_for_another_address_is_ignored():
     sim = Simulator()
-    host = Host(sim, "hostB", mac("02:00:00:00:00:02"), "hostB", MetricsSink())
+    host = Host(sim, "hostB", mac("02:00:00:00:00:02"), MetricsSink())
     rec = Recorder(sim)
     wire(sim, host, rec)
     request = make_frame(mac("02:00:00:00:00:01"), mac("FF:FF:FF:FF:FF:FF"),

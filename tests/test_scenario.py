@@ -118,16 +118,6 @@ def test_minimal_config_parses():
     assert [l.rate_bps for l in cfg.links] == [100_000_000, 100_000_000]
 
 
-def test_controller_without_sdn_rejected():
-    with pytest.raises(ConfigError):
-        parse_config(minimal_raw(controller="ctl"))
-
-
-def test_sdn_without_controller_rejected():
-    with pytest.raises(ConfigError):
-        parse_config(minimal_raw(sdn_enabled=True))
-
-
 def test_missing_run_until_rejected():
     raw = minimal_raw()
     del raw["run_until"]
@@ -183,8 +173,9 @@ BAD_TRAFFIC_VALUES = [
     # 802.1Q: VID 0 is a priority tag, not a VLAN, and VID 0xFFF is reserved
     ("talker", "vid", 0),
     ("talker", "vid", 4095),
+    # the SR class decides the stream's PCP: a talker.pcp, even 9 or the 5 of
+    # Class B on a Class A stream, is an unknown key
     ("talker", "pcp", 9),
-    # Class A is PCP 6: its reservation would shape a queue the stream is not in
     ("talker", "pcp", 5),
     ("cross_traffic", "vid", 9999),
     ("cross_traffic", "vid", 4095),
@@ -238,9 +229,8 @@ def test_cli_refuses_traffic_values_the_model_cannot_run(tmp_path, capsys,
 
 # Values that reached a bare int(...), which crashed with a traceback or
 # truncated a fraction, and values that load into a run that records nothing
-# useful: zero queue capacity drops every frame, a count below one sends
-# nothing, and a listener whose unique_id matches no talker never receives
-# the stream. A switch that is not a YAML boolean was read by bool(), so a
+# useful: zero queue capacity drops every frame, and a count below one sends
+# nothing. A switch that is not a YAML boolean was read by bool(), so a
 # quoted "false" ran the opposite of what the file says.
 BAD_SCENARIO_VALUES = [
     (("cross_traffic", "count"), "abc", "cross_traffic.count"),
@@ -252,6 +242,8 @@ BAD_SCENARIO_VALUES = [
     (("queue_capacity",), 0, "queue_capacity"),
     (("cross_traffic", "count"), 0, "cross_traffic.count"),
     (("cross_traffic", "count"), -1, "cross_traffic.count"),
+    # a listener subscribes to the talker's stream: a listeners[i].unique_id,
+    # out of range or naming another stream, is an unknown key
     (("listeners", 0, "unique_id"), 70000, "listeners[0].unique_id"),
     (("listeners", 0, "unique_id"), 2, "listeners[0].unique_id"),
     (("shaper_enabled",), "false", "shaper_enabled"),
@@ -324,29 +316,6 @@ def test_a_section_of_the_wrong_type_is_a_config_error(tmp_path, capsys, section
     assert f"{field}: expected" in err and err.startswith("config error:")
 
 
-# A controller that is not a name, or is the name of a client or a switch,
-# loaded and ran: the controller is a node of its own.
-BAD_CONTROLLERS = [
-    ("client0", "the name of a client"),
-    ("switch1", "the name of a switch"),
-    (5, "expected a node name"),
-    (["c"], "expected a node name"),
-    ({"a": 1}, "expected a node name"),
-]
-
-
-@pytest.mark.parametrize("value, why", BAD_CONTROLLERS,
-                         ids=[repr(value) for value, _ in BAD_CONTROLLERS])
-def test_a_controller_that_is_not_a_name_of_its_own_is_a_config_error(tmp_path, capsys,
-                                                                      value, why):
-    scenario = tmp_path / "bad.yaml"
-    scenario.write_text(yaml.safe_dump(_case_study_set(("controller",), value)))
-    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert "controller: " in err and why in err
-
-
 def _refused(tmp_path, capsys, raw) -> str:
     """The error the CLI prints for `raw`, which it must refuse with exit 2."""
     scenario = tmp_path / "bad.yaml"
@@ -357,12 +326,36 @@ def _refused(tmp_path, capsys, raw) -> str:
     return err
 
 
-@pytest.mark.parametrize("key, value", [("control", {"one_way_delay": "25us"}),
-                                        ("controller", "controller0")])
-def test_an_sdn_only_key_without_sdn_is_a_config_error(tmp_path, capsys, key, value):
+def test_an_sdn_only_key_without_sdn_is_a_config_error(tmp_path, capsys):
     raw = yaml.safe_load(resolve_scenario("case_study_nosdn").read_text())
-    raw[key] = value
-    assert f"{key}: needs sdn_enabled: true" in _refused(tmp_path, capsys, raw)
+    raw["control"] = {"one_way_delay": "25us"}
+    assert "control: needs sdn_enabled: true" in _refused(tmp_path, capsys, raw)
+
+
+# Keys that had one legal value, or no reader: the controller's name, which no
+# output shows; `talker.pcp`, which its SR class decides; and
+# `listeners[i].unique_id`, which is the talker's. Each is refused as any
+# unknown key; the fix is to delete the line.
+REMOVED_KEYS = [
+    (("controller",), "controller0", "controller"),
+    (("talker", "pcp"), 6, "talker.pcp"),
+    (("listeners", 0, "unique_id"), 1, "listeners[0].unique_id"),
+]
+
+
+@pytest.mark.parametrize("path, value, field", REMOVED_KEYS,
+                         ids=[field for _, _, field in REMOVED_KEYS])
+def test_a_removed_key_is_refused_as_unknown(tmp_path, capsys, path, value, field):
+    raw = _case_study_set(path, value)
+    with pytest.raises(ConfigError, match=re.escape(f"{field}: unknown key")):
+        parse_config(raw)
+    assert f"{field}: unknown key" in _refused(tmp_path, capsys, raw)
+
+
+def test_an_sdn_scenario_names_no_controller():
+    net = build_network(parse_config(minimal_raw(sdn_enabled=True)))
+    assert net.controller is not None
+    assert set(net.controller.channels) == {"s0"}
 
 
 # A host sends only on its first port: a client with no link crashed the run,
@@ -429,6 +422,17 @@ def test_the_readme_lists_every_scenario_key():
     assert set(listed) == {field.replace("[0]", "[i]") for _, field in SCHEMA_KEYS}
 
 
+def test_the_readme_example_scenario_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Scenario files\n")[1].split("\n## ")[0]
+    example = section.split("```yaml\n")[1].split("```")[0]
+    cfg = parse_config(yaml.safe_load(example), source="README")
+    cfg.run_until = parse_time_ns("110ms")
+    result = run_scenario(cfg)
+    assert stream_records(result.sink) and udp_records(result.sink)
+    assert result.check_guarantee().passed
+
+
 def test_duplicate_node_names_rejected():
     with pytest.raises(ConfigError):
         parse_config(minimal_raw(switches=["c0"]))
@@ -479,7 +483,7 @@ def test_shipped_scenarios_load():
     assert sdn.sdn_enabled and not nosdn.sdn_enabled
     assert sdn.talker.interval == 125 * US
     assert sdn.control.one_way_delay == 25 * US
-    assert nosdn.controller is None
+    assert nosdn.control is None
     assert fault.shaper_enabled is False
     assert fault.cross_traffic.vlan.pcp == 6
 
@@ -548,6 +552,40 @@ def test_malformed_yaml_is_a_config_error_under_either_loader(
         load_config(path)
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "YAML parse error" in capsys.readouterr().err
+
+
+# A key given twice in one mapping: YAML kept the last value without a word,
+# so a second `run_until: 1ms` ran the case study for 1 ms and exited 0.
+DUPLICATE_KEYS = [
+    ("top-level", "run_until: 140ms\n", "run_until: 140ms\nrun_until: 1ms\n", "run_until"),
+    ("nested", "  vid: 2\n", "  vid: 2\n  vid: 3\n", "vid"),
+]
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+@pytest.mark.parametrize("old, new, key", [case[1:] for case in DUPLICATE_KEYS],
+                         ids=[case[0] for case in DUPLICATE_KEYS])
+def test_a_key_given_twice_is_a_config_error_under_either_loader(
+        tmp_path, monkeypatch, capsys, libyaml, old, new, key):
+    if libyaml and not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML here has no libyaml")
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    text = resolve_scenario("case_study_sdn").read_text()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    # the 1-based line of each: the first and the second time the key is given
+    first = text[:text.index(new)].count("\n") + 1
+    line = first + 1
+    path = tmp_path / "twice.yaml"
+    path.write_text(text)
+    why = f"{path}: line {line}: {key}: given twice (first on line {first})"
+    with pytest.raises(ConfigError, match=re.escape(why)):
+        load_config(path)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {why}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_run_again_into_an_out_directory_named_after_the_scenario_succeeds(
@@ -954,7 +992,7 @@ def test_the_bound_is_the_nearest_listeners_whatever_the_list_order(
     raw = yaml.safe_load(resolve_scenario("case_study_nosdn").read_text())
     raw["clients"].append("client2")
     raw["links"].append({"a": "switch0", "b": "client2"})
-    near = {"node": "client2", "unique_id": 1}
+    near = {"node": "client2"}
     raw["listeners"].insert(0 if near_first else 1, near)
     result = run_scenario(parse_config(raw))
     assert result.scheduled_ports == 2

@@ -131,13 +131,9 @@ def test_scheduled_ports_no_path():
 
 def _in_plane(raw, sdn):
     """Scenario data in the SDN plane or the TSN-only one: without SDN the
-    controller and its channel are dropped; with it, a controller is named
-    where none is."""
+    controller's channel settings are dropped."""
     raw = dict(raw, sdn_enabled=sdn)
-    if sdn:
-        raw.setdefault("controller", "controller0")
-    else:
-        raw.pop("controller", None)
+    if not sdn:
         raw.pop("control", None)
     return raw
 
@@ -193,7 +189,7 @@ def _two_listeners():
     raw = yaml.safe_load(resolve_scenario("case_study_sdn").read_text())
     raw["clients"].append("client2")
     raw["links"].append({"a": "switch0", "b": "client2"})
-    raw["listeners"].append({"node": "client2", "unique_id": 1})
+    raw["listeners"].append({"node": "client2"})
     return raw
 
 
