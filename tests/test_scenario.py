@@ -118,6 +118,12 @@ def test_minimal_config_parses():
     assert [l.rate_bps for l in cfg.links] == [100_000_000, 100_000_000]
 
 
+def test_controller_without_sdn_rejected():
+    # no scenario names its controller, with SDN or without
+    with pytest.raises(ConfigError, match="controller: unknown key"):
+        parse_config(minimal_raw(controller="ctl"))
+
+
 def test_missing_run_until_rejected():
     raw = minimal_raw()
     del raw["run_until"]
@@ -393,7 +399,9 @@ SCHEMA_KEYS = list(_schema_keys())
 
 # the keys whose value is true or false; YAML's true is no number or time
 BOOLEAN_KEYS = {"sdn_enabled", "shaper_enabled"}
-WRONG_TYPES = [(path, field, value) for path, field in SCHEMA_KEYS
+# a removed key is refused by name whatever its value, before its type is read
+WRONG_TYPES = [(path, field, value)
+               for path, field in SCHEMA_KEYS + [(path, field) for path, _, field in REMOVED_KEYS]
                for value in (2.5, True) if value is not True or field not in BOOLEAN_KEYS]
 
 
@@ -559,6 +567,8 @@ def test_malformed_yaml_is_a_config_error_under_either_loader(
 DUPLICATE_KEYS = [
     ("top-level", "run_until: 140ms\n", "run_until: 140ms\nrun_until: 1ms\n", "run_until"),
     ("nested", "  vid: 2\n", "  vid: 2\n  vid: 3\n", "vid"),
+    # a mapping in a list, on one line, with the same value both times
+    ("in-a-list-item", "  - {node: client1}\n", "  - {node: client1, node: client1}\n", "node"),
 ]
 
 
@@ -576,7 +586,7 @@ def test_a_key_given_twice_is_a_config_error_under_either_loader(
     text = text.replace(old, new)
     # the 1-based line of each: the first and the second time the key is given
     first = text[:text.index(new)].count("\n") + 1
-    line = first + 1
+    line = first + new.count("\n", 0, new.rindex(f"{key}:"))
     path = tmp_path / "twice.yaml"
     path.write_text(text)
     why = f"{path}: line {line}: {key}: given twice (first on line {first})"
